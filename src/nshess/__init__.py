@@ -33,7 +33,12 @@ from .calculus import (
     quotient_hessian,
 )
 from .config import NumericSettings, settings
-from .exceptions import EvaluationError, NotPoisedError, RankDeficientError
+from .exceptions import (
+    CollapsedGridError,
+    EvaluationError,
+    NotPoisedError,
+    RankDeficientError,
+)
 from .linalg import frobenius_norm, pseudoinverse, rank, solve, spectral_norm
 from .quadmodel import (
     QuadraticModel,
@@ -74,6 +79,7 @@ __all__ = [
     "BoundInputs",
     "CalcMode",
     "Check",
+    "CollapsedGridError",
     "CompositeFunction",
     "ConvergenceReport",
     "DirectionSet",

@@ -5,10 +5,16 @@ sense, the system that matches forward differences of f along the columns
 of T. Nesting an outer set S around it yields a Hessian estimate: row i of
 the difference matrix compares the gradient estimate at ``x0 + s_i`` with
 the one at ``x0``, and the pseudoinverse of ``S^T`` maps those rows back
-to second-derivative coordinates.
+to second-derivative coordinates. In matrix form the estimate is
 
-All sampling goes through a shared :class:`~nshess.cache.EvaluationCache`
-so that coincident points across the inner gradients are evaluated once.
+    H = pinv(S^T) @ D @ pinv(T),
+    D[i, j] = F[i, j] - F[i, 0] - F[0, j] + F[0, 0]   (i, j >= 1),
+
+where ``F[i, j] = f((x0 + s_i) + t_j)``, with ``s_0 = t_0 = 0``, holds the
+values on the ``(m+1) x (k+1)`` sample grid of
+:func:`~nshess.sets.sample_grid`. The grid is read through a shared
+:class:`~nshess.cache.EvaluationCache` in one bulk lookup, so coincident
+points are evaluated once.
 """
 
 from __future__ import annotations
@@ -19,13 +25,15 @@ import numpy as np
 
 from . import linalg
 from .cache import EvaluationCache
-from .exceptions import RankDeficientError
-from .sets import DirectionSet, dedup_tolerance
+from .exceptions import CollapsedGridError, RankDeficientError
+from .sets import DirectionSet, dedup_tolerance, sample_grid
 
 __all__ = [
     "GradientResult",
     "HessianResult",
     "delta_f",
+    "grid_tolerance",
+    "second_differences",
     "simplex_gradient",
     "nested_set_hessian",
 ]
@@ -65,11 +73,33 @@ def _base_point(x0) -> np.ndarray:
     return x0
 
 
+def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
+    """Coincidence tolerance ``cache`` uses for sampling around ``x0``.
+
+    Widens the cache's tolerance to :func:`~nshess.sets.dedup_tolerance`
+    of ``x0`` and the named sets, then returns the tolerance in force,
+    which is wider still if the cache served a larger scale before. Raises
+    :class:`~nshess.exceptions.CollapsedGridError` when a column of any
+    set has max-norm at or below it: its points would merge with their
+    base points and the estimate would read as zero.
+    """
+    cache.ensure_tolerance(dedup_tolerance(x0, *sets.values()))
+    tol = cache.tol
+    for name, d in sets.items():
+        spacing = float(np.abs(d.matrix).max(axis=0).min())
+        if spacing <= tol:
+            raise CollapsedGridError(name, spacing, tol)
+    return tol
+
+
+def second_differences(values: np.ndarray) -> np.ndarray:
+    """``D[i, j] = F[i, j] - F[i, 0] - F[0, j] + F[0, 0]`` for ``i, j >= 1``."""
+    return values[1:, 1:] - values[1:, :1] - values[:1, 1:] + values[0, 0]
+
+
 def _differences(base: np.ndarray, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
-    f0 = cache.evaluate(base)
-    return np.array(
-        [cache.evaluate(base + t_set.column(j)) - f0 for j in range(t_set.count)]
-    )
+    values = cache.evaluate_many(np.vstack([base, base + t_set.matrix.T]))
+    return values[1:] - values[0]
 
 
 def _require_full_row_rank(d: DirectionSet, name: str) -> None:
@@ -83,7 +113,7 @@ def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
-    cache.ensure_tolerance(dedup_tolerance(x0, t_set))
+    grid_tolerance(cache, x0, T=t_set)
     return _differences(x0, t_set, cache)
 
 
@@ -98,7 +128,7 @@ def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> Gradien
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T")
-    cache.ensure_tolerance(dedup_tolerance(x0, t_set))
+    grid_tolerance(cache, x0, T=t_set)
     d = _differences(x0, t_set, cache)
     g = linalg.pseudoinverse(t_set.matrix.T) @ d
     return GradientResult(g, t_set.radius, cache.distinct_count)
@@ -117,6 +147,10 @@ def nested_set_hessian(
     quadratics for any such pair. ``symmetrize=True`` replaces the raw
     matrix with its symmetric part; the default reports the estimate as
     defined, which is generally asymmetric on non-quadratic functions.
+    Computed as ``pinv(S^T) @ D @ pinv(T)``; the sample grid is read in
+    one bulk cache lookup, row by row.
+    Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
+    is too short for the cache's coincidence tolerance.
     """
     x0 = _base_point(x0)
     n = x0.shape[0]
@@ -126,16 +160,11 @@ def nested_set_hessian(
         )
     _require_full_row_rank(s_set, "S")
     _require_full_row_rank(t_set, "T")
-    cache.ensure_tolerance(dedup_tolerance(x0, s_set, t_set))
-
-    t_pinv = linalg.pseudoinverse(t_set.matrix.T)
-    g0 = t_pinv @ _differences(x0, t_set, cache)
-    rows = []
-    for i in range(s_set.count):
-        base = x0 + s_set.column(i)
-        gi = t_pinv @ _differences(base, t_set, cache)
-        rows.append(gi - g0)
-    h = linalg.pseudoinverse(s_set.matrix.T) @ np.vstack(rows)
+    grid_tolerance(cache, x0, S=s_set, T=t_set)
+    grid = sample_grid(x0, s_set, t_set)
+    values = cache.evaluate_many(grid.reshape(-1, n)).reshape(grid.shape[:2])
+    d = second_differences(values)
+    h = linalg.pseudoinverse(s_set.matrix.T) @ d @ linalg.pseudoinverse(t_set.matrix)
     if symmetrize:
         h = 0.5 * (h + h.T)
     delta_u = max(s_set.radius, t_set.radius)

@@ -1,4 +1,12 @@
-"""Counting, de-duplicating wrapper around a scalar black-box oracle."""
+"""Counting, de-duplicating wrapper around a scalar black-box oracle.
+
+Coincidence of sample points is decided in one place, :class:`PointIndex`:
+an exact byte-key match first, then one vectorized max-norm test of the
+query against a contiguous block of stored points. The cache, the grid
+enumeration in :mod:`nshess.sets` and the :class:`~nshess.sets.PointSet`
+constructor all resolve points through it, greedily and in first-seen
+order.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,52 @@ import numpy as np
 
 from .exceptions import EvaluationError
 
-__all__ = ["EvaluationCache"]
+__all__ = ["EvaluationCache", "PointIndex"]
+
+
+class PointIndex:
+    """Distinct points of one dimension, stored as rows of a growing block.
+
+    :meth:`find` returns the first stored row whose coordinates all differ
+    from the query by at most ``tol``, or -1. A query bitwise equal to an
+    earlier matched or added one gets that row from a byte-key memo,
+    without the scan. The block doubles when full.
+    """
+
+    def __init__(self, dim: int):
+        self._block = np.empty((8, dim))
+        self._count = 0
+        self._exact: dict[bytes, int] = {}
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def points(self) -> np.ndarray:
+        """The stored points, one per row, in insertion order (a view)."""
+        return self._block[: self._count]
+
+    def find(self, x: np.ndarray, tol: float) -> int:
+        key = x.tobytes()
+        i = self._exact.get(key)
+        if i is not None:
+            return i
+        if self._count == 0:
+            return -1
+        close = np.abs(self._block[: self._count] - x).max(axis=1) <= tol
+        i = int(close.argmax())
+        if not close[i]:
+            return -1
+        self._exact[key] = i
+        return i
+
+    def add(self, x: np.ndarray) -> None:
+        """Store ``x`` as the next row."""
+        if self._count == len(self._block):
+            self._block = np.concatenate([self._block, np.empty_like(self._block)])
+        self._block[self._count] = x
+        self._exact[x.tobytes()] = self._count
+        self._count += 1
 
 
 class EvaluationCache:
@@ -16,9 +69,16 @@ class EvaluationCache:
 
     Points whose coordinates all differ by at most ``tol`` are treated as
     the same point; the first computed value wins and later requests return
-    it without calling the oracle. Operations that know their sampling
-    geometry widen ``tol`` through :meth:`ensure_tolerance` so that points
-    assembled along different arithmetic paths still coincide.
+    it without calling the oracle. Points of different dimensions never
+    match. Operations that know their sampling geometry widen ``tol``
+    through :meth:`ensure_tolerance` so that points assembled along
+    different arithmetic paths still coincide.
+
+    Distinct points are kept per dimension in a :class:`PointIndex`, so a
+    request that is not an exact repeat costs one vectorized comparison
+    with the stored block. :meth:`evaluate_many` answers a whole ``(p, n)``
+    array of requests under one lock acquisition and leaves exactly the
+    state that calling :meth:`evaluate` row by row would.
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
@@ -32,9 +92,7 @@ class EvaluationCache:
             raise ValueError("tol must be nonnegative")
         self._oracle = oracle
         self._tol = float(tol)
-        self._points: list[np.ndarray] = []
-        self._values: list[float] = []
-        self._exact: dict[bytes, int] = {}
+        self._tables: dict[int, tuple[PointIndex, list[float]]] = {}
         self._trace: list[tuple[np.ndarray, float, str]] = []
         self._total = 0
         self._lock = threading.RLock()
@@ -43,7 +101,7 @@ class EvaluationCache:
     def distinct_count(self) -> int:
         """Number of oracle calls made, i.e. distinct points evaluated."""
         with self._lock:
-            return len(self._points)
+            return sum(len(index) for index, _ in self._tables.values())
 
     @property
     def total_requests(self) -> int:
@@ -60,17 +118,16 @@ class EvaluationCache:
         with self._lock:
             self._tol = max(self._tol, float(tol))
 
-    def _find(self, x: np.ndarray) -> int:
-        key = x.tobytes()
-        idx = self._exact.get(key)
-        if idx is not None:
-            return idx
-        tol = self._tol
-        for i, p in enumerate(self._points):
-            if p.shape == x.shape and np.max(np.abs(p - x)) <= tol:
-                self._exact[key] = i
-                return i
-        return -1
+    def _call_oracle(self, x: np.ndarray) -> float:
+        try:
+            value = float(self._oracle(x.copy()))
+        except EvaluationError:
+            raise
+        except Exception as exc:
+            raise EvaluationError(x, f"{type(exc).__name__}: {exc}") from exc
+        if not np.isfinite(value):
+            raise EvaluationError(x, f"oracle returned non-finite value {value}")
+        return value
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -79,29 +136,36 @@ class EvaluationCache:
         if not np.isfinite(x).all():
             raise ValueError("evaluation point contains non-finite entries")
         with self._lock:
+            dim = x.shape[0]
+            if dim not in self._tables:
+                self._tables[dim] = (PointIndex(dim), [])
+            index, stored = self._tables[dim]
+            i = index.find(x, self._tol)
             self._total += 1
-            idx = self._find(x)
-            if idx >= 0:
-                value = self._values[idx]
-                self._trace.append((x.copy(), value, "hit"))
-                return value
-            try:
-                value = float(self._oracle(x.copy()))
-            except EvaluationError:
-                raise
-            except Exception as exc:
-                raise EvaluationError(x, f"{type(exc).__name__}: {exc}") from exc
-            if not np.isfinite(value):
-                raise EvaluationError(x, f"oracle returned non-finite value {value}")
-            stored = x.copy()
-            stored.setflags(write=False)
-            self._points.append(stored)
-            self._values.append(value)
-            self._exact[x.tobytes()] = len(self._points) - 1
-            self._trace.append((stored, value, "miss"))
+            if i >= 0:
+                value, status = stored[i], "hit"
+            else:
+                value, status = self._call_oracle(x), "miss"
+                index.add(x)
+                stored.append(value)
+            self._trace.append((x.copy(), value, status))
             return value
 
     __call__ = evaluate
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Values at every row of a ``(p, n)`` array, in one call.
+
+        The rows go through :meth:`evaluate` in order under one hold of the
+        lock, so no other caller interleaves, and counts, the trace, errors
+        and which value wins inside the tolerance are exactly those of
+        ``p`` separate calls.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError(f"evaluation points must form a 2-D array, got shape {pts.shape}")
+        with self._lock:
+            return np.array([self.evaluate(x) for x in pts])
 
     def trace_rows(self) -> list[tuple[np.ndarray, float, str]]:
         """Chronological (point, value, hit|miss) records."""

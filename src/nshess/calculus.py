@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .approx import HessianResult, nested_set_hessian, simplex_gradient
+from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
 from .cache import EvaluationCache
 from .config import settings
 from .exceptions import NotPoisedError
@@ -187,17 +187,20 @@ def quadratic_model_gradient(
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
-    be poised; every value is read through the cache, so after a nested
-    Hessian estimate this costs no new evaluations.
+    be poised. Points are deduplicated at the tolerance the cache uses
+    (:func:`~nshess.approx.grid_tolerance`) and their values read in one
+    bulk lookup, so after a nested Hessian estimate this costs no new
+    evaluations.
     """
     x0 = np.asarray(x0, dtype=float)
-    pts = nshc_points(x0, s_set, t_set)
+    tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
+    pts = nshc_points(x0, s_set, t_set, tol)
     need = minimal_point_count(pts.dim)
     if len(pts) != need:
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    values = np.array([cache.evaluate(p) for p in pts])
+    values = cache.evaluate_many(pts.points)
     model = interpolate_general(pts, values, center=x0)
     return model.gradient(x0), model, pts
 

@@ -17,6 +17,24 @@ class RankDeficientError(ValueError):
         )
 
 
+class CollapsedGridError(ValueError):
+    """A direction is too short to keep its sample points apart.
+
+    Raised when a column of a direction set has max-norm at or below the
+    coincidence tolerance in use, so the grid would merge ``x0 + d`` with
+    ``x0`` and the estimate would come out as a silent zero.
+    """
+
+    def __init__(self, name: str, spacing: float, tol: float):
+        self.name = name
+        self.spacing = spacing
+        self.tol = tol
+        super().__init__(
+            f"{name} has a column of max-norm {spacing:.3e} at or below the coincidence "
+            f"tolerance {tol:.3e}; its sample points would merge"
+        )
+
+
 class NotPoisedError(ValueError):
     """A point set does not determine a unique quadratic interpolant."""
 

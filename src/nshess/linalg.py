@@ -31,18 +31,22 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _cutoff(singular_values: np.ndarray, shape) -> float:
+    # The absolute floor tiny / eps keeps 1 / s finite: a subnormal singular
+    # value would otherwise pass a relative cutoff and invert to inf.
+    info = np.finfo(float)
     rtol = settings.rank_rtol
     if rtol is None:
-        rtol = max(shape) * np.finfo(float).eps
+        rtol = max(shape) * info.eps
     top = singular_values[0] if singular_values.size else 0.0
-    return rtol * top
+    return max(rtol * top, info.tiny / info.eps)
 
 
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
-    treated as zero (override through ``settings.rank_rtol``).
+    treated as zero (override through ``settings.rank_rtol``), as are those
+    at or below ``tiny / eps``, whose reciprocals would overflow.
     """
     m = _as_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .approx import grid_tolerance, second_differences
 from .cache import EvaluationCache
 from .config import settings
 from .exceptions import NotPoisedError, RankDeficientError
@@ -21,9 +22,9 @@ from .sets import (
     DirectionSet,
     PointSet,
     build_uk,
-    dedup_tolerance,
     minimal_point_count,
     quadratic_basis_matrix,
+    sample_grid,
 )
 
 __all__ = [
@@ -138,11 +139,12 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
 def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache) -> QuadraticModel:
     """Closed-form model over the folded sample grid of ``(S, U_k)``.
 
-    Assembles the curvature matrix directly from second differences of the
-    cached values, then maps it back through two triangular-factor solves
-    with ``S^T``. Every function value it touches lies on the nested
-    Hessian sample grid, so a cache shared with that estimate is not asked
-    for anything new.
+    Reads its grid values in one bulk cache lookup, from the points the
+    nested Hessian estimate samples, so a cache shared with that estimate
+    is not asked for anything new. The second differences ``D = S^T H U_k``
+    of a quadratic give the curvature matrix ``S^T H S = D E_k``, where
+    ``U_k = S E_k`` and ``E_k`` is its own inverse; two solves with ``S^T``
+    then map it back.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0] if x0.ndim == 1 else -1
@@ -154,55 +156,31 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     if r < n:
         raise RankDeficientError("S", r, n)
     u_set = build_uk(s_set, k)
-    cache.ensure_tolerance(dedup_tolerance(x0, s_set, u_set))
-
-    # Sample points are built as (x0 + s_i) + t_j, matching the nested
-    # Hessian's arithmetic so shared caches hit bitwise.
-    f0 = cache.evaluate(x0)
-    bases = [x0 + s_set.column(i) for i in range(n)]
-    fs = np.array([cache.evaluate(b) for b in bases])
-
-    hhat = np.zeros((n, n))
+    grid_tolerance(cache, x0, S=s_set, T=u_set)
+    grid = sample_grid(x0, s_set, u_set)
+    # The curvature matrix is symmetric, so its upper triangle is enough:
+    # that needs the upper triangle of the grid, column 0, and column k,
+    # whose direction -s_k is part of every other column of U_k.
+    need = np.triu(np.ones((n + 1, n + 1), dtype=bool))
+    need[:, 0] = need[:, k] = True
+    values = np.full((n + 1, n + 1), np.nan)
+    values[need] = cache.evaluate_many(grid[need])
+    d = second_differences(values)
     if k == 0:
-        for i in range(n):
-            hhat[i, i] = cache.evaluate(bases[i] + u_set.column(i)) - 2.0 * fs[i] + f0
-            for j in range(i + 1, n):
-                hhat[i, j] = cache.evaluate(bases[i] + u_set.column(j)) - fs[i] - fs[j] + f0
-                hhat[j, i] = hhat[i, j]
+        hhat = d
     else:
-        kk = k - 1
-        f_minus = cache.evaluate(x0 + u_set.column(kk))
-        f_shift = np.zeros(n)
-        for i in range(n):
-            if i == kk:
-                continue
-            f_shift[i] = cache.evaluate(bases[i] + u_set.column(kk))
-        hhat[kk, kk] = fs[kk] + f_minus - 2.0 * f0
-        for i in range(n):
-            if i == kk:
-                continue
-            hhat[i, kk] = -f_shift[i] + fs[i] + f_minus - f0
-            hhat[kk, i] = hhat[i, kk]
-            hhat[i, i] = cache.evaluate(bases[i] + u_set.column(i)) - 2.0 * f_shift[i] + f_minus
-            for j in range(i + 1, n):
-                if j == kk:
-                    continue
-                hhat[i, j] = (
-                    cache.evaluate(bases[i] + u_set.column(j)) - f_shift[i] - f_shift[j] + f_minus
-                )
-                hhat[j, i] = hhat[i, j]
+        # Column j of E_k is e_j - e_k (j != k) and column k is -e_k.
+        hhat = d - d[:, k - 1 : k]
+        hhat[:, k - 1] = -d[:, k - 1]
+    hhat = np.triu(hhat) + np.triu(hhat, 1).T
 
     st = s_set.matrix.T
     w = linalg.solve(st, hhat, name="S^T")
     hessian = linalg.solve(st, w.T, name="S^T").T
     hessian = 0.5 * (hessian + hessian.T)
 
-    abar = np.array(
-        [
-            fs[i] - f0 - 0.5 * hhat[i, i] - x0 @ hessian @ s_set.column(i)
-            for i in range(n)
-        ]
-    )
+    f0 = values[0, 0]
+    abar = values[1:, 0] - f0 - 0.5 * np.diag(hhat) - x0 @ hessian @ s_set.matrix
     alpha = linalg.solve(st, abar, name="S^T")
     alpha0 = f0 - alpha @ x0 - 0.5 * (x0 @ hessian @ x0)
     return QuadraticModel(alpha0, alpha, hessian)

@@ -3,10 +3,12 @@
 A direction set is an ordered collection of vectors in R^n stored as the
 columns of an n-by-m matrix. A Hessian estimate samples the target function
 on the points ``x0 + s_i + t_j`` generated by an outer set S and an inner
-set T; this module enumerates those points, deduplicates coincidences, and
-answers two structural questions about a candidate point set: is it poised
-for quadratic interpolation, and is it exactly the sample set of some
-nested Hessian estimate of minimal size.
+set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
+This module deduplicates that grid, greedily in first-seen order through
+the same :class:`~nshess.cache.PointIndex` coincidence test the evaluation
+cache uses, and answers two structural questions about a candidate point
+set: is it poised for quadratic interpolation, and is it exactly the sample
+set of some nested Hessian estimate of minimal size.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
+from .cache import PointIndex
 from .config import settings
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "dedup_tolerance",
     "build_uk",
     "canonical_set",
+    "sample_grid",
     "nshc_points",
     "count_distinct",
     "minimal_point_count",
@@ -101,9 +105,12 @@ class PointSet:
             raise ValueError(f"points must form a nonempty 2-D array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite entries")
-        for a, b in combinations(range(len(pts)), 2):
-            if np.max(np.abs(pts[a] - pts[b])) <= self.dedup_tol:
+        index = PointIndex(pts.shape[1])
+        for b, x in enumerate(pts):
+            a = index.find(x, self.dedup_tol)
+            if a >= 0:
                 raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
+            index.add(x)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -202,23 +209,13 @@ def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionS
     return s_set, build_uk(s_set, k)
 
 
-def _dedup(candidates: list[np.ndarray], tol: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in candidates:
-        for q in kept:
-            if np.max(np.abs(p - q)) <= tol:
-                break
-        else:
-            kept.append(p)
-    return np.array(kept)
+def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
+    """The ``(m+1, k+1, n)`` array of points a nested Hessian estimate samples.
 
-
-def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
-    """Every point a nested Hessian estimate at ``x0`` evaluates.
-
-    The deduplicated union of ``x0``, ``x0 + t_j``, ``x0 + s_i`` and
-    ``x0 + s_i + t_j``, built in that fixed order so the first-seen
-    representative of each coincidence class is kept.
+    ``grid[i, j] = (x0 + s_i) + t_j`` with ``s_0 = t_0 = 0``: row 0 holds
+    ``x0`` and ``x0 + t_j``, column 0 holds ``x0 + s_i``. Every entry is
+    formed by that one sequence of additions, so points shared by two
+    estimates on the same sets are bitwise equal.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.shape[0] != s_set.dim or s_set.dim != t_set.dim:
@@ -226,17 +223,29 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
             f"dimension mismatch: x0 has {x0.shape}, S is {s_set.dim}-dimensional, "
             f"T is {t_set.dim}-dimensional"
         )
+    grid = np.empty((s_set.count + 1, t_set.count + 1, x0.shape[0]))
+    grid[0, 0] = x0
+    grid[1:, 0] = x0 + s_set.matrix.T
+    np.add(grid[:, :1], t_set.matrix.T, out=grid[:, 1:])
+    return grid
+
+
+def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
+    """Every point a nested Hessian estimate at ``x0`` evaluates.
+
+    The deduplicated :func:`sample_grid`, read row by row (``x0``, then
+    ``x0 + t_j``, then ``x0 + s_i`` followed by ``x0 + s_i + t_j``), so the
+    first-seen representative of each coincidence class is kept, exactly
+    as an evaluation cache with tolerance ``tol`` would keep it.
+    """
+    grid = sample_grid(x0, s_set, t_set)
     if tol is None:
         tol = dedup_tolerance(x0, s_set, t_set)
-    candidates = [x0]
-    for j in range(t_set.count):
-        candidates.append(x0 + t_set.column(j))
-    for i in range(s_set.count):
-        base = x0 + s_set.column(i)
-        candidates.append(base)
-        for j in range(t_set.count):
-            candidates.append(base + t_set.column(j))
-    return PointSet(_dedup(candidates, tol), tol)
+    index = PointIndex(grid.shape[2])
+    for x in grid.reshape(-1, grid.shape[2]):
+        if index.find(x, tol) < 0:
+            index.add(x)
+    return PointSet(index.points, tol)
 
 
 def count_distinct(x0, s_set: DirectionSet, t_set: DirectionSet) -> int:

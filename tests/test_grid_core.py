@@ -1,0 +1,282 @@
+"""The grid-first estimator core: bulk cache lookup, matrix-form Hessian,
+grid deduplication, and the refusal to estimate on collapsed grids."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from nshess import (
+    CollapsedGridError,
+    DirectionSet,
+    EvaluationCache,
+    canonical_set,
+    interpolate_minimal,
+    minimal_point_count,
+    nested_set_hessian,
+    nshc_points,
+    quadratic_model_gradient,
+    simplex_gradient,
+)
+from nshess import linalg
+from nshess.exceptions import EvaluationError
+
+
+def smooth(x):
+    return float(np.sum(x**3) + np.exp(0.3 * np.sum(x)) + x[0] * x[-1])
+
+
+def counter_oracle():
+    """Returns 0, 1, 2, ... so each stored value names the call that made it."""
+    calls = itertools.count()
+    return lambda x: float(next(calls))
+
+
+def cache_state(cache):
+    rows = cache.trace_rows()
+    return (
+        cache.distinct_count,
+        cache.total_requests,
+        [p.tolist() for p, _, _ in rows],
+        [v for _, v, _ in rows],
+        [s for _, _, s in rows],
+    )
+
+
+class TestBulkLookup:
+    TOL = 1e-9
+
+    def requests(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 3))
+        rows = np.vstack(
+            [
+                base,
+                base[[0, 2]] + 0.5 * self.TOL,  # within tol: hits on the first value
+                base[[1, 1]],  # exact repeats
+                base[[3]] + 3.0 * self.TOL,  # just outside tol: a new point
+                base[[3]] + 3.5 * self.TOL,  # within tol of that new point only
+                rng.standard_normal((3, 3)),
+            ]
+        )
+        return rows[rng.permutation(len(rows))]
+
+    def test_matches_row_by_row_evaluation(self):
+        rows = self.requests()
+        one = EvaluationCache(counter_oracle(), tol=self.TOL)
+        expected = [one.evaluate(x) for x in rows]
+        bulk = EvaluationCache(counter_oracle(), tol=self.TOL)
+        got = bulk.evaluate_many(rows)
+        np.testing.assert_array_equal(got, expected)
+        assert cache_state(bulk) == cache_state(one)
+        statuses = cache_state(bulk)[4]
+        assert statuses.count("miss") == 10 and statuses.count("hit") == 5
+
+    def test_split_and_interleaved_calls_match(self):
+        rows = self.requests()
+        one = EvaluationCache(counter_oracle(), tol=self.TOL)
+        expected = [one.evaluate(x) for x in rows]
+        mixed = EvaluationCache(counter_oracle(), tol=self.TOL)
+        got = list(mixed.evaluate_many(rows[:5]))
+        got.append(mixed.evaluate(rows[5]))
+        got.extend(mixed.evaluate_many(rows[6:]))
+        assert got == expected
+        assert cache_state(mixed) == cache_state(one)
+
+    def test_first_value_wins_within_tolerance(self):
+        cache = EvaluationCache(counter_oracle(), tol=1e-6)
+        got = cache.evaluate_many([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]])
+        # 0.9e-6 is within tol of both stored points; the earlier one wins
+        # although the later one is nearer.
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 0.0])
+        assert cache.distinct_count == 2
+
+    def test_other_dimensions_never_match(self):
+        one = EvaluationCache(counter_oracle(), tol=1e-9)
+        bulk = EvaluationCache(counter_oracle(), tol=1e-9)
+        requests = [np.zeros(2), np.zeros(3), np.array([0.0, 0.0, 1e-12]), np.zeros(2)]
+        expected = [one.evaluate(x) for x in requests]
+        got = [bulk.evaluate_many(requests[0][None])[0]]
+        got.extend(bulk.evaluate_many(np.vstack(requests[1:3])))
+        got.append(bulk.evaluate(requests[3]))
+        assert got == expected == [0.0, 1.0, 1.0, 0.0]
+        assert cache_state(bulk) == cache_state(one)
+
+    def test_non_finite_row_raises_after_serving_earlier_rows(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [np.nan, 0.0], [5.0, 6.0]])
+        one = EvaluationCache(counter_oracle())
+        with pytest.raises(ValueError, match="non-finite"):
+            for x in rows:
+                one.evaluate(x)
+        bulk = EvaluationCache(counter_oracle())
+        with pytest.raises(ValueError, match="non-finite"):
+            bulk.evaluate_many(rows)
+        assert cache_state(bulk) == cache_state(one)
+
+    def test_oracle_failure_keeps_earlier_rows(self):
+        def fails_at_three(x):
+            if x[0] == 3.0:
+                raise RuntimeError("backend offline")
+            return float(x[0])
+
+        rows = np.array([[1.0], [2.0], [1.0], [3.0], [4.0]])
+        one = EvaluationCache(fails_at_three)
+        with pytest.raises(EvaluationError):
+            for x in rows:
+                one.evaluate(x)
+        bulk = EvaluationCache(fails_at_three)
+        with pytest.raises(EvaluationError, match="backend offline"):
+            bulk.evaluate_many(rows)
+        assert cache_state(bulk) == cache_state(one)
+
+    def test_rejects_vector_input(self):
+        with pytest.raises(ValueError, match="2-D"):
+            EvaluationCache(smooth).evaluate_many(np.zeros(3))
+
+
+def loop_hessian(x0, s_mat, t_mat, f):
+    """The nested estimate as first written: one simplex gradient per row."""
+    t_pinv = linalg.pseudoinverse(t_mat.T)
+
+    def gradient(base):
+        fb = f(base)
+        return t_pinv @ np.array([f(base + t_mat[:, j]) - fb for j in range(t_mat.shape[1])])
+
+    g0 = gradient(x0)
+    rows = [gradient(x0 + s_mat[:, i]) - g0 for i in range(s_mat.shape[1])]
+    return linalg.pseudoinverse(s_mat.T) @ np.vstack(rows)
+
+
+class TestMatrixForm:
+    @pytest.mark.parametrize("n,m,k", [(2, 3, 4), (3, 5, 4), (4, 4, 7), (5, 8, 6)])
+    def test_matches_loop_reference(self, n, m, k):
+        rng = np.random.default_rng(100 + n)
+        s_mat = 0.1 * rng.standard_normal((n, m))
+        t_mat = 0.1 * rng.standard_normal((n, k))
+        assert np.linalg.matrix_rank(s_mat) == n and np.linalg.matrix_rank(t_mat) == n
+        x0 = rng.uniform(-0.5, 0.5, size=n)
+        cache = EvaluationCache(smooth)
+        res = nested_set_hessian(x0, DirectionSet(s_mat), DirectionSet(t_mat), cache)
+        want = loop_hessian(x0, s_mat, t_mat, smooth)
+        assert np.linalg.norm(res.hessian - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestEvaluationEconomy:
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_oracle_called_minimal_times(self, n):
+        x0 = np.linspace(-0.5, 0.5, n)
+        for k in sorted({0, 1, n // 2, n}):
+            calls = []
+
+            def counting(x):
+                calls.append(1)
+                return smooth(x)
+
+            s_set, t_set = canonical_set(n, k, 1e-2)
+            cache = EvaluationCache(counting)
+            nested_set_hessian(x0, s_set, t_set, cache)
+            interpolate_minimal(x0, s_set, k, cache)
+            quadratic_model_gradient(cache, x0, s_set, t_set)
+            assert len(calls) == minimal_point_count(n), f"k={k}"
+
+
+def greedy_dedup(candidates, tol):
+    """The grid deduplication as first written, kept as the reference."""
+    kept = []
+    for p in candidates:
+        for q in kept:
+            if np.max(np.abs(p - q)) <= tol:
+                break
+        else:
+            kept.append(p)
+    return np.array(kept)
+
+
+def loop_candidates(x0, s_mat, t_mat):
+    candidates = [x0]
+    for j in range(t_mat.shape[1]):
+        candidates.append(x0 + t_mat[:, j])
+    for i in range(s_mat.shape[1]):
+        base = x0 + s_mat[:, i]
+        candidates.append(base)
+        for j in range(t_mat.shape[1]):
+            candidates.append(base + t_mat[:, j])
+    return candidates
+
+
+class TestGridDedup:
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_reference_with_planted_near_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3
+        s_mat = rng.standard_normal((n, n))
+        t_mat = np.empty((n, 5))
+        # t_0 and t_1 fold grid points onto x0 + s_i up to a perturbation
+        # inside the tolerance, t_2 up to one just outside it, t_3 folds
+        # x0 + s_0 back onto x0 up to rounding, and t_4 is generic.
+        jitter = rng.uniform(-0.9, 0.9, size=n) * self.TOL
+        t_mat[:, 0] = s_mat[:, 1] - s_mat[:, 0] + jitter
+        t_mat[:, 1] = s_mat[:, 2] - s_mat[:, 0] - jitter
+        t_mat[:, 2] = s_mat[:, 2] - s_mat[:, 1] + np.array([1.5, 0.0, 0.0]) * self.TOL
+        t_mat[:, 3] = -s_mat[:, 0]
+        t_mat[:, 4] = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        got = nshc_points(x0, DirectionSet(s_mat), DirectionSet(t_mat), self.TOL)
+        want = greedy_dedup(loop_candidates(x0, s_mat, t_mat), self.TOL)
+        np.testing.assert_array_equal(got.points, want)
+        assert len(want) < (n + 1) * 6
+
+    def test_chained_near_duplicates_follow_first_seen(self):
+        # 0.8 tol and 1.6 tol from x0: the first merges into x0, the second
+        # is kept although it lies within tol of the first.
+        tol = self.TOL
+        t_mat = np.array([[0.8 * tol, 1.6 * tol], [0.0, 1.0]])
+        s_mat = np.array([[10.0, 0.0], [0.0, 10.0]])
+        x0 = np.zeros(2)
+        got = nshc_points(x0, DirectionSet(s_mat), DirectionSet(t_mat), tol)
+        want = greedy_dedup(loop_candidates(x0, s_mat, t_mat), tol)
+        np.testing.assert_array_equal(got.points, want)
+        np.testing.assert_array_equal(got.points[1], t_mat[:, 1])
+
+
+class TestCollapsedGrids:
+    def test_large_base_point_with_small_step(self):
+        s_set, t_set = canonical_set(3, 1, 1e-7)
+        cache = EvaluationCache(smooth)
+        with pytest.raises(CollapsedGridError) as exc:
+            nested_set_hessian(1e6 * np.ones(3), s_set, t_set, cache)
+        assert exc.value.tol >= exc.value.spacing
+        assert cache.distinct_count == 0
+
+    def test_unit_base_point_with_step_below_tolerance(self):
+        s_set, t_set = canonical_set(3, 2, 1e-13)
+        with pytest.raises(CollapsedGridError):
+            nested_set_hessian(np.ones(3), s_set, t_set, EvaluationCache(smooth))
+
+    def test_cache_widened_at_large_scale_then_reused_small(self):
+        def cubic(x):
+            return float(np.sum(x**3) + x[0] * x[-1])
+
+        cache = EvaluationCache(cubic)
+        s_big, t_big = canonical_set(3, 1, 1.0)
+        nested_set_hessian(1e8 * np.ones(3), s_big, t_big, cache)
+        s_small, t_small = canonical_set(3, 1, 1e-5)
+        with pytest.raises(CollapsedGridError) as exc:
+            nested_set_hessian(np.zeros(3), s_small, t_small, cache)
+        assert exc.value.tol == cache.tol
+        # The same request on a fresh cache is well posed.
+        fresh = nested_set_hessian(np.zeros(3), s_small, t_small, EvaluationCache(cubic))
+        assert np.abs(fresh.hessian).max() > 0.0
+
+    def test_every_estimator_refuses(self):
+        s_set, t_set = canonical_set(2, 1, 1e-13)
+        x0 = np.ones(2)
+        for call in (
+            lambda c: simplex_gradient(x0, t_set, c),
+            lambda c: interpolate_minimal(x0, s_set, 1, c),
+            lambda c: quadratic_model_gradient(c, x0, s_set, t_set),
+        ):
+            with pytest.raises(CollapsedGridError):
+                call(EvaluationCache(smooth))

