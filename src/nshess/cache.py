@@ -19,6 +19,15 @@ from .exceptions import EvaluationError
 __all__ = ["EvaluationCache", "PointIndex"]
 
 
+def _write_text(target, text: str) -> None:
+    """Write ``text`` to ``target``, a path or an open text stream."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        target.write(text)
+
+
 class PointIndex:
     """Distinct points of one dimension, stored as rows of a growing block.
 
@@ -185,8 +194,4 @@ class EvaluationCache:
                 coords = ",".join(repr(float(v)) for v in point)
                 lines.append(f"{coords},{value!r},{status}")
             text = "\n".join(lines) + "\n"
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            target.write(text)
+        _write_text(target, text)

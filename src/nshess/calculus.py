@@ -10,6 +10,13 @@ where that gradient information comes from:
   full sample grid, which is exact whenever the factor is a quadratic, at
   zero additional evaluations.
 
+Each factor is visited once. One pass over its cache yields a record: the
+nested-set Hessian estimate, ``f(x0)``, the mode's gradient at ``x0`` and,
+in quadratic mode, the interpolation model and the point set that gradient
+came from. The rule assembles its estimate from these records, and a caller
+certifying the estimate reads the same records, so the bound covers exactly
+the numbers the estimate used.
+
 The matching ``calculus_error_bound`` evaluates per-rule worst-case bounds
 from per-factor data. Each bound contains a minimum over several candidate
 cross terms; candidates needing unavailable quantities are skipped.
@@ -205,36 +212,85 @@ def quadratic_model_gradient(
     return model.gradient(x0), model, pts
 
 
-def _mode_gradients(
+@dataclass(frozen=True)
+class _FactorRecord:
+    """One factor's pass over its cache, read by both the rule and its bound.
+
+    ``estimate`` is the factor's nested-set Hessian, ``value`` is ``f(x0)``
+    and ``gradient`` the mode's gradient at ``x0``. In quadratic mode the
+    record also keeps the interpolation ``model`` and the ``points`` it was
+    built on; in simplex mode both are ``None``.
+    """
+
+    estimate: HessianResult
+    value: float
+    gradient: np.ndarray
+    model: QuadraticModel | None = None
+    points: PointSet | None = None
+
+
+def _rule_estimate(
+    rule: str,
     caches: list[EvaluationCache],
     x0,
     s_set: DirectionSet,
     t_set: DirectionSet,
-    mode: CalcMode,
-) -> list[np.ndarray]:
-    if mode is CalcMode.SIMPLEX:
-        return [simplex_gradient(x0, t_set, c).gradient for c in caches]
-    return [quadratic_model_gradient(c, x0, s_set, t_set)[0] for c in caches]
+    mode=CalcMode.SIMPLEX,
+    symmetrize: bool = False,
+    power: int | None = None,
+) -> tuple[HessianResult, list[_FactorRecord]]:
+    """The ``rule`` estimate over one pass per factor, and the factor records.
 
-
-def _combined(
-    h: np.ndarray,
-    s_set: DirectionSet,
-    t_set: DirectionSet,
-    eval_count: int,
-    symmetrize: bool,
-) -> HessianResult:
+    ``caches`` holds one cache per factor: ``[f, g]`` for the product and
+    quotient rules, ``[f]`` for the power rule with exponent ``power``.
+    """
+    mode = CalcMode.coerce(mode)
+    if rule == "power" and (not isinstance(power, (int, np.integer)) or power < 2):
+        raise ValueError(f"power rule needs an integer exponent p >= 2, got {power!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if rule == "quotient":
+        g0 = caches[1].evaluate(x0)
+        if abs(g0) <= settings.division_tol:
+            raise ZeroDivisionError(
+                f"quotient rule: g(x0) = {g0!r} is zero at the point of interest"
+            )
+    records = []
+    for cache in caches:
+        estimate = nested_set_hessian(x0, s_set, t_set, cache, symmetrize)
+        value = cache.evaluate(x0)
+        if mode is CalcMode.SIMPLEX:
+            mode_data = (simplex_gradient(x0, t_set, cache).gradient,)
+        else:  # gradient, model and point set
+            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
+        records.append(_FactorRecord(estimate, value, *mode_data))
+    hf, f0, gf = records[0].estimate.hessian, records[0].value, records[0].gradient
+    if rule == "power":
+        lead = f0 ** (power - 1)
+        cross = 1.0 if power == 2 else f0 ** (power - 2)
+        h = power * lead * hf + power * (power - 1) * cross * np.outer(gf, gf)
+    else:
+        hg, g0, gg = records[1].estimate.hessian, records[1].value, records[1].gradient
+        if rule == "product":
+            h = hf * g0 + np.outer(gf, gg) + np.outer(gg, gf) + hg * f0
+        else:
+            h = (
+                g0 * g0 * hf
+                - f0 * g0 * hg
+                + 2.0 * f0 * np.outer(gg, gg)
+                - g0 * (np.outer(gf, gg) + np.outer(gg, gf))
+            ) / g0**3
     if symmetrize:
         h = 0.5 * (h + h.T)
-    return HessianResult(
+    result = HessianResult(
         hessian=h,
         s_set=s_set,
         t_set=t_set,
         delta_u=max(s_set.radius, t_set.radius),
         delta_l=min(s_set.radius, t_set.radius),
-        eval_count=eval_count,
+        eval_count=sum(c.distinct_count for c in caches),
         symmetrized=symmetrize,
     )
+    return result, records
 
 
 def product_hessian(
@@ -247,17 +303,7 @@ def product_hessian(
     symmetrize: bool = False,
 ) -> HessianResult:
     """Hessian estimate of ``f * g`` assembled by the product rule."""
-    mode = CalcMode.coerce(mode)
-    x0 = np.asarray(x0, dtype=float)
-    hf = nested_set_hessian(x0, s_set, t_set, f_cache, symmetrize)
-    hg = nested_set_hessian(x0, s_set, t_set, g_cache, symmetrize)
-    f0 = f_cache.evaluate(x0)
-    g0 = g_cache.evaluate(x0)
-    gf, gg = _mode_gradients([f_cache, g_cache], x0, s_set, t_set, mode)
-    h = hf.hessian * g0 + np.outer(gf, gg) + np.outer(gg, gf) + hg.hessian * f0
-    return _combined(
-        h, s_set, t_set, f_cache.distinct_count + g_cache.distinct_count, symmetrize
-    )
+    return _rule_estimate("product", [f_cache, g_cache], x0, s_set, t_set, mode, symmetrize)[0]
 
 
 def quotient_hessian(
@@ -274,26 +320,7 @@ def quotient_hessian(
     Raises ``ZeroDivisionError`` when ``g(x0)`` vanishes at the point of
     interest (under ``settings.division_tol``).
     """
-    mode = CalcMode.coerce(mode)
-    x0 = np.asarray(x0, dtype=float)
-    g0 = g_cache.evaluate(x0)
-    if abs(g0) <= settings.division_tol:
-        raise ZeroDivisionError(
-            f"quotient rule: g(x0) = {g0!r} is zero at the point of interest"
-        )
-    hf = nested_set_hessian(x0, s_set, t_set, f_cache, symmetrize)
-    hg = nested_set_hessian(x0, s_set, t_set, g_cache, symmetrize)
-    f0 = f_cache.evaluate(x0)
-    gf, gg = _mode_gradients([f_cache, g_cache], x0, s_set, t_set, mode)
-    h = (
-        g0 * g0 * hf.hessian
-        - f0 * g0 * hg.hessian
-        + 2.0 * f0 * np.outer(gg, gg)
-        - g0 * (np.outer(gf, gg) + np.outer(gg, gf))
-    ) / g0**3
-    return _combined(
-        h, s_set, t_set, f_cache.distinct_count + g_cache.distinct_count, symmetrize
-    )
+    return _rule_estimate("quotient", [f_cache, g_cache], x0, s_set, t_set, mode, symmetrize)[0]
 
 
 def power_hessian(
@@ -306,17 +333,7 @@ def power_hessian(
     symmetrize: bool = False,
 ) -> HessianResult:
     """Hessian estimate of ``f ** p`` for integer ``p >= 2``."""
-    mode = CalcMode.coerce(mode)
-    if not isinstance(p, (int, np.integer)) or p < 2:
-        raise ValueError(f"power rule needs an integer exponent p >= 2, got {p!r}")
-    x0 = np.asarray(x0, dtype=float)
-    hf = nested_set_hessian(x0, s_set, t_set, f_cache, symmetrize)
-    f0 = f_cache.evaluate(x0)
-    (gf,) = _mode_gradients([f_cache], x0, s_set, t_set, mode)
-    lead = f0 ** (p - 1)
-    cross = 1.0 if p == 2 else f0 ** (p - 2)
-    h = p * lead * hf.hessian + p * (p - 1) * cross * np.outer(gf, gf)
-    return _combined(h, s_set, t_set, f_cache.distinct_count, symmetrize)
+    return _rule_estimate("power", [f_cache], x0, s_set, t_set, mode, symmetrize, p)[0]
 
 
 def _min_available(candidates: list[float | None], label: str) -> float:

@@ -13,6 +13,7 @@ finite differences before it is handed out.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,7 +94,7 @@ class TestFunction:
 
     def __post_init__(self):
         self.base_point = np.asarray(self.base_point, dtype=float)
-        rng = np.random.default_rng(abs(hash(self.name)) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(self.name.encode()))
         _selfcheck(
             self.name, self.oracle, self.gradient, self.hessian,
             self.base_point, self.ball_radius, rng,

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .cache import PointIndex
+from .cache import PointIndex, _write_text
 from .config import settings
 
 __all__ = [
@@ -141,11 +141,7 @@ class PointSet:
         header = ",".join(f"x{i + 1}" for i in range(self.dim))
         body = "\n".join(",".join(repr(float(v)) for v in row) for row in self.points)
         text = header + "\n" + body + "\n"
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            target.write(text)
+        _write_text(target, text)
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .approx import nested_set_hessian, simplex_gradient
+from .approx import HessianResult, nested_set_hessian
 from .bounds import BoundInputs, error_bound_nsh
-from .cache import EvaluationCache
+from .cache import EvaluationCache, _write_text
 from .calculus import (
     CalcMode,
     RuleBoundInputs,
     RuleFunctionData,
     RuleGeometry,
+    _FactorRecord,
+    _rule_estimate,
     calculus_error_bound,
     model_gradient_constant,
-    power_hessian,
-    product_hessian,
-    quadratic_model_gradient,
-    quotient_hessian,
 )
 from .registry import CompositeFunction, TestFunction, make_function
 from .sets import (
@@ -141,11 +139,7 @@ class ConvergenceReport:
         for r in self.rows:
             lines.append(f"{r.beta!r},{r.error_spec!r},{r.error_fro!r},{r.bound!r},{r.evals}")
         text = "\n".join(lines) + "\n"
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            target.write(text)
+        _write_text(target, text)
 
     def summary(self) -> str:
         if self.exact:
@@ -165,60 +159,62 @@ def _rule_bound(
     x0: np.ndarray,
     s_set: DirectionSet,
     t_set: DirectionSet,
-    caches: list[EvaluationCache],
+    records: list[_FactorRecord],
 ) -> float:
+    """Certificate of a rule estimate, from the factor records it was built on."""
     geometry = RuleGeometry.from_sets(s_set, t_set)
     datas = []
-    for part, cache in zip(_rule_parts(fn), caches):
+    for part, record in zip(_rule_parts(fn), records):
         data = RuleFunctionData(
-            value=cache.evaluate(x0),
+            value=record.value,
             lipschitz_grad=part.lipschitz_grad,
             lipschitz_hess=part.lipschitz_hess,
             grad_norm=float(np.linalg.norm(part.gradient(x0))),
+            approx_grad_norm=float(np.linalg.norm(record.gradient)),
         )
-        if mode is CalcMode.SIMPLEX:
-            data.approx_grad_norm = float(
-                np.linalg.norm(simplex_gradient(x0, t_set, cache).gradient)
+        if mode is CalcMode.QUADRATIC:
+            data.model_grad_constant = model_gradient_constant(
+                part.lipschitz_hess, record.points, x0
             )
-        else:
-            grad, _, pts = quadratic_model_gradient(cache, x0, s_set, t_set)
-            data.approx_grad_norm = float(np.linalg.norm(grad))
-            data.model_grad_constant = model_gradient_constant(part.lipschitz_hess, pts, x0)
         datas.append(data)
-    if fn.rule == "power":
-        inputs = RuleBoundInputs(f=datas[0], geometry=geometry, power=fn.power)
-    else:
-        inputs = RuleBoundInputs(f=datas[0], geometry=geometry, g=datas[1])
+    inputs = RuleBoundInputs(datas[0], geometry, *datas[1:], power=fn.power)
     return calculus_error_bound(fn.rule, mode, inputs)
 
 
-def _run_row(config: StudyConfig, fn, x0: np.ndarray, beta: float) -> tuple[np.ndarray, float, int]:
-    s_set, t_set = config.sets_at(beta)
+def _estimate(
+    config: StudyConfig,
+    fn,
+    x0: np.ndarray,
+    s_set: DirectionSet,
+    t_set: DirectionSet,
+) -> tuple[HessianResult, float | None, list[EvaluationCache]]:
+    """The configured estimate at ``x0``, its bound and the caches it read.
+
+    The bound is ``None`` when a nested-set estimate lacks Lipschitz
+    certificates; rule estimates use their parts' certificates.
+    """
     if config.estimator == "nested-set":
         cache = EvaluationCache(fn.oracle)
         res = nested_set_hessian(x0, s_set, t_set, cache, config.symmetrize)
-        inputs = BoundInputs.for_hessian(
-            s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess
-        )
-        return res.hessian, error_bound_nsh(inputs), cache.distinct_count
+        bound = None
+        if fn.lipschitz_grad is not None and fn.lipschitz_hess is not None:
+            bound = error_bound_nsh(
+                BoundInputs.for_hessian(s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess)
+            )
+        return res, bound, [cache]
 
     rule, mode_tag = config.estimator.rsplit("-", 1)
     mode = CalcMode.SIMPLEX if mode_tag == "sc" else CalcMode.QUADRATIC
     if not isinstance(fn, CompositeFunction) or fn.rule != rule:
         raise ValueError(
             f"estimator {config.estimator!r} needs a {rule} composite, "
-            f"got {getattr(fn, 'name', fn)!r}"
+            f"got {config.function!r}"
         )
-    parts = _rule_parts(fn)
-    caches = [EvaluationCache(p.oracle) for p in parts]
-    if rule == "product":
-        res = product_hessian(caches[0], caches[1], x0, s_set, t_set, mode, config.symmetrize)
-    elif rule == "quotient":
-        res = quotient_hessian(caches[0], caches[1], x0, s_set, t_set, mode, config.symmetrize)
-    else:
-        res = power_hessian(caches[0], x0, s_set, t_set, fn.power, mode, config.symmetrize)
-    bound = _rule_bound(fn, mode, x0, s_set, t_set, caches)
-    return res.hessian, bound, sum(c.distinct_count for c in caches)
+    caches = [EvaluationCache(p.oracle) for p in _rule_parts(fn)]
+    res, records = _rule_estimate(
+        rule, caches, x0, s_set, t_set, mode, config.symmetrize, fn.power
+    )
+    return res, _rule_bound(fn, mode, x0, s_set, t_set, records), caches
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
@@ -243,19 +239,19 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     rows = []
     for beta in config.betas():
         try:
-            h_est, bound, evals = _run_row(config, fn, x0, beta)
+            res, bound, caches = _estimate(config, fn, x0, *config.sets_at(beta))
         except ValueError:
             raise
         except Exception as exc:
             raise StudyError(f"estimator failed at beta={beta!r}: {exc}") from exc
-        diff = h_est - h_true
+        diff = res.hessian - h_true
         rows.append(
             StudyRow(
                 beta=beta,
                 error_spec=linalg.spectral_norm(diff),
                 error_fro=linalg.frobenius_norm(diff),
                 bound=float(bound),
-                evals=int(evals),
+                evals=sum(c.distinct_count for c in caches),
             )
         )
 
@@ -282,8 +278,8 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
 
     config.validate()
     beta = config.beta_start
-    s0, t0 = config.sets_at(beta)
-    ball = 1.5 * (s0.radius + t0.radius)
+    s_set, t_set = config.sets_at(beta)
+    ball = 1.5 * (s_set.radius + t_set.radius)
     fn = make_function(
         config.function, config.dim, seed=config.seed, x0=config.x0, ball_radius=ball
     )
@@ -291,41 +287,7 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
     if with_model and (config.estimator != "nested-set" or config.s_base is not None):
         raise ValueError("--with-model applies to the nested-set estimator on canonical sets")
 
-    caches: list[EvaluationCache]
-    s_set, t_set = config.sets_at(beta)
-    if config.estimator == "nested-set":
-        cache = EvaluationCache(fn.oracle)
-        res = nested_set_hessian(x0, s_set, t_set, cache, config.symmetrize)
-        bound = None
-        if fn.lipschitz_grad is not None and fn.lipschitz_hess is not None:
-            bound = error_bound_nsh(
-                BoundInputs.for_hessian(s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess)
-            )
-        caches = [cache]
-        evals = cache.distinct_count
-    else:
-        rule, mode_tag = config.estimator.rsplit("-", 1)
-        mode = CalcMode.SIMPLEX if mode_tag == "sc" else CalcMode.QUADRATIC
-        if not isinstance(fn, CompositeFunction) or fn.rule != rule:
-            raise ValueError(
-                f"estimator {config.estimator!r} needs a {rule} composite, "
-                f"got {config.function!r}"
-            )
-        parts = _rule_parts(fn)
-        caches = [EvaluationCache(p.oracle) for p in parts]
-        if rule == "product":
-            res = product_hessian(
-                caches[0], caches[1], x0, s_set, t_set, mode, config.symmetrize
-            )
-        elif rule == "quotient":
-            res = quotient_hessian(
-                caches[0], caches[1], x0, s_set, t_set, mode, config.symmetrize
-            )
-        else:
-            res = power_hessian(caches[0], x0, s_set, t_set, fn.power, mode, config.symmetrize)
-        bound = _rule_bound(fn, mode, x0, s_set, t_set, caches)
-        evals = sum(c.distinct_count for c in caches)
-
+    res, bound, caches = _estimate(config, fn, x0, s_set, t_set)
     diff = res.hessian - fn.hessian(x0)
     payload = {
         "function": config.function,
@@ -337,7 +299,7 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
         "delta_u": res.delta_u,
         "delta_l": res.delta_l,
         "symmetrized": res.symmetrized,
-        "evals": int(evals),
+        "evals": sum(c.distinct_count for c in caches),
         "bound": None if bound is None else float(bound),
         "error_spec": linalg.spectral_norm(diff),
         "error_fro": linalg.frobenius_norm(diff),

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nshess
 from nshess import (
     CompositeFunction,
     TestFunction,
@@ -232,3 +239,38 @@ class TestRosenbrock:
         x = np.array([1.1, 0.9, 1.0, 1.05])
         fd = central_gradient(fn.oracle, x)
         np.testing.assert_allclose(fn.gradient(x), fd, atol=1e-3)
+
+
+_PROBE_SCRIPT = """
+import json
+import nshess.registry as registry
+
+probes = []
+real = registry._central_gradient
+
+def spy(oracle, x, h):
+    probes.append(x.tolist())
+    return real(oracle, x, h)
+
+registry._central_gradient = spy
+registry.make_function("quadratic", 3)
+print(json.dumps(probes))
+"""
+
+
+def _self_check_probes(hash_seed: str) -> list:
+    """Points where ``quadratic``'s self-check probes the gradient, in a fresh process."""
+    src = str(Path(nshess.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_self_check_probes_do_not_depend_on_the_string_hash_seed():
+    first = _self_check_probes("1")
+    assert len(first) == 3
+    assert first == _self_check_probes("2")
