@@ -40,12 +40,7 @@ from .exceptions import (
     RankDeficientError,
 )
 from .linalg import frobenius_norm, pseudoinverse, rank, solve, spectral_norm
-from .quadmodel import (
-    QuadraticModel,
-    interpolate_general,
-    interpolate_minimal,
-    model_gradient,
-)
+from .quadmodel import QuadraticModel, interpolate_general, interpolate_minimal
 from .registry import CompositeFunction, TestFunction, make_function, registry_names
 from .sets import (
     DirectionSet,
@@ -120,7 +115,6 @@ __all__ = [
     "is_poised_quadratic",
     "make_function",
     "minimal_point_count",
-    "model_gradient",
     "model_gradient_constant",
     "nested_set_hessian",
     "nshc_points",

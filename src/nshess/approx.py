@@ -74,17 +74,17 @@ def _base_point(x0) -> np.ndarray:
 
 
 def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
-    """Coincidence tolerance ``cache`` uses for sampling around ``x0``.
+    """Coincidence tolerance for sampling the named sets around ``x0``.
 
-    Widens the cache's tolerance to :func:`~nshess.sets.dedup_tolerance`
-    of ``x0`` and the named sets, then returns the tolerance in force,
-    which is wider still if the cache served a larger scale before. Raises
+    The larger of the cache's own tolerance and
+    :func:`~nshess.sets.dedup_tolerance` of ``x0`` and the sets. It depends
+    on this geometry alone and changes nothing in ``cache``; estimators
+    pass it with each of their cache reads. Raises
     :class:`~nshess.exceptions.CollapsedGridError` when a column of any
     set has max-norm at or below it: its points would merge with their
     base points and the estimate would read as zero.
     """
-    cache.ensure_tolerance(dedup_tolerance(x0, *sets.values()))
-    tol = cache.tol
+    tol = max(cache.tol, dedup_tolerance(x0, *sets.values()))
     for name, d in sets.items():
         spacing = float(np.abs(d.matrix).max(axis=0).min())
         if spacing <= tol:
@@ -98,7 +98,8 @@ def second_differences(values: np.ndarray) -> np.ndarray:
 
 
 def _differences(base: np.ndarray, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
-    values = cache.evaluate_many(np.vstack([base, base + t_set.matrix.T]))
+    tol = grid_tolerance(cache, base, T=t_set)
+    values = cache.evaluate_many(np.vstack([base, base + t_set.matrix.T]), tol)
     return values[1:] - values[0]
 
 
@@ -113,7 +114,6 @@ def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
-    grid_tolerance(cache, x0, T=t_set)
     return _differences(x0, t_set, cache)
 
 
@@ -128,7 +128,6 @@ def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> Gradien
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T")
-    grid_tolerance(cache, x0, T=t_set)
     d = _differences(x0, t_set, cache)
     g = linalg.pseudoinverse(t_set.matrix.T) @ d
     return GradientResult(g, t_set.radius, cache.distinct_count)
@@ -150,7 +149,7 @@ def nested_set_hessian(
     Computed as ``pinv(S^T) @ D @ pinv(T)``; the sample grid is read in
     one bulk cache lookup, row by row.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
-    is too short for the cache's coincidence tolerance.
+    is too short for the coincidence tolerance of this geometry.
     """
     x0 = _base_point(x0)
     n = x0.shape[0]
@@ -160,9 +159,9 @@ def nested_set_hessian(
         )
     _require_full_row_rank(s_set, "S")
     _require_full_row_rank(t_set, "T")
-    grid_tolerance(cache, x0, S=s_set, T=t_set)
+    tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
     grid = sample_grid(x0, s_set, t_set)
-    values = cache.evaluate_many(grid.reshape(-1, n)).reshape(grid.shape[:2])
+    values = cache.evaluate_many(grid.reshape(-1, n), tol).reshape(grid.shape[:2])
     d = second_differences(values)
     h = linalg.pseudoinverse(s_set.matrix.T) @ d @ linalg.pseudoinverse(t_set.matrix)
     if symmetrize:

@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _normalized_pinv_norms(s_set: DirectionSet, t_set: DirectionSet, norm) -> tuple[float, float]:
+    """``norm(pinv(S_hat^T))`` and ``norm(pinv(T_hat))``, hats dividing by the radius."""
+    return (
+        norm(linalg.pseudoinverse(s_set.normalized().matrix.T)),
+        norm(linalg.pseudoinverse(t_set.normalized().matrix)),
+    )
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the closed-form bounds consume.
@@ -90,8 +98,7 @@ class BoundInputs:
     ) -> "BoundInputs":
         """Inputs for :func:`error_bound_nsh` from actual S and T."""
         norm = linalg.frobenius_norm if frobenius else linalg.spectral_norm
-        s_hat = s_set.normalized()
-        t_hat = t_set.normalized()
+        norm_s_pinv, norm_t_pinv = _normalized_pinv_norms(s_set, t_set, norm)
         return cls(
             m=s_set.count,
             k=t_set.count,
@@ -99,8 +106,8 @@ class BoundInputs:
             lipschitz_hess=float(lipschitz_hess),
             delta_s=s_set.radius,
             delta_t=t_set.radius,
-            norm_s_pinv=norm(linalg.pseudoinverse(s_hat.matrix.T)),
-            norm_t_pinv=norm(linalg.pseudoinverse(t_hat.matrix)),
+            norm_s_pinv=norm_s_pinv,
+            norm_t_pinv=norm_t_pinv,
         )
 
 

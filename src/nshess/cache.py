@@ -76,12 +76,15 @@ class PointIndex:
 class EvaluationCache:
     """Memoizes oracle values so coincident sample points cost one call.
 
-    Points whose coordinates all differ by at most ``tol`` are treated as
-    the same point; the first computed value wins and later requests return
-    it without calling the oracle. Points of different dimensions never
-    match. Operations that know their sampling geometry widen ``tol``
-    through :meth:`ensure_tolerance` so that points assembled along
-    different arithmetic paths still coincide.
+    A request at ``x`` returns the value of the first stored point whose
+    coordinates all differ from ``x`` by at most the request's ``tol``
+    (the constructor's ``tol`` when the request gives none), and calls the
+    oracle only when there is none. Points of different dimensions never
+    match. The tolerance belongs to the request, not to the cache:
+    operations that know their sampling geometry pass the one it needs
+    (:func:`~nshess.approx.grid_tolerance`), so one cache serves estimates
+    at every scale. A request bitwise equal to an earlier one gets that
+    request's value whatever its own tolerance.
 
     Distinct points are kept per dimension in a :class:`PointIndex`, so a
     request that is not an exact repeat costs one vectorized comparison
@@ -119,13 +122,8 @@ class EvaluationCache:
 
     @property
     def tol(self) -> float:
-        with self._lock:
-            return self._tol
-
-    def ensure_tolerance(self, tol: float) -> None:
-        """Widen the coincidence threshold; it never shrinks."""
-        with self._lock:
-            self._tol = max(self._tol, float(tol))
+        """The constructor's tolerance, used by requests that give none."""
+        return self._tol
 
     def _call_oracle(self, x: np.ndarray) -> float:
         try:
@@ -138,7 +136,10 @@ class EvaluationCache:
             raise EvaluationError(x, f"oracle returned non-finite value {value}")
         return value
 
-    def evaluate(self, x) -> float:
+    def evaluate(self, x, tol: float | None = None) -> float:
+        tol = self._tol if tol is None else float(tol)
+        if tol < 0:
+            raise ValueError("tol must be nonnegative")
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"evaluation point must be a 1-D vector, got shape {x.shape}")
@@ -149,7 +150,7 @@ class EvaluationCache:
             if dim not in self._tables:
                 self._tables[dim] = (PointIndex(dim), [])
             index, stored = self._tables[dim]
-            i = index.find(x, self._tol)
+            i = index.find(x, tol)
             self._total += 1
             if i >= 0:
                 value, status = stored[i], "hit"
@@ -162,19 +163,19 @@ class EvaluationCache:
 
     __call__ = evaluate
 
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate_many(self, points, tol: float | None = None) -> np.ndarray:
         """Values at every row of a ``(p, n)`` array, in one call.
 
         The rows go through :meth:`evaluate` in order under one hold of the
         lock, so no other caller interleaves, and counts, the trace, errors
         and which value wins inside the tolerance are exactly those of
-        ``p`` separate calls.
+        ``p`` separate calls with the same ``tol``.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"evaluation points must form a 2-D array, got shape {pts.shape}")
         with self._lock:
-            return np.array([self.evaluate(x) for x in pts])
+            return np.array([self.evaluate(x, tol) for x in pts])
 
     def trace_rows(self) -> list[tuple[np.ndarray, float, str]]:
         """Chronological (point, value, hit|miss) records."""

@@ -30,7 +30,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
+from .bounds import _normalized_pinv_norms
 from .cache import EvaluationCache
 from .config import settings
 from .exceptions import NotPoisedError
@@ -97,17 +99,16 @@ class RuleGeometry:
 
     @classmethod
     def from_sets(cls, s_set: DirectionSet, t_set: DirectionSet) -> "RuleGeometry":
-        from . import linalg
-
-        s_hat = s_set.normalized()
-        t_hat = t_set.normalized()
+        norm_s_hat_pinv, norm_t_hat_pinv = _normalized_pinv_norms(
+            s_set, t_set, linalg.spectral_norm
+        )
         return cls(
             m=s_set.count,
             k=t_set.count,
             delta_u=max(s_set.radius, t_set.radius),
             delta_l=min(s_set.radius, t_set.radius),
-            norm_s_hat_pinv=linalg.spectral_norm(linalg.pseudoinverse(s_hat.matrix.T)),
-            norm_t_hat_pinv=linalg.spectral_norm(linalg.pseudoinverse(t_hat.matrix)),
+            norm_s_hat_pinv=norm_s_hat_pinv,
+            norm_t_hat_pinv=norm_t_hat_pinv,
             norm_t_pinv=linalg.spectral_norm(linalg.pseudoinverse(t_set.matrix.T)),
         )
 
@@ -194,7 +195,7 @@ def quadratic_model_gradient(
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
-    be poised. Points are deduplicated at the tolerance the cache uses
+    be poised. Points are deduplicated at the tolerance of this geometry
     (:func:`~nshess.approx.grid_tolerance`) and their values read in one
     bulk lookup, so after a nested Hessian estimate this costs no new
     evaluations.
@@ -207,7 +208,7 @@ def quadratic_model_gradient(
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    values = cache.evaluate_many(pts.points)
+    values = cache.evaluate_many(pts.points, tol)
     model = interpolate_general(pts, values, center=x0)
     return model.gradient(x0), model, pts
 

@@ -31,7 +31,6 @@ __all__ = [
     "QuadraticModel",
     "interpolate_general",
     "interpolate_minimal",
-    "model_gradient",
 ]
 
 
@@ -81,11 +80,6 @@ class QuadraticModel:
             "alpha": [float(v) for v in self.alpha],
             "hessian_upper": upper,
         }
-
-
-def model_gradient(model: QuadraticModel, x) -> np.ndarray:
-    """Gradient of the model at ``x``: ``alpha + hessian @ x``."""
-    return model.gradient(x)
 
 
 def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel:
@@ -156,7 +150,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     if r < n:
         raise RankDeficientError("S", r, n)
     u_set = build_uk(s_set, k)
-    grid_tolerance(cache, x0, S=s_set, T=u_set)
+    tol = grid_tolerance(cache, x0, S=s_set, T=u_set)
     grid = sample_grid(x0, s_set, u_set)
     # The curvature matrix is symmetric, so its upper triangle is enough:
     # that needs the upper triangle of the grid, column 0, and column k,
@@ -164,7 +158,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     need = np.triu(np.ones((n + 1, n + 1), dtype=bool))
     need[:, 0] = need[:, k] = True
     values = np.full((n + 1, n + 1), np.nan)
-    values[need] = cache.evaluate_many(grid[need])
+    values[need] = cache.evaluate_many(grid[need], tol)
     d = second_differences(values)
     if k == 0:
         hhat = d

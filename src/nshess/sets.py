@@ -125,9 +125,7 @@ class PointSet:
         return iter(self.points)
 
     def contains(self, x, tol: float | None = None) -> bool:
-        x = np.asarray(x, dtype=float)
-        t = self.dedup_tol if tol is None else tol
-        return bool(np.any(np.max(np.abs(self.points - x), axis=1) <= t))
+        return self.index_of(x, tol) >= 0
 
     def index_of(self, x, tol: float | None = None) -> int:
         """Row index of the point matching ``x``, or -1."""

@@ -57,20 +57,15 @@ class TestCounting:
         assert cache(np.array([2.0])) == 4.0
 
 
-class TestEnsureTolerance:
-    def test_only_widens(self):
-        cache = EvaluationCache(sphere, tol=1e-6)
-        cache.ensure_tolerance(1e-9)
-        assert cache.tol == 1e-6
-        cache.ensure_tolerance(1e-3)
-        assert cache.tol == 1e-3
-
-    def test_widening_merges_later_requests(self):
+class TestPerCallTolerance:
+    def test_tolerance_merges_only_its_own_request(self):
         cache = EvaluationCache(sphere)
         cache.evaluate(np.array([1.0]))
-        cache.ensure_tolerance(1e-6)
-        cache.evaluate(np.array([1.0 + 1e-9]))
+        cache.evaluate(np.array([1.0 + 1e-9]), tol=1e-6)
         assert cache.distinct_count == 1
+        cache.evaluate(np.array([1.0 - 2e-9]))
+        assert cache.distinct_count == 2
+        assert cache.tol == 0.0
 
 
 class TestNestedEstimateCounts:
@@ -154,6 +149,14 @@ class TestFailures:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
             EvaluationCache(sphere, tol=-1.0)
+
+    def test_rejects_negative_per_call_tolerance(self):
+        cache = EvaluationCache(sphere)
+        with pytest.raises(ValueError):
+            cache.evaluate(np.array([1.0]), tol=-1.0)
+        with pytest.raises(ValueError):
+            cache.evaluate_many(np.array([[1.0]]), tol=-1.0)
+        assert cache.total_requests == 0
 
 
 class TestTrace:

@@ -15,6 +15,7 @@ from nshess import (
     minimal_point_count,
     nested_set_hessian,
     nshc_points,
+    product_hessian,
     quadratic_model_gradient,
     simplex_gradient,
 )
@@ -61,12 +62,14 @@ class TestBulkLookup:
         )
         return rows[rng.permutation(len(rows))]
 
-    def test_matches_row_by_row_evaluation(self):
+    @pytest.mark.parametrize("per_call", [False, True], ids=["constructor_tol", "per_call_tol"])
+    def test_matches_row_by_row_evaluation(self, per_call):
         rows = self.requests()
-        one = EvaluationCache(counter_oracle(), tol=self.TOL)
-        expected = [one.evaluate(x) for x in rows]
-        bulk = EvaluationCache(counter_oracle(), tol=self.TOL)
-        got = bulk.evaluate_many(rows)
+        cache_tol, call_tol = (0.0, self.TOL) if per_call else (self.TOL, None)
+        one = EvaluationCache(counter_oracle(), tol=cache_tol)
+        expected = [one.evaluate(x, call_tol) for x in rows]
+        bulk = EvaluationCache(counter_oracle(), tol=cache_tol)
+        got = bulk.evaluate_many(rows, call_tol)
         np.testing.assert_array_equal(got, expected)
         assert cache_state(bulk) == cache_state(one)
         statuses = cache_state(bulk)[4]
@@ -255,20 +258,29 @@ class TestCollapsedGrids:
         with pytest.raises(CollapsedGridError):
             nested_set_hessian(np.ones(3), s_set, t_set, EvaluationCache(smooth))
 
-    def test_cache_widened_at_large_scale_then_reused_small(self):
+    def test_cache_reused_small_after_large_scale(self):
         def cubic(x):
             return float(np.sum(x**3) + x[0] * x[-1])
 
-        cache = EvaluationCache(cubic)
-        s_big, t_big = canonical_set(3, 1, 1.0)
-        nested_set_hessian(1e8 * np.ones(3), s_big, t_big, cache)
         s_small, t_small = canonical_set(3, 1, 1e-5)
-        with pytest.raises(CollapsedGridError) as exc:
-            nested_set_hessian(np.zeros(3), s_small, t_small, cache)
-        assert exc.value.tol == cache.tol
-        # The same request on a fresh cache is well posed.
-        fresh = nested_set_hessian(np.zeros(3), s_small, t_small, EvaluationCache(cubic))
-        assert np.abs(fresh.hessian).max() > 0.0
+        x0 = np.zeros(3)
+        estimators = {
+            "nested_set_hessian": lambda c: nested_set_hessian(x0, s_small, t_small, c).hessian,
+            "simplex_gradient": lambda c: simplex_gradient(x0, t_small, c).gradient,
+            "interpolate_minimal": lambda c: interpolate_minimal(x0, s_small, 1, c).hessian,
+            "quadratic_model_gradient": lambda c: quadratic_model_gradient(
+                c, x0, s_small, t_small
+            )[0],
+            "product_hessian": lambda c: product_hessian(
+                c, c, x0, s_small, t_small, "quadratic"
+            ).hessian,
+        }
+        s_big, t_big = canonical_set(3, 1, 1.0)
+        for name, estimate in estimators.items():
+            cache = EvaluationCache(cubic)
+            nested_set_hessian(1e8 * np.ones(3), s_big, t_big, cache)
+            assert np.array_equal(estimate(cache), estimate(EvaluationCache(cubic))), name
+            assert cache.tol == 0.0
 
     def test_every_estimator_refuses(self):
         s_set, t_set = canonical_set(2, 1, 1e-13)

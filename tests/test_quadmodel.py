@@ -9,7 +9,6 @@ from nshess import (
     canonical_set,
     interpolate_general,
     interpolate_minimal,
-    model_gradient,
     nested_set_hessian,
     nshc_points,
 )
@@ -31,7 +30,6 @@ class TestQuadraticModel:
         x = np.array([1.0, 1.0])
         assert m.value(x) == pytest.approx(1.0 + 2.0 - 1.0 + 0.5 * 6.0)
         np.testing.assert_allclose(m.gradient(x), [4.0, 3.0])
-        np.testing.assert_allclose(model_gradient(m, x), m.gradient(x))
 
     def test_hessian_stored_symmetric(self):
         m = QuadraticModel(0.0, np.zeros(2), np.array([[0.0, 2.0], [0.0, 0.0]]))
