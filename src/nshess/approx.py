@@ -14,7 +14,8 @@ where ``F[i, j] = f((x0 + s_i) + t_j)``, with ``s_0 = t_0 = 0``, holds the
 values on the ``(m+1) x (k+1)`` sample grid of
 :func:`~nshess.sets.sample_grid`. The grid is read through a shared
 :class:`~nshess.cache.EvaluationCache` in one bulk lookup, so coincident
-points are evaluated once.
+points are evaluated once; on the folded pairs ``(S, U_k)`` that lookup
+asks only for one point per :func:`~nshess.sets.fold_index` class.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import linalg
 from .cache import EvaluationCache
 from .exceptions import CollapsedGridError, RankDeficientError
-from .sets import DirectionSet, dedup_tolerance, sample_grid
+from .sets import DirectionSet, _grid_classes, dedup_tolerance
 
 __all__ = [
     "GradientResult",
@@ -92,6 +93,12 @@ def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
     return tol
 
 
+def _grid_values(cache: EvaluationCache, x0, s_set, t_set, tol: float) -> np.ndarray:
+    """``F[i, j]``, read in one lookup of the points ``sets._grid_classes`` names."""
+    points, cls = _grid_classes(x0, s_set, t_set, tol)
+    return cache.evaluate_many(points, tol)[cls]
+
+
 def second_differences(values: np.ndarray) -> np.ndarray:
     """``D[i, j] = F[i, j] - F[i, 0] - F[0, j] + F[0, 0]`` for ``i, j >= 1``."""
     return values[1:, 1:] - values[1:, :1] - values[:1, 1:] + values[0, 0]
@@ -147,7 +154,11 @@ def nested_set_hessian(
     matrix with its symmetric part; the default reports the estimate as
     defined, which is generally asymmetric on non-quadratic functions.
     Computed as ``pinv(S^T) @ D @ pinv(T)``; the sample grid is read in
-    one bulk cache lookup, row by row.
+    one bulk cache lookup, row by row. When T is bitwise
+    ``build_uk(S, k)`` that lookup asks only for the first cell of each
+    :func:`~nshess.sets.fold_index` class, ``(n+1)(n+2)/2`` requests in
+    all, and every other cell reads its class's value; any other pair
+    requests every cell and leaves coincidences to the cache's tolerance.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
     is too short for the coincidence tolerance of this geometry.
     """
@@ -160,9 +171,7 @@ def nested_set_hessian(
     _require_full_row_rank(s_set, "S")
     _require_full_row_rank(t_set, "T")
     tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
-    grid = sample_grid(x0, s_set, t_set)
-    values = cache.evaluate_many(grid.reshape(-1, n), tol).reshape(grid.shape[:2])
-    d = second_differences(values)
+    d = second_differences(_grid_values(cache, x0, s_set, t_set, tol))
     h = linalg.pseudoinverse(s_set.matrix.T) @ d @ linalg.pseudoinverse(t_set.matrix)
     if symmetrize:
         h = 0.5 * (h + h.T)

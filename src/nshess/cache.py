@@ -1,16 +1,18 @@
 """Counting, de-duplicating wrapper around a scalar black-box oracle.
 
 Coincidence of sample points is decided in one place, :class:`PointIndex`:
-an exact byte-key match first, then one vectorized max-norm test of the
-query against a contiguous block of stored points. The cache, the grid
-enumeration in :mod:`nshess.sets` and the :class:`~nshess.sets.PointSet`
-constructor all resolve points through it, greedily and in first-seen
-order.
+an exact byte-key match first, then a max-norm test of the query against
+the few stored points whose projections onto a fixed direction lie near
+its own. The cache, the grid enumeration in :mod:`nshess.sets` and the
+:class:`~nshess.sets.PointSet` constructor all resolve points through it,
+greedily and in first-seen order.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -28,19 +30,49 @@ def _write_text(target, text: str) -> None:
         target.write(text)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(dim: int) -> tuple[np.ndarray, float, float]:
+    """Projection direction of :class:`PointIndex`, its 1-norm, and the
+    relative rounding allowance of a ``dim``-term dot product."""
+    w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
+    w.setflags(write=False)
+    gamma = (dim + 2) * _EPS / (1.0 - (dim + 2) * _EPS)
+    return w, float(w.sum()), 2.0 * gamma
+
+
 class PointIndex:
     """Distinct points of one dimension, stored as rows of a growing block.
 
-    :meth:`find` returns the first stored row whose coordinates all differ
+    :meth:`find` returns the lowest stored row whose coordinates all differ
     from the query by at most ``tol``, or -1. A query bitwise equal to an
-    earlier matched or added one gets that row from a byte-key memo,
-    without the scan. The block doubles when full.
+    earlier matched or added one gets that row from a byte-key memo.
+    Otherwise only the rows near the query on a sorted projection
+    ``y = x . w`` are tested, where ``w`` is fixed per dimension with
+    distinct entries in ``[1, 2)``: rows within ``tol`` in max-norm have
+    projections within ``tol * |w|_1`` of the query's, and each computed
+    dot product is off by at most ``gamma * |w|_1 * (M + tol)``, where
+    ``M`` bounds the max-norm of the stored rows, and so of any query
+    within ``tol`` of one (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §3.1). The window ``|y - y'| <= tol * |w|_1 +
+    2 * gamma * |w|_1 * (M + tol)`` therefore holds every row within
+    ``tol``; ``gamma`` is taken for ``dim + 2`` terms at twice the unit
+    roundoff, which also covers the rounding of the window ends. A lookup
+    costs ``O(log d)`` plus the rows in the window, where ``d`` rows are
+    stored; the block doubles when full.
     """
 
     def __init__(self, dim: int):
         self._block = np.empty((8, dim))
         self._count = 0
         self._exact: dict[bytes, int] = {}
+        self._w, self._w1, self._slack = _weights(dim)
+        self._keys: list[float] = []  # projections, ascending
+        self._rows: list[int] = []  # row of each projection
+        self._norm = 0.0  # largest max-norm of a stored row
+        self._query: tuple[bytes, float] | None = None
 
     def __len__(self) -> int:
         return self._count
@@ -50,26 +82,43 @@ class PointIndex:
         """The stored points, one per row, in insertion order (a view)."""
         return self._block[: self._count]
 
+    def _project(self, x: np.ndarray, key: bytes) -> float:
+        if self._query is not None and self._query[0] == key:
+            return self._query[1]
+        y = float(np.dot(x, self._w))
+        self._query = (key, y)
+        return y
+
     def find(self, x: np.ndarray, tol: float) -> int:
         key = x.tobytes()
         i = self._exact.get(key)
         if i is not None:
             return i
-        if self._count == 0:
+        y = self._project(x, key)
+        reach = self._w1 * (tol + self._slack * (self._norm + tol))
+        lo = bisect_left(self._keys, y - reach)
+        hi = bisect_right(self._keys, y + reach, lo)
+        if lo == hi:
             return -1
-        close = np.abs(self._block[: self._count] - x).max(axis=1) <= tol
-        i = int(close.argmax())
-        if not close[i]:
+        rows = np.array(self._rows[lo:hi])
+        hits = rows[np.abs(self._block[rows] - x).max(axis=1) <= tol]
+        if not hits.size:
             return -1
-        self._exact[key] = i
+        i = self._exact[key] = int(hits.min())
         return i
 
     def add(self, x: np.ndarray) -> None:
-        """Store ``x`` as the next row."""
+        """Store ``x`` as the next row, reusing the projection :meth:`find` made of it."""
         if self._count == len(self._block):
             self._block = np.concatenate([self._block, np.empty_like(self._block)])
+        key = x.tobytes()
+        y = self._project(x, key)
+        at = bisect_right(self._keys, y)
+        self._keys.insert(at, y)
+        self._rows.insert(at, self._count)
+        self._norm = max(self._norm, float(np.abs(x).max()))
         self._block[self._count] = x
-        self._exact[x.tobytes()] = self._count
+        self._exact[key] = self._count
         self._count += 1
 
 
@@ -100,8 +149,8 @@ class EvaluationCache:
     def __init__(self, oracle, tol: float = 0.0):
         if not callable(oracle):
             raise TypeError("oracle must be callable")
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {tol}")
         self._oracle = oracle
         self._tol = float(tol)
         self._tables: dict[int, tuple[PointIndex, list[float]]] = {}
@@ -138,8 +187,8 @@ class EvaluationCache:
 
     def evaluate(self, x, tol: float | None = None) -> float:
         tol = self._tol if tol is None else float(tol)
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {tol}")
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"evaluation point must be a 1-D vector, got shape {x.shape}")

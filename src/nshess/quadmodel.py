@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import grid_tolerance, second_differences
+from .approx import _grid_values, grid_tolerance, second_differences
 from .cache import EvaluationCache
 from .config import settings
 from .exceptions import NotPoisedError, RankDeficientError
@@ -24,7 +24,6 @@ from .sets import (
     build_uk,
     minimal_point_count,
     quadratic_basis_matrix,
-    sample_grid,
 )
 
 __all__ = [
@@ -133,9 +132,12 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
 def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache) -> QuadraticModel:
     """Closed-form model over the folded sample grid of ``(S, U_k)``.
 
-    Reads its grid values in one bulk cache lookup, from the points the
-    nested Hessian estimate samples, so a cache shared with that estimate
-    is not asked for anything new. The second differences ``D = S^T H U_k``
+    Reads its grid values in one bulk cache lookup of the first cell of
+    each :func:`~nshess.sets.fold_index` class, the same ``(n+1)(n+2)/2``
+    points, bitwise, that :func:`~nshess.approx.nested_set_hessian`
+    requests on ``(S, U_k)``; so a cache shared with that estimate answers
+    every request from its exact-repeat memo and calls the oracle for
+    nothing new. The second differences ``D = S^T H U_k``
     of a quadratic give the curvature matrix ``S^T H S = D E_k``, where
     ``U_k = S E_k`` and ``E_k`` is its own inverse; two solves with ``S^T``
     then map it back.
@@ -151,14 +153,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
         raise RankDeficientError("S", r, n)
     u_set = build_uk(s_set, k)
     tol = grid_tolerance(cache, x0, S=s_set, T=u_set)
-    grid = sample_grid(x0, s_set, u_set)
-    # The curvature matrix is symmetric, so its upper triangle is enough:
-    # that needs the upper triangle of the grid, column 0, and column k,
-    # whose direction -s_k is part of every other column of U_k.
-    need = np.triu(np.ones((n + 1, n + 1), dtype=bool))
-    need[:, 0] = need[:, k] = True
-    values = np.full((n + 1, n + 1), np.nan)
-    values[need] = cache.evaluate_many(grid[need], tol)
+    values = _grid_values(cache, x0, s_set, u_set, tol)
     d = second_differences(values)
     if k == 0:
         hhat = d
@@ -166,6 +161,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
         # Column j of E_k is e_j - e_k (j != k) and column k is -e_k.
         hhat = d - d[:, k - 1 : k]
         hhat[:, k - 1] = -d[:, k - 1]
+    # Symmetric in exact arithmetic; mirror the upper triangle.
     hhat = np.triu(hhat) + np.triu(hhat, 1).T
 
     st = s_set.matrix.T

@@ -9,10 +9,14 @@ the same :class:`~nshess.cache.PointIndex` coincidence test the evaluation
 cache uses, and answers two structural questions about a candidate point
 set: is it poised for quadratic interpolation, and is it exactly the sample
 set of some nested Hessian estimate of minimal size.
+
+On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
+(:func:`fold_index`), so only one point per class is looked up at all.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,6 +33,7 @@ __all__ = [
     "dedup_tolerance",
     "build_uk",
     "canonical_set",
+    "fold_index",
     "sample_grid",
     "nshc_points",
     "count_distinct",
@@ -105,6 +110,8 @@ class PointSet:
             raise ValueError(f"points must form a nonempty 2-D array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite entries")
+        if not self.dedup_tol >= 0:
+            raise ValueError(f"dedup_tol must be nonnegative, got {self.dedup_tol}")
         index = PointIndex(pts.shape[1])
         for b, x in enumerate(pts):
             a = index.find(x, self.dedup_tol)
@@ -178,13 +185,65 @@ def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
         raise ValueError(f"S must be square (n x n) to build U_k, got {s_set.dim} x {s_set.count}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
+    return DirectionSet(_uk_matrix(s_set.matrix, k))
+
+
+def _uk_matrix(s: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
-        return DirectionSet(s_set.matrix)
-    s = s_set.matrix
+        return s
     sk = s[:, k - 1].copy()
     u = s - sk[:, None]
     u[:, k - 1] = -sk
-    return DirectionSet(u)
+    return u
+
+
+def _fold_k(s_set: DirectionSet, t_set: DirectionSet) -> int | None:
+    """The ``k`` for which T is bitwise ``build_uk(S, k)``, or None."""
+    s, t = s_set.matrix, t_set.matrix
+    if s.shape != t.shape or s.shape[0] != s.shape[1]:
+        return None
+    # Column k of U_k is -s_k, so only columns equal to their negated
+    # S column can name k >= 1.
+    candidates = [0] + [int(j) + 1 for j in np.flatnonzero((t == -s).all(axis=0))]
+    t_bytes = t.tobytes()
+    for k in candidates:
+        if _uk_matrix(s, k).tobytes() == t_bytes:
+            return k
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def fold_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coincidence classes of the folded ``(n+1) x (n+1)`` sample grid of ``(S, U_k)``.
+
+    With ``s_0 = 0`` and σ the swap of indices 0 and k, grid cell ``(i, j)``
+    is ``x0 - s_k + s_i + s_{σ(j)}`` (``x0 + s_i + s_j`` for ``k == 0``), so
+    it names the unordered pair ``{i, σ(j)}``: exact combinatorics, with no
+    tolerance. Returns ``(cls, first)``: ``cls[i, j]`` is the class of cell
+    ``(i, j)``, classes numbered in row-major order of first appearance,
+    and ``first[c]`` is the flat row-major position of class ``c``'s first
+    cell. There are ``(n+1)(n+2)/2`` classes. Memoized; both arrays are
+    read-only.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    sigma = list(range(n + 1))
+    sigma[0], sigma[k] = k, 0
+    ids: dict[tuple[int, int], int] = {}
+    cells, first = [], []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            c = ids.setdefault((min(i, sigma[j]), max(i, sigma[j])), len(ids))
+            if c == len(first):
+                first.append(i * (n + 1) + j)
+            cells.append(c)
+    cls = np.array(cells).reshape(n + 1, n + 1)
+    first = np.array(first)
+    cls.setflags(write=False)
+    first.setflags(write=False)
+    return cls, first
 
 
 def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionSet]:
@@ -224,19 +283,46 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     return grid
 
 
+def _grid_classes(
+    x0, s_set: DirectionSet, t_set: DirectionSet, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points to look up for :func:`sample_grid`, and each cell's row among them.
+
+    Returns ``(points, cls)`` with ``grid[i, j]`` read as ``points[cls[i, j]]``.
+    When T is bitwise ``build_uk(S, k)`` and every cell lies within ``tol``
+    of the first cell of its :func:`fold_index` class, the points are those
+    first cells, in row-major order; otherwise they are every cell in
+    row-major order and ``cls`` is the identity, leaving all coincidences
+    to the tolerance. (Cells of one class differ by rounding alone, which
+    a coincidence tolerance of :func:`dedup_tolerance` exceeds.)
+    """
+    grid = sample_grid(x0, s_set, t_set)
+    flat = grid.reshape(-1, grid.shape[2])
+    k = _fold_k(s_set, t_set)
+    if k is not None:
+        cls, first = fold_index(s_set.dim, k)
+        if np.abs(flat - flat[first[cls.ravel()]]).max() <= tol:
+            return flat[first], cls
+    return flat, np.arange(len(flat)).reshape(grid.shape[:2])
+
+
 def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
     """Every point a nested Hessian estimate at ``x0`` evaluates.
 
     The deduplicated :func:`sample_grid`, read row by row (``x0``, then
     ``x0 + t_j``, then ``x0 + s_i`` followed by ``x0 + s_i + t_j``), so the
     first-seen representative of each coincidence class is kept, exactly
-    as an evaluation cache with tolerance ``tol`` would keep it.
+    as an evaluation cache with tolerance ``tol`` would keep it. On a
+    folded pair ``(S, U_k)`` only the first cell of each
+    :func:`fold_index` class is read.
     """
-    grid = sample_grid(x0, s_set, t_set)
     if tol is None:
         tol = dedup_tolerance(x0, s_set, t_set)
-    index = PointIndex(grid.shape[2])
-    for x in grid.reshape(-1, grid.shape[2]):
+    elif not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    points, _ = _grid_classes(x0, s_set, t_set, tol)
+    index = PointIndex(points.shape[1])
+    for x in points:
         if index.find(x, tol) < 0:
             index.add(x)
     return PointSet(index.points, tol)

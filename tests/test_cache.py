@@ -150,6 +150,24 @@ class TestFailures:
         with pytest.raises(ValueError):
             EvaluationCache(sphere, tol=-1.0)
 
+    def test_rejects_nan_tolerance(self):
+        # A NaN tolerance used to pass the sign check and silently turn off
+        # folding: this estimate used 12 distinct points instead of 10.
+        s_set, t_set = canonical_set(3, 1, 1e-2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            nested_set_hessian(np.zeros(3), s_set, t_set, EvaluationCache(sphere, tol=float("nan")))
+        cache = EvaluationCache(sphere)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cache.evaluate(np.array([1.0]), tol=float("nan"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            cache.evaluate_many(np.array([[1.0]]), tol=np.nan)
+        assert cache.total_requests == 0
+
+    def test_infinite_tolerance_is_accepted(self):
+        cache = EvaluationCache(sphere, tol=np.inf)
+        assert cache.evaluate(np.array([1.0])) == cache.evaluate(np.array([5.0])) == 1.0
+        assert cache.distinct_count == 1
+
     def test_rejects_negative_per_call_tolerance(self):
         cache = EvaluationCache(sphere)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """The grid-first estimator core: bulk cache lookup, matrix-form Hessian,
-grid deduplication, and the refusal to estimate on collapsed grids."""
+grid deduplication, the coincidence index, the closed-form fold map, and
+the refusal to estimate on collapsed grids."""
 
 import itertools
 
@@ -10,7 +11,9 @@ from nshess import (
     CollapsedGridError,
     DirectionSet,
     EvaluationCache,
+    build_uk,
     canonical_set,
+    dedup_tolerance,
     interpolate_minimal,
     minimal_point_count,
     nested_set_hessian,
@@ -19,8 +22,10 @@ from nshess import (
     quadratic_model_gradient,
     simplex_gradient,
 )
-from nshess import linalg
+from nshess import linalg, sets
+from nshess.cache import PointIndex, _weights
 from nshess.exceptions import EvaluationError
+from nshess.sets import fold_index, sample_grid
 
 
 def smooth(x):
@@ -292,3 +297,249 @@ class TestCollapsedGrids:
         ):
             with pytest.raises(CollapsedGridError):
                 call(EvaluationCache(smooth))
+
+
+def scan_find(points, x, tol):
+    """First row within ``tol`` of ``x`` in max-norm, by a full scan."""
+    for i, p in enumerate(points):
+        if np.max(np.abs(p - x)) <= tol:
+            return i
+    return -1
+
+
+def index_classes(cloud, tol):
+    """Greedy first-seen classes through a PointIndex: each row's class row."""
+    index = PointIndex(cloud.shape[1])
+    labels = []
+    for x in cloud:
+        i = index.find(x, tol)
+        if i < 0:
+            i = len(index)
+            index.add(x)
+        labels.append(i)
+    return labels, index.points.copy()
+
+
+def scan_classes(cloud, tol):
+    kept, labels = [], []
+    for x in cloud:
+        i = scan_find(kept, x, tol)
+        if i < 0:
+            i = len(kept)
+            kept.append(x)
+        labels.append(i)
+    return labels, np.array(kept)
+
+
+class TestPointIndex:
+    """Lookups through the sorted projection equal a full max-norm scan."""
+
+    def check(self, cloud, queries, tol):
+        labels, kept = index_classes(cloud, tol)
+        want_labels, want_kept = scan_classes(cloud, tol)
+        assert labels == want_labels
+        np.testing.assert_array_equal(kept, want_kept)
+        index = PointIndex(cloud.shape[1])
+        for x in kept:
+            index.add(x)
+        for q in queries:
+            assert index.find(q, tol) == scan_find(kept, q, tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_at_and_just_beyond_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = 2.0**-20
+        n = 4
+        # Dyadic coordinates, so base + tol is exact and differences are too.
+        base = rng.integers(-2**10, 2**10, size=(40, n)) * 2.0**-10
+        at = base + tol * rng.choice([-1.0, 0.0, 1.0], size=base.shape)
+        beyond = base.copy()
+        cols = rng.integers(n, size=len(base))
+        beyond[np.arange(len(base)), cols] += np.where(rng.random(len(base)) < 0.5, -1, 1) * (
+            tol + 2.0**-40
+        )
+        cloud = np.vstack([base, at, beyond])[rng.permutation(3 * len(base))]
+        assert np.abs(at - base).max() == tol
+        self.check(cloud, np.vstack([at, beyond, base + 0.5 * tol]), tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_cloud_with_overlapping_balls(self, seed):
+        # Many queries lie within tol of several stored rows, whose
+        # projections come in a different order than their rows.
+        rng = np.random.default_rng(10 + seed)
+        cloud = rng.uniform(0.0, 1.0, size=(150, 2))
+        self.check(cloud, rng.uniform(0.0, 1.0, size=(300, 2)), 0.15)
+
+    def test_large_coordinates_need_the_rounding_allowance(self):
+        # At |x| = 1e8 a coordinate ulp is 1.5e-8. With mixed signs the
+        # partial sums of two projections one ulp apart round differently,
+        # and about one pair in ten lands more than tol * |w|_1 apart:
+        # without the allowance those pairs are missed.
+        rng = np.random.default_rng(5)
+        n, p = 4, 200
+        ulp = np.spacing(1e8)
+        base = 1e8 * rng.choice([-1.0, 1.0], size=(p, n))
+        base += ulp * rng.integers(-2**20, 2**20, size=base.shape)
+        near = base + ulp * rng.integers(-1, 2, size=base.shape)
+        cloud = np.vstack([base, near])
+        labels, _ = index_classes(cloud, ulp)
+        assert labels[p:] == list(range(p))
+        self.check(cloud, near, ulp)
+
+    def test_zero_tolerance_merges_signed_zeros(self):
+        cloud = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [5e-324, 1.0]])
+        labels, _ = index_classes(cloud, 0.0)
+        assert labels == [0, 0, 1, 1, 2]
+        self.check(cloud, cloud, 0.0)
+
+    def test_infinite_tolerance_matches_the_first_row(self):
+        rng = np.random.default_rng(6)
+        cloud = 1e6 * rng.standard_normal((20, 3))
+        labels, _ = index_classes(cloud, np.inf)
+        assert labels == [0] * 20
+        self.check(cloud, rng.standard_normal((5, 3)), np.inf)
+
+    def test_dimension_one(self):
+        rng = np.random.default_rng(7)
+        cloud = rng.integers(0, 50, size=(120, 1)) * 0.25
+        self.check(cloud, np.arange(0.0, 13.0, 0.125)[:, None], 0.25)
+
+    def test_rows_whose_projections_tie(self):
+        # Points on a hyperplane normal to the projection direction all
+        # project to about one value, so every stored row is in the window.
+        n = 3
+        w = _weights(n)[0]
+        v = np.array([w[1], -w[0], 0.0])
+        steps = np.array([0.0, 3.0, 1.0, 2.5, 0.5, 4.0, 1.5]) * 1e-3
+        cloud = np.array([0.25 + t * v for t in steps])
+        y = cloud @ w
+        assert np.ptp(y) < 1e-15
+        queries = np.array([0.25 + t * v for t in np.linspace(-1e-3, 5e-3, 25)])
+        self.check(cloud, queries, 0.6e-3)
+        self.check(cloud, queries, 0.0)
+
+    def test_exact_repeat_keeps_first_seen_row(self):
+        index = PointIndex(2)
+        index.add(np.array([0.0, 0.0]))
+        index.add(np.array([1e-6, 0.0]))
+        q = np.array([0.9e-6, 0.0])
+        assert index.find(q, 1e-6) == 0
+        # The memo answers a bitwise repeat whatever its tolerance.
+        assert index.find(q.copy(), 0.0) == 0
+
+
+def canonical_or_random(n, k, rng):
+    if rng is None:
+        return canonical_set(n, k, 1e-2)
+    s_set = DirectionSet(0.05 * rng.standard_normal((n, n)) + 0.1 * np.eye(n))
+    return s_set, build_uk(s_set, k)
+
+
+class TestFoldMap:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("random_s", [False, True], ids=["canonical", "random"])
+    def test_classes_equal_greedy_dedup_of_the_grid(self, n, random_s):
+        rng = np.random.default_rng(n) if random_s else None
+        for k in range(n + 1):
+            s_set, t_set = canonical_or_random(n, k, rng)
+            x0 = np.linspace(-0.7, 0.9, n)
+            grid = sample_grid(x0, s_set, t_set).reshape(-1, n)
+            labels, kept = scan_classes(grid, dedup_tolerance(x0, s_set, t_set))
+            cls, first = fold_index(n, k)
+            assert cls.ravel().tolist() == labels, f"k={k}"
+            np.testing.assert_array_equal(grid[first], kept)
+            assert len(first) == minimal_point_count(n)
+
+    def test_memoized_and_read_only(self):
+        cls, first = fold_index(4, 2)
+        assert fold_index(4, 2)[0] is cls
+        assert not cls.flags.writeable and not first.flags.writeable
+        with pytest.raises(ValueError):
+            fold_index(3, 4)
+
+    def test_folded_pair_requests_one_point_per_class(self):
+        n, k = 5, 2
+        x0 = np.linspace(-0.5, 0.5, n)
+        s_set, t_set = canonical_set(n, k, 1e-2)
+        need = minimal_point_count(n)
+        cache = EvaluationCache(smooth)
+        nested_set_hessian(x0, s_set, t_set, cache)
+        assert cache.total_requests == need
+        interpolate_minimal(x0, s_set, k, cache)
+        assert cache.total_requests == 2 * need
+        assert [status for _, _, status in cache.trace_rows()].count("hit") == need
+        # Float-equal but not bitwise U_k (+0.0 for -0.0): every cell is requested.
+        plus_zero = DirectionSet(t_set.matrix + 0.0)
+        assert plus_zero.matrix.tobytes() != t_set.matrix.tobytes()
+        other = EvaluationCache(smooth)
+        res = nested_set_hessian(x0, s_set, plus_zero, other)
+        assert other.total_requests == (n + 1) ** 2
+        assert other.distinct_count == need
+        want = nested_set_hessian(x0, s_set, t_set, EvaluationCache(smooth)).hessian
+        assert np.array_equal(res.hessian, want)
+
+    def test_zero_tolerance_and_rounded_cells_keep_the_tolerance_path(self):
+        # A random S puts rounding between the cells of a class, so at
+        # tol = 0 the grid has more than the minimal number of points.
+        rng = np.random.default_rng(4)
+        s_set, t_set = canonical_or_random(3, 1, rng)
+        x0 = np.array([0.3, -0.2, 0.7])
+        grid = sample_grid(x0, s_set, t_set).reshape(-1, 3)
+        got = nshc_points(x0, s_set, t_set, 0.0)
+        np.testing.assert_array_equal(got.points, scan_classes(grid, 0.0)[1])
+        assert len(got) > minimal_point_count(3)
+
+    @staticmethod
+    def close_columns(n):
+        s = np.eye(n)
+        s[:, 1] = s[:, 0] + 4e-7 * np.linspace(1.0, 2.0, n)
+        return DirectionSet(s)
+
+    def run_all(self, x0, s_set, k, cache, tol):
+        t_set = build_uk(s_set, k)
+        h = nested_set_hessian(x0, s_set, t_set, cache).hessian
+        after_estimate = cache.distinct_count
+        m = interpolate_minimal(x0, s_set, k, cache)
+        pts = nshc_points(x0, s_set, t_set, tol)
+        return (
+            h.tobytes(),
+            after_estimate,
+            (m.alpha0, m.alpha.tobytes(), m.hessian.tobytes()),
+            cache.distinct_count,
+            pts.points.tobytes(),
+        )
+
+    @pytest.mark.parametrize("case", ["fresh", "prefilled", "close_columns"])
+    def test_equals_the_general_path(self, case, monkeypatch):
+        n = 4
+        x0 = np.linspace(-0.3, 0.4, n)
+        # With s_1 and s_2 closer than tol, U_1 and U_2 have a collapsed
+        # column and every estimator refuses them.
+        for k in (0, 3, 4) if case == "close_columns" else range(n + 1):
+            cache_tol = 1e-6 if case == "close_columns" else 0.0
+            if case == "close_columns":
+                s_set = self.close_columns(n)
+            else:
+                s_set = canonical_set(n, k, 1e-2)[0]
+            tol = max(cache_tol, dedup_tolerance(x0, s_set, build_uk(s_set, k)))
+
+            def make_cache():
+                cache = EvaluationCache(smooth, tol=cache_tol)
+                if case == "prefilled":
+                    # Another estimate, whose grid shares points with this one.
+                    other = x0 + s_set.column(0)
+                    nested_set_hessian(other, s_set, build_uk(s_set, (k + 1) % (n + 1)), cache)
+                return cache
+
+            folded = self.run_all(x0, s_set, k, make_cache(), tol)
+            with monkeypatch.context() as m:
+                m.setattr(sets, "_fold_k", lambda s, t: None)
+                general = self.run_all(x0, s_set, k, make_cache(), tol)
+            assert folded == general, f"k={k}"
+            # The general path itself agrees with the loop references.
+            t_set = build_uk(s_set, k)
+            want_pts = greedy_dedup(loop_candidates(x0, s_set.matrix, t_set.matrix), tol)
+            assert folded[4] == want_pts.tobytes()
+            if case == "close_columns":
+                # Classes {1, j} and {2, j} merge, so the grid has fewer points.
+                assert len(want_pts) < minimal_point_count(n)

@@ -128,6 +128,11 @@ class TestCanonicalSet:
 
 
 class TestNshcPoints:
+    def test_rejects_nan_tolerance(self):
+        s, t = canonical_set(2, 1, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            nshc_points(np.zeros(2), s, t, float("nan"))
+
     def test_worked_grid(self):
         s, t = canonical_set(2, 2, 1.0)
         pts = nshc_points(np.zeros(2), s, t)
@@ -207,6 +212,13 @@ class TestPointSet:
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError, match="coincide"):
             PointSet(np.array([[0.0, 0.0], [1e-13, 0.0]]), dedup_tol=1e-9)
+
+    def test_rejects_nan_and_negative_tolerance(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0]])
+        for bad in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                PointSet(points, dedup_tol=bad)
+        assert len(PointSet(points[:1], dedup_tol=np.inf)) == 1
 
     def test_csv_round_trip(self):
         ps = PointSet(np.array([[0.5, -1.0], [2.0, 3.25]]))
