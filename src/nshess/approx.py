@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .cache import EvaluationCache
 from .exceptions import CollapsedGridError, RankDeficientError
 from .sets import DirectionSet, _grid_classes, dedup_tolerance
@@ -110,8 +109,9 @@ def _differences(base: np.ndarray, t_set: DirectionSet, cache: EvaluationCache) 
     return values[1:] - values[0]
 
 
-def _require_full_row_rank(d: DirectionSet, name: str) -> None:
-    r = linalg.rank(d.matrix)
+def _require_full_row_rank(d: DirectionSet, name: str, transpose: bool) -> None:
+    """Rank check on the orientation whose pseudoinverse the estimator takes next."""
+    r = d.rank(transpose)
     if r < d.dim:
         raise RankDeficientError(name, r, d.dim)
 
@@ -134,9 +134,9 @@ def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> Gradien
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
-    _require_full_row_rank(t_set, "T")
+    _require_full_row_rank(t_set, "T", transpose=True)
     d = _differences(x0, t_set, cache)
-    g = linalg.pseudoinverse(t_set.matrix.T) @ d
+    g = t_set.pinv(transpose=True) @ d
     return GradientResult(g, t_set.radius, cache.distinct_count)
 
 
@@ -168,11 +168,11 @@ def nested_set_hessian(
         raise ValueError(
             f"dimension mismatch: x0 in R^{n}, S in R^{s_set.dim}, T in R^{t_set.dim}"
         )
-    _require_full_row_rank(s_set, "S")
-    _require_full_row_rank(t_set, "T")
+    _require_full_row_rank(s_set, "S", transpose=True)
+    _require_full_row_rank(t_set, "T", transpose=False)
     tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
     d = second_differences(_grid_values(cache, x0, s_set, t_set, tol))
-    h = linalg.pseudoinverse(s_set.matrix.T) @ d @ linalg.pseudoinverse(t_set.matrix)
+    h = s_set.pinv(transpose=True) @ d @ t_set.pinv()
     if symmetrize:
         h = 0.5 * (h + h.T)
     delta_u = max(s_set.radius, t_set.radius)

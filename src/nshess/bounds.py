@@ -4,6 +4,9 @@ The bounds take Lipschitz constants of the true derivatives on a ball
 covering every sample point, together with conditioning factors of the
 normalized direction sets. Factors default to spectral norms computed from
 the actual sets; Frobenius norms give looser but cheaper certificates.
+Both come from the singular values each :class:`~nshess.sets.DirectionSet`
+holds (:meth:`~nshess.sets.DirectionSet.pinv_norm`), the same factorization
+its estimator's pseudoinverse uses, so a bound factors no set again.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .sets import DirectionSet
 
 __all__ = [
@@ -22,14 +24,6 @@ __all__ = [
     "error_bound_nsh",
     "error_bound_canonical",
 ]
-
-
-def _normalized_pinv_norms(s_set: DirectionSet, t_set: DirectionSet, norm) -> tuple[float, float]:
-    """``norm(pinv(S_hat^T))`` and ``norm(pinv(T_hat))``, hats dividing by the radius."""
-    return (
-        norm(linalg.pseudoinverse(s_set.normalized().matrix.T)),
-        norm(linalg.pseudoinverse(t_set.normalized().matrix)),
-    )
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,6 @@ class BoundInputs:
         cls, t_set: DirectionSet, lipschitz_grad: float, frobenius: bool = False
     ) -> "BoundInputs":
         """Inputs for :func:`error_bound_gsg` from an actual T."""
-        norm = linalg.frobenius_norm if frobenius else linalg.spectral_norm
-        t_hat = t_set.normalized()
         return cls(
             m=0,
             k=t_set.count,
@@ -84,7 +76,7 @@ class BoundInputs:
             delta_s=t_set.radius,
             delta_t=t_set.radius,
             norm_s_pinv=0.0,
-            norm_t_pinv=norm(linalg.pseudoinverse(t_hat.matrix.T)),
+            norm_t_pinv=t_set.pinv_norm(transpose=True, frobenius=frobenius, normalized=True),
         )
 
     @classmethod
@@ -97,8 +89,6 @@ class BoundInputs:
         frobenius: bool = False,
     ) -> "BoundInputs":
         """Inputs for :func:`error_bound_nsh` from actual S and T."""
-        norm = linalg.frobenius_norm if frobenius else linalg.spectral_norm
-        norm_s_pinv, norm_t_pinv = _normalized_pinv_norms(s_set, t_set, norm)
         return cls(
             m=s_set.count,
             k=t_set.count,
@@ -106,8 +96,8 @@ class BoundInputs:
             lipschitz_hess=float(lipschitz_hess),
             delta_s=s_set.radius,
             delta_t=t_set.radius,
-            norm_s_pinv=norm_s_pinv,
-            norm_t_pinv=norm_t_pinv,
+            norm_s_pinv=s_set.pinv_norm(transpose=True, frobenius=frobenius, normalized=True),
+            norm_t_pinv=t_set.pinv_norm(frobenius=frobenius, normalized=True),
         )
 
 

@@ -30,9 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
 from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
-from .bounds import _normalized_pinv_norms
 from .cache import EvaluationCache
 from .config import settings
 from .exceptions import NotPoisedError
@@ -99,17 +97,14 @@ class RuleGeometry:
 
     @classmethod
     def from_sets(cls, s_set: DirectionSet, t_set: DirectionSet) -> "RuleGeometry":
-        norm_s_hat_pinv, norm_t_hat_pinv = _normalized_pinv_norms(
-            s_set, t_set, linalg.spectral_norm
-        )
         return cls(
             m=s_set.count,
             k=t_set.count,
             delta_u=max(s_set.radius, t_set.radius),
             delta_l=min(s_set.radius, t_set.radius),
-            norm_s_hat_pinv=norm_s_hat_pinv,
-            norm_t_hat_pinv=norm_t_hat_pinv,
-            norm_t_pinv=linalg.spectral_norm(linalg.pseudoinverse(t_set.matrix.T)),
+            norm_s_hat_pinv=s_set.pinv_norm(transpose=True, normalized=True),
+            norm_t_hat_pinv=t_set.pinv_norm(normalized=True),
+            norm_t_pinv=t_set.pinv_norm(),
         )
 
 

@@ -49,10 +49,18 @@ def pseudoinverse(a) -> np.ndarray:
     at or below ``tiny / eps``, whose reciprocals would overflow.
     """
     m = _as_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cut = _cutoff(s, m.shape)
+    return _pinv_from_svd(*np.linalg.svd(m, full_matrices=False), m.shape)
+
+
+def _kept(singular_values: np.ndarray, shape) -> np.ndarray:
+    """The singular values above :func:`_cutoff`, as a boolean mask."""
+    return singular_values > _cutoff(singular_values, shape)
+
+
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, shape) -> np.ndarray:
+    """``pinv`` of the ``shape`` matrix with thin SVD ``(u, s, vt)``."""
     inv = np.zeros_like(s)
-    keep = s > cut
+    keep = _kept(s, shape)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
 
@@ -76,12 +84,10 @@ def rank(a, tol: float | None = None) -> int:
     m = _as_matrix(a)
     s = np.linalg.svd(m, compute_uv=False)
     if tol is None:
-        cut = _cutoff(s, m.shape)
-    else:
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
-        cut = tol * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > cut))
+        return int(np.count_nonzero(_kept(s, m.shape)))
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    return int(np.count_nonzero(s > tol * (s[0] if s.size else 0.0)))
 
 
 def solve(a, b, name: str = "matrix") -> np.ndarray:

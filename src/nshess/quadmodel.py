@@ -148,7 +148,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
         raise ValueError(f"x0 must be a point in R^{s_set.dim}, got shape {x0.shape}")
     if s_set.count != n:
         raise ValueError(f"S must be square for the closed form, got {s_set.dim} x {s_set.count}")
-    r = linalg.rank(s_set.matrix)
+    r = s_set.rank(transpose=True)
     if r < n:
         raise RankDeficientError("S", r, n)
     u_set = build_uk(s_set, k)

@@ -7,13 +7,18 @@ derivative bounds (documented per factory), never fitted to data, so error
 bounds computed from them are sound certificates.
 
 Every construction self-checks the analytic derivatives against central
-finite differences before it is handed out.
+finite differences before it is handed out. :func:`make_function` runs the
+check once per ``(name, dim, seed, x0, ball_radius)``: the verdict depends
+on nothing else, and a bounded memo keeps the keys that passed. A failing
+check is never remembered, so it raises every time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import zlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,6 +34,13 @@ __all__ = [
 ]
 
 _SELFCHECK_RTOL = 1e-5
+
+# make_function keys whose self-checks passed, oldest first, and the flag
+# that lets the functions built for such a key skip the probes.
+_PASSED: dict[tuple, None] = {}
+_PASSED_MAX = 1024
+_PASSED_LOCK = threading.Lock()
+_SKIP_SELFCHECK: ContextVar[bool] = ContextVar("_SKIP_SELFCHECK", default=False)
 
 
 def _central_gradient(oracle, x, h):
@@ -94,6 +106,8 @@ class TestFunction:
 
     def __post_init__(self):
         self.base_point = np.asarray(self.base_point, dtype=float)
+        if _SKIP_SELFCHECK.get():
+            return
         rng = np.random.default_rng(zlib.crc32(self.name.encode()))
         _selfcheck(
             self.name, self.oracle, self.gradient, self.hessian,
@@ -344,6 +358,20 @@ def make_function(
     if x0.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
 
+    key = (name, dim, seed, x0.tobytes(), float(ball_radius))
+    token = _SKIP_SELFCHECK.set(key in _PASSED)
+    try:
+        fn = _build(name, dim, seed, x0, ball_radius)
+    finally:
+        _SKIP_SELFCHECK.reset(token)
+    with _PASSED_LOCK:
+        _PASSED[key] = None
+        if len(_PASSED) > _PASSED_MAX:
+            del _PASSED[next(iter(_PASSED))]
+    return fn
+
+
+def _build(name: str, dim: int, seed: int, x0: np.ndarray, ball_radius: float):
     if name in _PLAIN:
         return _PLAIN[name](dim, x0, ball_radius, seed)
     if name == "product_quadratics":

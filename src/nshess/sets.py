@@ -50,6 +50,12 @@ class DirectionSet:
 
     The matrix is copied and frozen at construction; entries must be finite.
     ``radius`` is the largest column norm, the resolution of the set.
+
+    The radius and the thin SVDs of the matrix and of its transpose are
+    computed when first needed and then held, so :meth:`rank`,
+    :meth:`pinv` and :meth:`pinv_norm` factor each orientation once. The
+    library cutoff (:data:`~nshess.config.settings`) is applied at every
+    use, so a later change of ``rank_rtol`` still takes effect.
     """
 
     matrix: np.ndarray
@@ -75,9 +81,48 @@ class DirectionSet:
     def count(self) -> int:
         return self.matrix.shape[1]
 
-    @property
+    @functools.cached_property
     def radius(self) -> float:
         return float(np.max(np.linalg.norm(self.matrix, axis=0)))
+
+    @functools.cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.matrix, full_matrices=False)
+
+    @functools.cached_property
+    def _svd_t(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.matrix.T, full_matrices=False)
+
+    def _factors(self, transpose: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._svd_t if transpose else self._svd
+
+    def rank(self, transpose: bool = False) -> int:
+        """Rank under the library cutoff, from the held SVD of the matrix or its transpose."""
+        return int(np.count_nonzero(linalg._kept(self._factors(transpose)[1], self.matrix.shape)))
+
+    def pinv(self, transpose: bool = False) -> np.ndarray:
+        """``pinv(M)``, or ``pinv(M^T)`` when ``transpose``.
+
+        Bitwise equal to :func:`~nshess.linalg.pseudoinverse` of that matrix.
+        """
+        return linalg._pinv_from_svd(*self._factors(transpose), self.matrix.shape)
+
+    def pinv_norm(
+        self, transpose: bool = False, frobenius: bool = False, normalized: bool = False
+    ) -> float:
+        """Spectral (or Frobenius) norm of :meth:`pinv`, from the kept singular values.
+
+        ``normalized=True`` gives the norm for the set divided by its
+        radius: the singular values are divided by the radius before the
+        cutoff, as :meth:`normalized` would give them.
+        """
+        s = self._factors(transpose)[1]
+        if normalized:
+            s = s / self._positive_radius()
+        inv = 1.0 / s[linalg._kept(s, self.matrix.shape)]
+        if not inv.size:
+            return 0.0
+        return float(np.linalg.norm(inv) if frobenius else inv.max())
 
     def column(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
@@ -87,10 +132,12 @@ class DirectionSet:
 
     def normalized(self) -> "DirectionSet":
         """The set divided by its radius, so the largest column has norm 1."""
-        r = self.radius
-        if r <= 0.0:
+        return DirectionSet(self.matrix / self._positive_radius())
+
+    def _positive_radius(self) -> float:
+        if self.radius <= 0.0:
             raise ValueError("cannot normalize a direction set with zero radius")
-        return DirectionSet(self.matrix / r)
+        return self.radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +152,24 @@ class PointSet:
     dedup_tol: float = 0.0
 
     def __post_init__(self):
+        self._freeze()
+        index = PointIndex(self.dim)
+        for b, x in enumerate(self.points):
+            a = index.find(x, self.dedup_tol)
+            if a >= 0:
+                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
+            index.add(x)
+
+    @classmethod
+    def _distinct(cls, points, dedup_tol: float) -> "PointSet":
+        """A set of rows already deduplicated at ``dedup_tol``, not checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "dedup_tol", dedup_tol)
+        self._freeze()
+        return self
+
+    def _freeze(self) -> None:
         pts = np.array(self.points, dtype=float, copy=True)
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError(f"points must form a nonempty 2-D array, got shape {pts.shape}")
@@ -112,12 +177,6 @@ class PointSet:
             raise ValueError("points contain non-finite entries")
         if not self.dedup_tol >= 0:
             raise ValueError(f"dedup_tol must be nonnegative, got {self.dedup_tol}")
-        index = PointIndex(pts.shape[1])
-        for b, x in enumerate(pts):
-            a = index.find(x, self.dedup_tol)
-            if a >= 0:
-                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
-            index.add(x)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -325,7 +384,7 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     for x in points:
         if index.find(x, tol) < 0:
             index.add(x)
-    return PointSet(index.points, tol)
+    return PointSet._distinct(index.points, tol)
 
 
 def count_distinct(x0, s_set: DirectionSet, t_set: DirectionSet) -> int:

@@ -1,0 +1,203 @@
+"""DirectionSet holds its radius and SVDs; every consumer reads those factors."""
+
+import numpy as np
+import numpy.linalg as npla
+import pytest
+
+from nshess import (
+    BoundInputs,
+    DirectionSet,
+    EvaluationCache,
+    RuleGeometry,
+    StudyConfig,
+    canonical_set,
+    linalg,
+    nested_set_hessian,
+    run_study,
+    settings,
+    simplex_gradient,
+)
+from nshess.approx import second_differences
+from nshess.quadmodel import interpolate_minimal
+from nshess.sets import sample_grid
+
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count SVDs, including the ones ``np.linalg.norm(a, 2)`` takes internally."""
+    calls = []
+    original = npla.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(npla, "svd", counting)
+    inner = getattr(npla, "_linalg", None)
+    if inner is not None and getattr(inner, "svd", None) is original:
+        monkeypatch.setattr(inner, "svd", counting)
+    return calls
+
+
+def _cubic(x):
+    return float(np.sum(x**3) + x[0] * np.sum(x) ** 2)
+
+
+def _consumers(s_set, t_set):
+    """Every call that reads a set's factors."""
+    s_set.rank(), s_set.rank(transpose=True), t_set.rank(), t_set.rank(transpose=True)
+    s_set.pinv(), s_set.pinv(transpose=True), t_set.pinv(), t_set.pinv(transpose=True)
+    for frobenius in (False, True):
+        BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0, frobenius=frobenius)
+        BoundInputs.for_gradient(t_set, 1.0, frobenius=frobenius)
+    RuleGeometry.from_sets(s_set, t_set)
+
+
+class TestSvdCount:
+    @pytest.mark.parametrize("function", ["sum_of_cubes", "exp_of_sum", "rosenbrock"])
+    def test_nested_set_study_takes_three_svds_per_row_plus_one(self, svd_calls, function):
+        config = StudyConfig(
+            function=function, dim=4, k=2, estimator="nested-set", beta_steps=12, seed=3
+        )
+        report = run_study(config)
+        assert len(report.rows) == 12
+        assert len(svd_calls) <= 3 * len(report.rows) + 1
+
+    def test_second_calls_run_no_svd(self, svd_calls):
+        rng = np.random.default_rng(2)
+        s_set = DirectionSet(rng.standard_normal((3, 4)))
+        t_set = DirectionSet(rng.standard_normal((3, 5)))
+        _consumers(s_set, t_set)
+        assert len(svd_calls) == 4  # S, S^T, T and T^T, once each
+        first = s_set.radius, t_set.radius
+        _consumers(s_set, t_set)
+        assert len(svd_calls) == 4
+        assert (s_set.radius, t_set.radius) == first
+
+    def test_estimate_then_model_factor_s_once(self, svd_calls):
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        x0 = np.array([0.2, -0.4, 0.9])
+        cache = EvaluationCache(_cubic)
+        nested_set_hessian(x0, s_set, t_set, cache)
+        assert len(svd_calls) == 2
+        s_set.rank(transpose=True)
+        assert len(svd_calls) == 2
+        simplex_gradient(x0, t_set, cache)
+        simplex_gradient(x0, t_set, cache)
+        assert len(svd_calls) == 3
+
+
+class TestCutoffAtUse:
+    def test_rank_rtol_change_after_factoring(self, monkeypatch):
+        matrix = np.array([[1.0, 0.0], [0.0, 1e-10]])
+        d = DirectionSet(matrix)
+        assert d.rank() == d.rank(transpose=True) == 2
+        full = d.pinv()
+        assert full[1, 1] == pytest.approx(1e10)
+        monkeypatch.setattr(settings, "rank_rtol", 1e-8)
+        assert d.rank() == d.rank(transpose=True) == linalg.rank(matrix) == 1
+        cut = d.pinv()
+        assert cut[1, 1] == 0.0
+        np.testing.assert_array_equal(cut, linalg.pseudoinverse(matrix))
+        np.testing.assert_array_equal(d.pinv(transpose=True), linalg.pseudoinverse(matrix.T))
+        assert d.pinv_norm() == pytest.approx(1.0)
+        monkeypatch.setattr(settings, "rank_rtol", None)
+        np.testing.assert_array_equal(d.pinv(), full)
+
+
+class TestBitwiseEstimates:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nested_set_hessian_is_pinv_st_d_pinv_t(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        s_set = DirectionSet(0.1 * rng.standard_normal((n, n + int(rng.integers(1, 3)))))
+        t_set = DirectionSet(0.1 * rng.standard_normal((n, n + int(rng.integers(1, 3)))))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        got = nested_set_hessian(x0, s_set, t_set, EvaluationCache(_cubic)).hessian
+        grid = sample_grid(x0, s_set, t_set)
+        values = np.array([[_cubic(p) for p in row] for row in grid])
+        d = second_differences(values)
+        want = linalg.pseudoinverse(s_set.matrix.T) @ d @ linalg.pseudoinverse(t_set.matrix)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pinv_and_rank_match_linalg(self):
+        rng = np.random.default_rng(4)
+        for shape in [(1, 1), (2, 5), (4, 4), (6, 3)]:
+            matrix = rng.standard_normal(shape)
+            d = DirectionSet(matrix)
+            assert d.pinv().tobytes() == linalg.pseudoinverse(matrix).tobytes()
+            assert d.pinv(transpose=True).tobytes() == linalg.pseudoinverse(matrix.T).tobytes()
+            assert d.rank() == d.rank(transpose=True) == linalg.rank(matrix)
+
+    def test_model_still_checks_the_rank_of_s(self):
+        s_set = DirectionSet(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="rank"):
+            interpolate_minimal(np.zeros(2), s_set, 1, EvaluationCache(_cubic))
+
+
+def _kappa(d: DirectionSet) -> float:
+    s = np.linalg.svd(d.matrix, compute_uv=False)
+    s = s[s > linalg._cutoff(s, d.matrix.shape)]
+    return float(s[0] / s[-1])
+
+
+def _factor_sets():
+    sets = [canonical_set(n, k, beta) for n in (1, 3, 6) for k in (0, 1, n) for beta in (1e-3, 2.0)]
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        s_mat = rng.standard_normal((n, n + int(rng.integers(0, 3))))
+        t_mat = rng.standard_normal((n, n + int(rng.integers(0, 3))))
+        sets.append((DirectionSet(1e-2 * s_mat), DirectionSet(3.0 * t_mat)))
+    # The third column is the sum of the first two: the cutoff drops one
+    # singular value, and only the kept ones enter the factors.
+    deficient = DirectionSet(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]))
+    sets.append((deficient, deficient))
+    return sets
+
+
+class TestBoundFactors:
+    """The held-SVD factors agree with norms of explicit pseudoinverses.
+
+    Both sides carry rounding of order ``eps * kappa``, where ``kappa`` is
+    the condition number of the kept singular values: the old expression
+    factors the normalized set and then its pseudoinverse again. So the
+    tolerance is ``4 * eps * kappa`` relative.
+    """
+
+    @pytest.mark.parametrize("pair", _factor_sets())
+    def test_factors_match_explicit_pseudoinverses(self, pair):
+        s_set, t_set = pair
+        s_hat, t_hat = s_set.normalized().matrix, t_set.normalized().matrix
+        tol_s = 4 * EPS * _kappa(s_set)
+        tol_t = 4 * EPS * _kappa(t_set)
+        for frobenius in (False, True):
+            norm = linalg.frobenius_norm if frobenius else linalg.spectral_norm
+            hess = BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0, frobenius=frobenius)
+            grad = BoundInputs.for_gradient(t_set, 1.0, frobenius=frobenius)
+            assert hess.norm_s_pinv == pytest.approx(norm(linalg.pseudoinverse(s_hat.T)), rel=tol_s)
+            assert hess.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat)), rel=tol_t)
+            assert grad.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat.T)), rel=tol_t)
+        geometry = RuleGeometry.from_sets(s_set, t_set)
+        spectral = linalg.spectral_norm
+        assert geometry.norm_s_hat_pinv == pytest.approx(
+            spectral(linalg.pseudoinverse(s_hat.T)), rel=tol_s
+        )
+        assert geometry.norm_t_hat_pinv == pytest.approx(
+            spectral(linalg.pseudoinverse(t_hat)), rel=tol_t
+        )
+        assert geometry.norm_t_pinv == pytest.approx(
+            spectral(linalg.pseudoinverse(t_set.matrix.T)), rel=tol_t
+        )
+
+    def test_deficient_set_drops_a_singular_value(self):
+        deficient = _factor_sets()[-1][0]
+        assert deficient.rank() == deficient.rank(transpose=True) == 2
+        assert deficient.pinv_norm() == pytest.approx(1.0)  # singular values 3 and 1
+
+    def test_zero_radius_cannot_be_normalized(self):
+        zero = DirectionSet(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="zero radius"):
+            zero.pinv_norm(normalized=True)
+        assert zero.pinv_norm() == 0.0

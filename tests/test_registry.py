@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nshess
+from nshess import registry
 from nshess import (
     CompositeFunction,
     TestFunction,
@@ -125,6 +126,79 @@ class TestSelfCheck:
         spec["hessian"] = lambda x: np.eye(2)
         with pytest.raises(ValueError, match="Hessian disagrees"):
             TestFunction(name="bad-hess", **spec)
+
+
+class TestSelfCheckMemo:
+    """make_function probes once per (name, dim, seed, x0, ball_radius)."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        monkeypatch.setattr(registry, "_PASSED", {})
+        calls = []
+        central = registry._central_gradient
+
+        def counting(oracle, x, h):
+            calls.append(x.copy())
+            return central(oracle, x, h)
+
+        monkeypatch.setattr(registry, "_central_gradient", counting)
+        return calls
+
+    def test_repeated_key_runs_no_probe(self, probes):
+        first = make_function("quadratic", 3, seed=4, x0=[0.1, 0.2, 0.3], ball_radius=0.5)
+        assert len(probes) == 3
+        again = make_function("quadratic", 3, seed=4, x0=[0.1, 0.2, 0.3], ball_radius=0.5)
+        assert len(probes) == 3
+        x = np.array([0.2, -0.1, 0.4])
+        assert again.oracle(x) == first.oracle(x)
+        assert again.lipschitz_grad == first.lipschitz_grad
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"name": "sum_of_cubes"},
+            {"dim": 2, "x0": [0.1, 0.2]},
+            {"seed": 5},
+            {"x0": [0.1, 0.2, 0.30000000000000004]},
+            {"ball_radius": 0.25},
+        ],
+    )
+    def test_changed_key_runs_probes_again(self, probes, change):
+        key = {"name": "quadratic", "dim": 3, "seed": 4, "x0": [0.1, 0.2, 0.3], "ball_radius": 0.5}
+        make_function(**key)
+        make_function(**key)
+        assert len(probes) == 3
+        make_function(**{**key, **change})
+        assert len(probes) == 6
+
+    def test_composite_parts_are_probed_once(self, probes):
+        make_function("product_cubes_exp", 2)
+        assert len(probes) == 6
+        make_function("product_cubes_exp", 2)
+        assert len(probes) == 6
+
+    def test_failing_check_raises_every_time(self, probes, monkeypatch):
+        monkeypatch.setattr(registry, "_SELFCHECK_RTOL", -1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disagrees"):
+                make_function("sum_of_cubes", 2)
+        assert len(probes) == 2
+        assert registry._PASSED == {}
+
+    def test_memo_is_bounded(self, probes, monkeypatch):
+        monkeypatch.setattr(registry, "_PASSED_MAX", 2)
+        for seed in (1, 2, 3):
+            make_function("quadratic", 2, seed=seed)
+        assert len(registry._PASSED) == 2
+        make_function("quadratic", 2, seed=3)
+        assert len(probes) == 9
+        make_function("quadratic", 2, seed=1)
+        assert len(probes) == 12
+
+    def test_direct_construction_still_probes(self, probes):
+        make_function("sum_of_cubes", 2)
+        registry._sum_of_cubes(2, np.ones(2), 1.0, 0)
+        assert len(probes) == 6
 
 
 class TestDerivativeConsistency:

@@ -16,6 +16,7 @@ from nshess import (
     nshc_points,
     quadratic_basis_matrix,
 )
+from nshess.sets import sample_grid
 
 
 def naive_distinct_count(x0, s_mat, t_mat, decimals=9):
@@ -212,6 +213,32 @@ class TestPointSet:
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError, match="coincide"):
             PointSet(np.array([[0.0, 0.0], [1e-13, 0.0]]), dedup_tol=1e-9)
+
+    def test_rejects_the_rows_nshc_points_merges(self):
+        x0 = np.array([0.3, -0.2])
+        s_set, t_set = canonical_set(2, 0, 0.5)
+        grid = sample_grid(x0, s_set, t_set).reshape(-1, 2)
+        tol = dedup_tolerance(x0, s_set, t_set)
+        with pytest.raises(ValueError, match="coincide"):
+            PointSet(grid, dedup_tol=tol)
+        assert len(nshc_points(x0, s_set, t_set)) == minimal_point_count(2)
+
+    def test_nshc_points_equals_the_checked_construction(self):
+        rng = np.random.default_rng(11)
+        for n, k in [(2, 0), (3, 2), (5, 5)]:
+            s_set, t_set = canonical_set(n, k, 0.1)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            got = nshc_points(x0, s_set, t_set)
+            checked = PointSet(got.points, got.dedup_tol)
+            assert got.points.tobytes() == checked.points.tobytes()
+            assert got.dedup_tol == checked.dedup_tol
+            assert not got.points.flags.writeable
+        s_set = DirectionSet(rng.standard_normal((3, 4)))
+        t_set = DirectionSet(rng.standard_normal((3, 3)))
+        x0 = rng.standard_normal(3)
+        got = nshc_points(x0, s_set, t_set)
+        grid = sample_grid(x0, s_set, t_set).reshape(-1, 3)
+        assert got.points.tobytes() == PointSet(grid, got.dedup_tol).points.tobytes()
 
     def test_rejects_nan_and_negative_tolerance(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0]])
