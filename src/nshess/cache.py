@@ -11,6 +11,7 @@ greedily and in first-seen order.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from bisect import bisect_left, bisect_right
 
@@ -31,6 +32,7 @@ def _write_text(target, text: str) -> None:
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,9 +61,18 @@ class PointIndex:
     Algorithms*, 2002, §3.1). The window ``|y - y'| <= tol * |w|_1 +
     2 * gamma * |w|_1 * (M + tol)`` therefore holds every row within
     ``tol``; ``gamma`` is taken for ``dim + 2`` terms at twice the unit
-    roundoff, which also covers the rounding of the window ends. A lookup
-    costs ``O(log d)`` plus the rows in the window, where ``d`` rows are
-    stored; the block doubles when full.
+    roundoff, which also covers the rounding of the window ends and of
+    ``M``. ``M`` is the largest 2-norm ``sqrt(x . x)`` of a stored row,
+    one more dot product per row; a row whose ``x . x`` overflows or
+    underflows gives its max-norm instead. A lookup costs ``O(log d)``
+    plus the rows in the window, where ``d`` rows are stored; the block
+    doubles when full.
+
+    A finite projection implies finite coordinates, since ``w > 0``, so
+    the projection doubles as the finiteness check of a query. A finite
+    row whose projection overflows is kept out of the sorted keys and
+    tested on every lookup; a finite query whose projection overflows is
+    tested against every row.
     """
 
     def __init__(self, dim: int):
@@ -69,10 +80,10 @@ class PointIndex:
         self._count = 0
         self._exact: dict[bytes, int] = {}
         self._w, self._w1, self._slack = _weights(dim)
-        self._keys: list[float] = []  # projections, ascending
+        self._keys: list[float] = []  # finite projections, ascending
         self._rows: list[int] = []  # row of each projection
-        self._norm = 0.0  # largest max-norm of a stored row
-        self._query: tuple[bytes, float] | None = None
+        self._wide: list[int] = []  # rows whose projection overflowed
+        self._norm = 0.0  # M: bounds the max-norm of every stored row
 
     def __len__(self) -> int:
         return self._count
@@ -82,41 +93,55 @@ class PointIndex:
         """The stored points, one per row, in insertion order (a view)."""
         return self._block[: self._count]
 
-    def _project(self, x: np.ndarray, key: bytes) -> float:
-        if self._query is not None and self._query[0] == key:
-            return self._query[1]
-        y = float(np.dot(x, self._w))
-        self._query = (key, y)
-        return y
-
     def find(self, x: np.ndarray, tol: float) -> int:
-        key = x.tobytes()
-        i = self._exact.get(key)
-        if i is not None:
-            return i
-        y = self._project(x, key)
-        reach = self._w1 * (tol + self._slack * (self._norm + tol))
-        lo = bisect_left(self._keys, y - reach)
-        hi = bisect_right(self._keys, y + reach, lo)
-        if lo == hi:
-            return -1
-        rows = np.array(self._rows[lo:hi])
-        hits = rows[np.abs(self._block[rows] - x).max(axis=1) <= tol]
-        if not hits.size:
-            return -1
-        i = self._exact[key] = int(hits.min())
-        return i
+        return self.lookup(x, x.tobytes(), tol)[0]
 
     def add(self, x: np.ndarray) -> None:
-        """Store ``x`` as the next row, reusing the projection :meth:`find` made of it."""
+        """Store ``x`` as the next row."""
+        self.insert(x, x.tobytes(), float(x.dot(self._w)))
+
+    def lookup(self, x: np.ndarray, key: bytes, tol: float) -> tuple[int, float]:
+        """:meth:`find` given ``key = x.tobytes()``, and the projection of
+        ``x`` for :meth:`insert` (NaN for an exact repeat, which makes none).
+
+        Raises :class:`ValueError`, with the index unchanged, when ``x``
+        has a non-finite entry.
+        """
+        i = self._exact.get(key)
+        if i is not None:
+            return i, math.nan
+        y = float(x.dot(self._w))
+        if math.isfinite(y):
+            reach = self._w1 * (tol + self._slack * (self._norm + tol))
+            lo = bisect_left(self._keys, y - reach)
+            hi = bisect_right(self._keys, y + reach, lo)
+            rows = self._rows[lo:hi] + self._wide
+        elif np.isfinite(x).all():
+            rows = range(self._count)
+        else:
+            raise ValueError("point contains non-finite entries")
+        if not rows:
+            return -1, y
+        rows = np.array(rows)
+        hits = rows[np.abs(self._block[rows] - x).max(axis=1) <= tol]
+        if not hits.size:
+            return -1, y
+        i = self._exact[key] = int(hits.min())
+        return i, y
+
+    def insert(self, x: np.ndarray, key: bytes, y: float) -> None:
+        """:meth:`add` given the key and projection :meth:`lookup` returned."""
         if self._count == len(self._block):
             self._block = np.concatenate([self._block, np.empty_like(self._block)])
-        key = x.tobytes()
-        y = self._project(x, key)
-        at = bisect_right(self._keys, y)
-        self._keys.insert(at, y)
-        self._rows.insert(at, self._count)
-        self._norm = max(self._norm, float(np.abs(x).max()))
+        if math.isfinite(y):
+            at = bisect_right(self._keys, y)
+            self._keys.insert(at, y)
+            self._rows.insert(at, self._count)
+        else:
+            self._wide.append(self._count)
+        sq = float(x.dot(x))
+        norm = math.sqrt(sq) if _TINY <= sq < math.inf else float(np.abs(x).max())
+        self._norm = max(self._norm, norm)
         self._block[self._count] = x
         self._exact[key] = self._count
         self._count += 1
@@ -135,11 +160,18 @@ class EvaluationCache:
     at every scale. A request bitwise equal to an earlier one gets that
     request's value whatever its own tolerance.
 
-    Distinct points are kept per dimension in a :class:`PointIndex`, so a
-    request that is not an exact repeat costs one vectorized comparison
-    with the stored block. :meth:`evaluate_many` answers a whole ``(p, n)``
-    array of requests under one lock acquisition and leaves exactly the
-    state that calling :meth:`evaluate` row by row would.
+    Distinct points are kept per dimension in a :class:`PointIndex`. A
+    request pays each check once: its byte key ``x.tobytes()`` is made
+    once and serves the index and the trace. A bitwise repeat is answered
+    from the index's memo with no further check, since its point was
+    checked when first seen. Any other request is checked for finite
+    coordinates by the projection its lookup makes anyway (a non-finite
+    point raises :class:`ValueError` before any state changes), and costs
+    a binary search plus a vectorized comparison with the few stored rows
+    near it. The oracle's value is checked once, when it is returned.
+    :meth:`evaluate_many` answers a whole ``(p, n)`` array of requests
+    under one lock acquisition and leaves exactly the state that calling
+    :meth:`evaluate` row by row would.
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
@@ -154,7 +186,7 @@ class EvaluationCache:
         self._oracle = oracle
         self._tol = float(tol)
         self._tables: dict[int, tuple[PointIndex, list[float]]] = {}
-        self._trace: list[tuple[np.ndarray, float, str]] = []
+        self._trace: list[tuple[bytes, float, str]] = []  # (x.tobytes(), value, status)
         self._total = 0
         self._lock = threading.RLock()
 
@@ -181,7 +213,7 @@ class EvaluationCache:
             raise
         except Exception as exc:
             raise EvaluationError(x, f"{type(exc).__name__}: {exc}") from exc
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationError(x, f"oracle returned non-finite value {value}")
         return value
 
@@ -190,24 +222,25 @@ class EvaluationCache:
         if not tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {tol}")
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"evaluation point must be a 1-D vector, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("evaluation point contains non-finite entries")
+        if x.ndim != 1 or not x.shape[0]:
+            raise ValueError(
+                f"evaluation point must be a nonempty 1-D vector, got shape {x.shape}"
+            )
+        key = x.tobytes()
         with self._lock:
-            dim = x.shape[0]
-            if dim not in self._tables:
-                self._tables[dim] = (PointIndex(dim), [])
-            index, stored = self._tables[dim]
-            i = index.find(x, tol)
+            table = self._tables.get(x.shape[0])
+            if table is None:
+                table = self._tables[x.shape[0]] = (PointIndex(x.shape[0]), [])
+            index, stored = table
+            i, y = index.lookup(x, key, tol)
             self._total += 1
             if i >= 0:
                 value, status = stored[i], "hit"
             else:
                 value, status = self._call_oracle(x), "miss"
-                index.add(x)
+                index.insert(x, key, y)
                 stored.append(value)
-            self._trace.append((x.copy(), value, status))
+            self._trace.append((key, value, status))
             return value
 
     __call__ = evaluate
@@ -220,16 +253,26 @@ class EvaluationCache:
         and which value wins inside the tolerance are exactly those of
         ``p`` separate calls with the same ``tol``.
         """
+        tol = self._tol if tol is None else float(tol)
+        if not tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {tol}")
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError(f"evaluation points must form a 2-D array, got shape {pts.shape}")
+        if pts.ndim != 2 or not pts.shape[1]:
+            raise ValueError(
+                f"evaluation points must be the nonempty rows of a 2-D array, got shape {pts.shape}"
+            )
         with self._lock:
             return np.array([self.evaluate(x, tol) for x in pts])
 
     def trace_rows(self) -> list[tuple[np.ndarray, float, str]]:
-        """Chronological (point, value, hit|miss) records."""
+        """Chronological (point, value, hit|miss) records.
+
+        Each point is a read-only array rebuilt from the request's byte
+        key, so it is bitwise the point requested and shares no memory
+        with the caller's array.
+        """
         with self._lock:
-            return list(self._trace)
+            return [(np.frombuffer(key), value, status) for key, value, status in self._trace]
 
     def write_trace_csv(self, target) -> None:
         """Dump the request trace, one row per request."""

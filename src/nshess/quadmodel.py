@@ -164,13 +164,15 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     # Symmetric in exact arithmetic; mirror the upper triangle.
     hhat = np.triu(hhat) + np.triu(hhat, 1).T
 
+    # The rank check above stands for linalg.solve's own, which would take
+    # a fresh SVD of S^T for each of these solves.
     st = s_set.matrix.T
-    w = linalg.solve(st, hhat, name="S^T")
-    hessian = linalg.solve(st, w.T, name="S^T").T
+    w = np.linalg.solve(st, hhat)
+    hessian = np.linalg.solve(st, w.T).T
     hessian = 0.5 * (hessian + hessian.T)
 
     f0 = values[0, 0]
     abar = values[1:, 0] - f0 - 0.5 * np.diag(hhat) - x0 @ hessian @ s_set.matrix
-    alpha = linalg.solve(st, abar, name="S^T")
+    alpha = np.linalg.solve(st, abar)
     alpha0 = f0 - alpha @ x0 - 0.5 * (x0 @ hessian @ x0)
     return QuadraticModel(alpha0, alpha, hessian)

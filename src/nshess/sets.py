@@ -155,10 +155,11 @@ class PointSet:
         self._freeze()
         index = PointIndex(self.dim)
         for b, x in enumerate(self.points):
-            a = index.find(x, self.dedup_tol)
+            key = x.tobytes()
+            a, y = index.lookup(x, key, self.dedup_tol)
             if a >= 0:
                 raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
-            index.add(x)
+            index.insert(x, key, y)
 
     @classmethod
     def _distinct(cls, points, dedup_tol: float) -> "PointSet":
@@ -382,8 +383,10 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     points, _ = _grid_classes(x0, s_set, t_set, tol)
     index = PointIndex(points.shape[1])
     for x in points:
-        if index.find(x, tol) < 0:
-            index.add(x)
+        key = x.tobytes()
+        i, y = index.lookup(x, key, tol)
+        if i < 0:
+            index.insert(x, key, y)
     return PointSet._distinct(index.points, tol)
 
 

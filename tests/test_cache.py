@@ -1,15 +1,31 @@
 import io
+import itertools
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian
+from nshess.cache import _weights
 from nshess.exceptions import EvaluationError
 
 
 def sphere(x):
     return float(np.sum(x**2))
+
+
+def counter():
+    """An oracle whose values number its calls, so a value names its point."""
+    calls = itertools.count(1)
+    return lambda x: float(next(calls))
+
+
+def state(cache):
+    """Counts and trace, with each traced point as bytes."""
+    trace = [(point.tobytes(), value, status) for point, value, status in cache.trace_rows()]
+    return cache.total_requests, cache.distinct_count, trace
 
 
 class TestCounting:
@@ -137,6 +153,48 @@ class TestFailures:
         with pytest.raises(ValueError):
             cache.evaluate(np.array([np.nan]))
 
+    def test_rejects_empty_point_before_any_state_changes(self):
+        # A zero-length point used to reach the oracle and then leave an
+        # orphan index entry, so a repeat raised inside the lookup.
+        calls = []
+        cache = EvaluationCache(lambda x: calls.append(x) or 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonempty"):
+                cache.evaluate(np.array([]))
+        assert calls == []
+        assert state(cache) == (0, 0, [])
+        assert cache.evaluate(np.array([1.0])) == 1.0
+        assert state(cache)[:2] == (1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_changes_no_state(self, bad):
+        cache = EvaluationCache(counter())
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.evaluate(np.array([1.0, bad]))
+        assert state(cache) == (0, 0, [])
+        cache.evaluate(np.array([1.0, 2.0]))
+        cache.evaluate(np.array([1.0, 2.0]))
+        before = state(cache)
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.evaluate(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            cache.evaluate(np.array([bad, bad]), tol=1.0)
+        assert state(cache) == before
+
+    def test_infinite_coordinate_raises_under_infinite_tolerance(self):
+        # Under tol = inf every finite point matches the first stored row;
+        # a point with an infinite coordinate must still be refused.
+        cache = EvaluationCache(counter(), tol=np.inf)
+        assert cache.evaluate(np.array([1.0, 2.0])) == 1.0
+        assert cache.evaluate(np.array([-5.0, 9.0])) == 1.0
+        before = state(cache)
+        for point in ([np.inf, 2.0], [1.0, -np.inf], [np.nan, 2.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                cache.evaluate(np.array(point))
+            with pytest.raises(ValueError, match="non-finite"):
+                cache.evaluate_many(np.array([point]))
+        assert state(cache) == before
+
     def test_rejects_matrix_input(self):
         cache = EvaluationCache(sphere)
         with pytest.raises(ValueError):
@@ -177,6 +235,149 @@ class TestFailures:
         assert cache.total_requests == 0
 
 
+class TestEvaluateMany:
+    def test_empty_block_still_validates(self):
+        cache = EvaluationCache(sphere)
+        for tol in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                cache.evaluate_many(np.empty((0, 2)), tol=tol)
+        with pytest.raises(ValueError, match="2-D"):
+            cache.evaluate_many(np.empty((0,)))
+        with pytest.raises(ValueError, match="nonempty"):
+            cache.evaluate_many(np.empty((0, 0)))
+        assert cache.evaluate_many(np.empty((0, 2))).shape == (0,)
+        assert state(cache) == (0, 0, [])
+
+    def test_bad_row_leaves_the_state_of_row_by_row_calls(self):
+        block = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, np.nan], [5.0, 6.0]])
+        many = EvaluationCache(counter())
+        with pytest.raises(ValueError, match="non-finite"):
+            many.evaluate_many(block)
+        single = EvaluationCache(counter())
+        with pytest.raises(ValueError, match="non-finite"):
+            for x in block:
+                single.evaluate(x)
+        assert state(many) == state(single)
+        assert state(many)[:2] == (2, 1)
+        assert [status for _, _, status in state(many)[2]] == ["miss", "hit"]
+
+    def test_oracle_failure_mid_block_keeps_earlier_rows(self):
+        def oracle(x):
+            if x[0] > 2.0:
+                raise RuntimeError("out of range")
+            return sphere(x)
+
+        block = np.array([[1.0], [2.0], [3.0], [0.5]])
+        many = EvaluationCache(oracle)
+        with pytest.raises(EvaluationError, match="out of range"):
+            many.evaluate_many(block)
+        single = EvaluationCache(oracle)
+        with pytest.raises(EvaluationError, match="out of range"):
+            for x in block:
+                single.evaluate(x)
+        assert state(many) == state(single)
+        assert many.distinct_count == 2
+        assert many.evaluate_many(np.array([[2.0], [1.0]])).tolist() == [4.0, 1.0]
+        assert many.distinct_count == 2
+
+    def test_one_evaluate_call_per_row(self, monkeypatch):
+        # The benchmark's tracer counts requests by wrapping this attribute.
+        calls = []
+        original = EvaluationCache.evaluate
+
+        def counting(self, x, tol=None):
+            calls.append(tol)
+            return original(self, x, tol)
+
+        monkeypatch.setattr(EvaluationCache, "evaluate", counting)
+        cache = EvaluationCache(sphere)
+        block = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [1.0, 2.0 + 1e-12]])
+        values = cache.evaluate_many(block, tol=1e-9)
+        assert values.tolist() == [5.0, 5.0, 25.0, 5.0]
+        assert calls == [1e-9] * 4
+        assert cache.total_requests == 4
+
+
+class TestOverflowingProjection:
+    """Finite points whose projection ``x . w`` overflows still resolve."""
+
+    def test_matches_and_misses_near_the_largest_double(self):
+        a = np.full(3, 1e308)
+        w = _weights(3)[0]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(a @ w)
+        near = a.copy()
+        near[0] = np.nextafter(near[0], 0.0)  # one ulp, about 2e292, below
+        far = np.array([1e308, 1e308, 9e307])
+        cache = EvaluationCache(counter())
+        with np.errstate(over="ignore"):
+            assert cache.evaluate(a) == 1.0
+            assert cache.evaluate(near, tol=1e300) == 1.0
+            assert cache.evaluate(near.copy(), tol=0.0) == 1.0  # exact repeat
+            assert cache.evaluate(np.array([1e308, 1e308, np.nextafter(1e308, 2e308)])) == 2.0
+            assert cache.evaluate(far, tol=1e300) == 3.0
+            assert cache.evaluate(far + [0.0, 0.0, 1e299], tol=1e300) == 3.0
+            # A finite projection is tested against the overflowed rows too.
+            assert cache.evaluate(np.zeros(3), tol=np.inf) == 1.0
+            assert cache.evaluate(np.ones(3)) == 4.0
+            assert cache.evaluate(-a) == 5.0
+            assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
+        assert cache.distinct_count == 6
+
+
+class TestAgainstLinearScan:
+    """Random request blocks give what a linear scan of stored points gives."""
+
+    @staticmethod
+    def reference(blocks, dim):
+        stored, exact, trace = [], {}, []
+        for block, tol in blocks:
+            for x in block:
+                if not np.isfinite(x).all():
+                    return stored, trace
+                key = x.tobytes()
+                i = exact.get(key)
+                if i is None:
+                    near = [j for j, p in enumerate(stored) if np.abs(p - x).max() <= tol]
+                    i = near[0] if near else -1
+                if i >= 0:
+                    trace.append((key, float(i + 1), "hit"))
+                else:
+                    i = len(stored)
+                    stored.append(x.copy())
+                    trace.append((key, float(i + 1), "miss"))
+                exact[key] = i
+        return stored, trace
+
+    @given(data=st.data())
+    def test_same_values_counts_and_trace(self, data):
+        dim = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = rng.integers(-3, 4, size=(4, dim)) * 0.5
+        blocks = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            p = data.draw(st.integers(0, 12))
+            rows = centers[rng.integers(len(centers), size=p)]
+            rows = rows + rng.choice([0.0, 1e-13, 1e-9, 1e-3], size=rows.shape) * rng.choice(
+                [-1.0, 1.0], size=rows.shape
+            )
+            if p and data.draw(st.booleans()) and rng.random() < 0.2:
+                rows[rng.integers(p), rng.integers(dim)] = rng.choice([np.nan, np.inf])
+            tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 2e-3, 1.0, np.inf]))
+            blocks.append((rows, tol))
+        cache = EvaluationCache(counter())
+        values = []
+        try:
+            for rows, tol in blocks:
+                values.extend(cache.evaluate_many(rows, tol=tol))
+        except ValueError:
+            pass
+        stored, trace = self.reference(blocks, dim)
+        assert state(cache) == (len(trace), len(stored), trace)
+        # A block that raises returns nothing, but its earlier rows count.
+        assert values == [value for _, value, _ in trace][: len(values)]
+
+
 class TestTrace:
     def test_records_hits_and_misses_in_order(self):
         cache = EvaluationCache(sphere)
@@ -196,6 +397,19 @@ class TestTrace:
         assert lines[0] == "x1,x2,value,status"
         assert lines[1] == "1.0,2.0,5.0,miss"
         assert lines[2] == "1.0,2.0,5.0,hit"
+
+    def test_points_are_the_requests_bitwise_and_detached(self):
+        cache = EvaluationCache(sphere, tol=1e-6)
+        requests = [np.array([0.1, -0.0]), np.array([0.1 + 1e-9, 0.0]), np.array([5e-324, 3.0])]
+        for x in requests:
+            cache.evaluate(x)
+        for x in requests:
+            x[:] = 7.0
+        cache.evaluate_many(np.array([[2.0, 1.0]]))
+        points = [point for point, _, _ in cache.trace_rows()]
+        want = [[0.1, -0.0], [0.1 + 1e-9, 0.0], [5e-324, 3.0], [2.0, 1.0]]
+        assert [p.tobytes() for p in points] == [np.array(w).tobytes() for w in want]
+        assert [status for _, _, status in cache.trace_rows()] == ["miss", "hit", "miss", "miss"]
 
     def test_empty_trace_csv(self):
         buf = io.StringIO()

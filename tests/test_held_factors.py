@@ -88,6 +88,16 @@ class TestSvdCount:
         simplex_gradient(x0, t_set, cache)
         assert len(svd_calls) == 3
 
+    def test_folded_estimate_and_model_take_two_svds(self, svd_calls):
+        # S^T and T for the estimate; the model's three solves with S^T
+        # reuse the held rank instead of factoring S^T again.
+        s_set, t_set = canonical_set(5, 2, 0.1)
+        x0 = np.array([0.2, -0.4, 0.9, 0.1, -0.3])
+        cache = EvaluationCache(_cubic)
+        nested_set_hessian(x0, s_set, t_set, cache)
+        interpolate_minimal(x0, s_set, 2, cache)
+        assert len(svd_calls) == 2
+
 
 class TestCutoffAtUse:
     def test_rank_rtol_change_after_factoring(self, monkeypatch):
