@@ -86,9 +86,8 @@ def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
     """
     tol = max(cache.tol, dedup_tolerance(x0, *sets.values()))
     for name, d in sets.items():
-        spacing = float(np.abs(d.matrix).max(axis=0).min())
-        if spacing <= tol:
-            raise CollapsedGridError(name, spacing, tol)
+        if d.spacing <= tol:
+            raise CollapsedGridError(name, d.spacing, tol)
     return tol
 
 

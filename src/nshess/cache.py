@@ -187,7 +187,6 @@ class EvaluationCache:
         self._tol = float(tol)
         self._tables: dict[int, tuple[PointIndex, list[float]]] = {}
         self._trace: list[tuple[bytes, float, str]] = []  # (x.tobytes(), value, status)
-        self._total = 0
         self._lock = threading.RLock()
 
     @property
@@ -198,8 +197,13 @@ class EvaluationCache:
 
     @property
     def total_requests(self) -> int:
+        """Number of requests answered, one per trace row.
+
+        A request that raised, at its lookup or in the oracle, was not
+        answered and is not counted.
+        """
         with self._lock:
-            return self._total
+            return len(self._trace)
 
     @property
     def tol(self) -> float:
@@ -233,7 +237,6 @@ class EvaluationCache:
                 table = self._tables[x.shape[0]] = (PointIndex(x.shape[0]), [])
             index, stored = table
             i, y = index.lookup(x, key, tol)
-            self._total += 1
             if i >= 0:
                 value, status = stored[i], "hit"
             else:

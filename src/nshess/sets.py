@@ -12,6 +12,13 @@ set of some nested Hessian estimate of minimal size.
 
 On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 (:func:`fold_index`), so only one point per class is looked up at all.
+
+Sampling geometry is built once and then held. A :class:`DirectionSet`
+keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
+norms derived from them for the rank cutoff last used; an outer set S
+holds the last ``U_k`` built from it. :func:`canonical_set` returns the
+same pair for a repeated ``(n, k, beta)`` from a bounded memo, so an
+estimate on a geometry seen before factors nothing again.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Ordered set of direction vectors, stored as matrix columns.
@@ -51,11 +63,14 @@ class DirectionSet:
     The matrix is copied and frozen at construction; entries must be finite.
     ``radius`` is the largest column norm, the resolution of the set.
 
-    The radius and the thin SVDs of the matrix and of its transpose are
-    computed when first needed and then held, so :meth:`rank`,
-    :meth:`pinv` and :meth:`pinv_norm` factor each orientation once. The
-    library cutoff (:data:`~nshess.config.settings`) is applied at every
-    use, so a later change of ``rank_rtol`` still takes effect.
+    The radius, the column spacing and the thin SVDs of the matrix and of
+    its transpose are computed when first needed and then held, so
+    :meth:`rank`, :meth:`pinv` and :meth:`pinv_norm` factor each
+    orientation once. The pseudoinverses and their norms are held too, one
+    per argument combination, with the library cutoff
+    (:data:`~nshess.config.settings`) they were computed under; a later
+    change of ``rank_rtol`` recomputes them. Held pseudoinverses are
+    read-only.
     """
 
     matrix: np.ndarray
@@ -68,6 +83,7 @@ class DirectionSet:
             raise ValueError("direction matrix contains non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_held", {})
 
     @classmethod
     def from_columns(cls, columns) -> "DirectionSet":
@@ -86,6 +102,11 @@ class DirectionSet:
         return float(np.max(np.linalg.norm(self.matrix, axis=0)))
 
     @functools.cached_property
+    def spacing(self) -> float:
+        """The smallest max-norm of a column."""
+        return float(np.abs(self.matrix).max(axis=0).min())
+
+    @functools.cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.linalg.svd(self.matrix, full_matrices=False)
 
@@ -96,16 +117,27 @@ class DirectionSet:
     def _factors(self, transpose: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._svd_t if transpose else self._svd
 
+    def _hold(self, key: tuple, compute):
+        """``compute()``, held under ``key`` until the rank cutoff changes."""
+        rtol = settings.rank_rtol
+        slot = self._held.get(key)
+        if slot is None or slot[0] != rtol:
+            slot = self._held[key] = (rtol, compute())
+        return slot[1]
+
     def rank(self, transpose: bool = False) -> int:
         """Rank under the library cutoff, from the held SVD of the matrix or its transpose."""
         return int(np.count_nonzero(linalg._kept(self._factors(transpose)[1], self.matrix.shape)))
 
     def pinv(self, transpose: bool = False) -> np.ndarray:
-        """``pinv(M)``, or ``pinv(M^T)`` when ``transpose``.
+        """``pinv(M)``, or ``pinv(M^T)`` when ``transpose``; held and read-only.
 
         Bitwise equal to :func:`~nshess.linalg.pseudoinverse` of that matrix.
         """
-        return linalg._pinv_from_svd(*self._factors(transpose), self.matrix.shape)
+        return self._hold(
+            ("pinv", transpose),
+            lambda: _read_only(linalg._pinv_from_svd(*self._factors(transpose), self.matrix.shape)),
+        )
 
     def pinv_norm(
         self, transpose: bool = False, frobenius: bool = False, normalized: bool = False
@@ -116,6 +148,12 @@ class DirectionSet:
         radius: the singular values are divided by the radius before the
         cutoff, as :meth:`normalized` would give them.
         """
+        return self._hold(
+            ("norm", transpose, frobenius, normalized),
+            lambda: self._pinv_norm(transpose, frobenius, normalized),
+        )
+
+    def _pinv_norm(self, transpose: bool, frobenius: bool, normalized: bool) -> float:
         s = self._factors(transpose)[1]
         if normalized:
             s = s / self._positive_radius()
@@ -195,8 +233,13 @@ class PointSet:
         return self.index_of(x, tol) >= 0
 
     def index_of(self, x, tol: float | None = None) -> int:
-        """Row index of the point matching ``x``, or -1."""
+        """Row index of the point matching ``x``, or -1.
+
+        ``x`` must be one point of this set's dimension.
+        """
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"query must be a point in R^{self.dim}, got shape {x.shape}")
         t = self.dedup_tol if tol is None else tol
         hits = np.nonzero(np.max(np.abs(self.points - x), axis=1) <= t)[0]
         return int(hits[0]) if hits.size else -1
@@ -238,14 +281,19 @@ def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
     For ``k == 0`` the result is S itself. For ``k >= 1`` column ``i`` is
     ``s_i - s_k`` (``i != k``) and column ``k`` is ``-s_k``. Pairing S with
     this set collapses the Hessian sample grid onto the minimal point count
-    ``(n+1)(n+2)/2`` whenever S has full rank.
+    ``(n+1)(n+2)/2`` whenever S has full rank. S holds the last set built
+    from it, so a repeated ``k`` returns the same set, with whatever it has
+    factored.
     """
     n = s_set.dim
     if s_set.count != n:
         raise ValueError(f"S must be square (n x n) to build U_k, got {s_set.dim} x {s_set.count}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    return DirectionSet(_uk_matrix(s_set.matrix, k))
+    slot = s_set._held.get("uk")
+    if slot is None or slot[0] != k:
+        slot = s_set._held["uk"] = (k, DirectionSet(_uk_matrix(s_set.matrix, k)))
+    return slot[1]
 
 
 def _uk_matrix(s: np.ndarray, k: int) -> np.ndarray:
@@ -310,7 +358,10 @@ def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionS
     """Scaled coordinate sets ``S = beta * I`` and ``T = beta * E_k``.
 
     ``E_0`` is the identity; for ``k >= 1``, ``E_k`` has columns
-    ``e_i - e_k`` (``i != k``) and ``-e_k``.
+    ``e_i - e_k`` (``i != k``) and ``-e_k``. The arguments are checked on
+    every call; the pair comes from a memo of the last 128 geometries, so
+    a repeated ``(n, k, beta)`` returns the same two sets, with every
+    factor they hold.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -318,6 +369,11 @@ def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionS
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
+    return _canonical_pair(n, k, float(beta))
+
+
+@functools.lru_cache(maxsize=128)
+def _canonical_pair(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionSet]:
     s_set = DirectionSet(beta * np.eye(n))
     return s_set, build_uk(s_set, k)
 

@@ -277,8 +277,11 @@ class TestEvaluateMany:
                 single.evaluate(x)
         assert state(many) == state(single)
         assert many.distinct_count == 2
+        for cache in (many, single):
+            assert cache.total_requests == len(cache.trace_rows()) == 2
         assert many.evaluate_many(np.array([[2.0], [1.0]])).tolist() == [4.0, 1.0]
         assert many.distinct_count == 2
+        assert many.total_requests == len(many.trace_rows()) == 4
 
     def test_one_evaluate_call_per_row(self, monkeypatch):
         # The benchmark's tracer counts requests by wrapping this attribute.

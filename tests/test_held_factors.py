@@ -1,4 +1,6 @@
-"""DirectionSet holds its radius and SVDs; every consumer reads those factors."""
+"""Direction sets hold their factors, canonical_set its pairs; every consumer reads them."""
+
+import inspect
 
 import numpy as np
 import numpy.linalg as npla
@@ -11,22 +13,28 @@ from nshess import (
     RuleGeometry,
     StudyConfig,
     canonical_set,
+    error_bound_nsh,
     linalg,
     nested_set_hessian,
     run_study,
+    sets,
     settings,
     simplex_gradient,
 )
 from nshess.approx import second_differences
 from nshess.quadmodel import interpolate_minimal
-from nshess.sets import sample_grid
+from nshess.sets import _fold_k, _uk_matrix, build_uk, sample_grid
 
 EPS = np.finfo(float).eps
 
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Count SVDs, including the ones ``np.linalg.norm(a, 2)`` takes internally."""
+    """Count SVDs, including the ones ``np.linalg.norm(a, 2)`` takes internally.
+
+    The canonical-set memo is emptied first, so every geometry starts cold.
+    """
+    sets._canonical_pair.cache_clear()
     calls = []
     original = npla.svd
 
@@ -211,3 +219,146 @@ class TestBoundFactors:
         with pytest.raises(ValueError, match="zero radius"):
             zero.pinv_norm(normalized=True)
         assert zero.pinv_norm() == 0.0
+
+
+def _estimate_bound_model(n: int, k: int, beta: float):
+    """Bytes of H, its bound and the closed-form model on a fresh cache."""
+    x0 = np.linspace(-0.7, 0.9, n)
+    s_set, t_set = canonical_set(n, k, beta)
+    cache = EvaluationCache(_cubic)
+    h = nested_set_hessian(x0, s_set, t_set, cache).hessian
+    bound = error_bound_nsh(BoundInputs.for_hessian(s_set, t_set, 2.0, 3.0))
+    model = interpolate_minimal(x0, s_set, k, cache)
+    return (
+        h.tobytes(),
+        np.float64(bound).tobytes(),
+        np.float64(model.alpha0).tobytes() + model.alpha.tobytes() + model.hessian.tobytes(),
+        cache.distinct_count,
+    )
+
+
+class TestGeometryMemo:
+    """``canonical_set`` hands out held pairs; nothing it holds changes a result."""
+
+    def setup_method(self):
+        sets._canonical_pair.cache_clear()
+
+    def test_repeated_key_returns_the_same_sets(self):
+        s_set, t_set = canonical_set(4, 2, 0.1)
+        again = canonical_set(4, 2, np.float64(0.1))
+        assert again[0] is s_set and again[1] is t_set
+        for other in [(5, 2, 0.1), (4, 1, 0.1), (4, 2, 0.2)]:
+            s_other, t_other = canonical_set(*other)
+            assert s_other is not s_set and t_other is not t_set
+        assert sets._canonical_pair.cache_info().maxsize == 128
+
+    def test_stays_a_plain_function(self):
+        # The benchmark's tracer wraps only plain functions.
+        assert inspect.isfunction(sets.canonical_set)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [((0, 0, 0.1), "n must"), ((3, 4, 0.1), "k must"), ((3, -1, 0.1), "k must"),
+         ((3, 1, 0.0), "beta"), ((3, 1, -0.1), "beta"), ((3, 1, np.inf), "beta"),
+         ((3, 1, np.nan), "beta")],
+    )
+    def test_invalid_arguments_raise_on_every_call(self, args, match):
+        canonical_set(3, 1, 0.1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                canonical_set(*args)
+        assert sets._canonical_pair.cache_info().currsize == 1
+
+    def test_rank_rtol_change_on_a_warm_memo(self, monkeypatch):
+        # The singular values of E_1 at n = 5 spread over a factor of about
+        # 6, so a relative cutoff of 0.5 drops some of them.
+        s_set, t_set = canonical_set(5, 1, 0.1)
+        warm = t_set.rank(), t_set.pinv(), t_set.pinv_norm(), s_set.rank(transpose=True)
+        assert warm[0] == warm[3] == 5
+        monkeypatch.setattr(settings, "rank_rtol", 0.5)
+        s_again, t_again = canonical_set(5, 1, 0.1)
+        assert t_again is t_set
+        assert t_set.rank() == linalg.rank(t_set.matrix) < 5
+        assert t_set.pinv().tobytes() == linalg.pseudoinverse(t_set.matrix).tobytes()
+        assert t_set.pinv().tobytes() != warm[1].tobytes()
+        assert t_set.pinv_norm() != warm[2]
+        assert s_again.rank(transpose=True) == 5
+        monkeypatch.setattr(settings, "rank_rtol", None)
+        assert t_set.rank() == 5
+        assert t_set.pinv().tobytes() == warm[1].tobytes()
+        assert t_set.pinv_norm() == warm[2]
+
+    def test_held_factors_stay_bounded_across_cutoffs(self, monkeypatch):
+        # One slot per pseudoinverse or norm, overwritten when the cutoff
+        # changes, so a sweep over rank_rtol cannot grow a memoized set.
+        s_set, t_set = canonical_set(5, 1, 0.1)
+
+        def ask_everything():
+            for d in (s_set, t_set):
+                for transpose in (False, True):
+                    d.pinv(transpose)
+                    for frobenius in (False, True):
+                        for normalized in (False, True):
+                            d.pinv_norm(transpose, frobenius, normalized)
+
+        ask_everything()
+        sizes = len(s_set._held), len(t_set._held)
+        assert sizes == (11, 10)  # S also holds its U_k
+        for rtol in (1e-12, 1e-6, 0.1, 0.5, None):
+            monkeypatch.setattr(settings, "rank_rtol", rtol)
+            ask_everything()
+            assert (len(s_set._held), len(t_set._held)) == sizes
+
+    def test_build_uk_holds_one_set_per_outer_set(self):
+        # The closed-form model reuses the estimate's T; a sweep over k on
+        # one S keeps only the last U_k alive.
+        s_set, t_set = canonical_set(4, 2, 0.1)
+        assert build_uk(s_set, 2) is t_set
+        for k in (0, 1, 3, 4, 1):
+            u_set = build_uk(s_set, k)
+            assert build_uk(s_set, k) is u_set
+            assert u_set.matrix.tobytes() == _uk_matrix(s_set.matrix, k).tobytes()
+            assert len(s_set._held) == 1
+        assert _fold_k(s_set, t_set) == 2
+
+    def test_warm_geometry_takes_no_svd(self, svd_calls):
+        first = _estimate_bound_model(6, 3, 0.05)
+        assert len(svd_calls) == 2
+        del svd_calls[:]
+        assert _estimate_bound_model(6, 3, 0.05) == first
+        assert svd_calls == []
+
+    def test_held_pinv_is_read_only(self):
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        for held in (s_set.pinv(transpose=True), t_set.pinv(), t_set.pinv(transpose=True)):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 1.0
+        assert DirectionSet(np.eye(2)).pinv() is not DirectionSet(np.eye(2)).pinv()
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 0), (3, 2), (5, 5)])
+    def test_fold_k_for_sets_built_elsewhere(self, n, k):
+        s_set, t_set = canonical_set(n, k, 0.1)
+        assert _fold_k(s_set, t_set) == k
+        s_copy = DirectionSet(0.1 * np.eye(n))
+        t_copy = DirectionSet(_uk_matrix(s_copy.matrix, k))
+        assert _fold_k(s_copy, t_copy) == k
+        assert _fold_k(s_set, t_copy) == k
+        assert _fold_k(s_copy, t_set) == k
+
+    def test_fold_k_none_for_a_pair_that_does_not_fold(self):
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        assert _fold_k(s_set, DirectionSet(t_set.matrix.copy() * 1.5)) is None
+        assert _fold_k(s_set, DirectionSet(np.hstack([t_set.matrix, s_set.matrix[:, :1]]))) is None
+        other = DirectionSet(np.random.default_rng(0).standard_normal((3, 3)))
+        assert _fold_k(s_set, other) is None
+        assert _fold_k(other, DirectionSet(_uk_matrix(other.matrix, 1))) == 1
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_cold_and_warm_estimates_are_bitwise_equal(self, n):
+        for k in sorted({0, 1, n}):
+            sets._canonical_pair.cache_clear()
+            cold = _estimate_bound_model(n, k, 0.02)
+            warm = _estimate_bound_model(n, k, 0.02)
+            assert warm == cold
+            assert cold[3] == (n + 1) * (n + 2) // 2

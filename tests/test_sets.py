@@ -210,6 +210,17 @@ class TestPointSet:
         assert ps.index_of([0.0, 0.0]) == 0
         assert ps.index_of([9.0, 9.0]) == -1
 
+    @pytest.mark.parametrize("query", [[1.0], 1.0, [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_wrong_shaped_query_raises(self, query):
+        # A shape-(1,) or scalar query used to broadcast against every row
+        # and match [1, 1].
+        ps = PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="R\\^2"):
+            ps.index_of(query)
+        with pytest.raises(ValueError, match="R\\^2"):
+            ps.contains(np.asarray(query))
+        assert ps.index_of([1.0, 1.0]) == 1
+
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError, match="coincide"):
             PointSet(np.array([[0.0, 0.0], [1e-13, 0.0]]), dedup_tol=1e-9)
