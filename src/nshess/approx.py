@@ -26,7 +26,7 @@ import numpy as np
 
 from .cache import EvaluationCache
 from .exceptions import CollapsedGridError, RankDeficientError
-from .sets import DirectionSet, _grid_classes, dedup_tolerance
+from .sets import DirectionSet, _grid, dedup_tolerance
 
 __all__ = [
     "GradientResult",
@@ -92,9 +92,9 @@ def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
 
 
 def _grid_values(cache: EvaluationCache, x0, s_set, t_set, tol: float) -> np.ndarray:
-    """``F[i, j]``, read in one lookup of the points ``sets._grid_classes`` names."""
-    points, cls = _grid_classes(x0, s_set, t_set, tol)
-    return cache.evaluate_many(points, tol)[cls]
+    """``F[i, j]``, read in one lookup of the points the held ``sets._grid`` record names."""
+    grid = _grid(x0, s_set, t_set, tol)
+    return cache.evaluate_many(grid.points, tol)[grid.cls]
 
 
 def second_differences(values: np.ndarray) -> np.ndarray:

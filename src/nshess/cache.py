@@ -85,6 +85,27 @@ class PointIndex:
         self._wide: list[int] = []  # rows whose projection overflowed
         self._norm = 0.0  # M: bounds the max-norm of every stored row
 
+    @staticmethod
+    def separated(points: np.ndarray, tol: float) -> bool:
+        """Whether no two rows of ``points`` lie within ``tol`` of each other.
+
+        A vectorized proof by the window above, with no per-row loop: with
+        ``M`` the largest max-norm of a row, exact, two rows within ``tol``
+        have computed projections within ``reach = tol * |w|_1 + 2 * gamma
+        * |w|_1 * (M + tol)``. So if every gap between neighbouring sorted
+        projections exceeds ``reach``, no row would find another in its
+        lookup window, and adding the rows in order to an empty index
+        stores every one of them. ``False`` proves nothing; it is also the
+        answer when a projection or ``M`` is not finite.
+        """
+        w, w1, slack = _weights(points.shape[1])
+        y = points @ w
+        m = float(np.abs(points).max())
+        if not (math.isfinite(m) and np.isfinite(y).all()):
+            return False
+        y.sort()
+        return bool((np.diff(y) > w1 * (tol + slack * (m + tol))).all())
+
     def __len__(self) -> int:
         return self._count
 

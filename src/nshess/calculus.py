@@ -15,7 +15,11 @@ nested-set Hessian estimate, ``f(x0)``, the mode's gradient at ``x0`` and,
 in quadratic mode, the interpolation model and the point set that gradient
 came from. The rule assembles its estimate from these records, and a caller
 certifying the estimate reads the same records, so the bound covers exactly
-the numbers the estimate used.
+the numbers the estimate used. In quadratic mode the factors share one
+geometry: the grid record on S gives both of them the same point set, whose
+quadratic basis is factored once, for the model's poisedness check, and
+read again by :func:`model_gradient_constant` for each factor's
+certificate.
 
 The matching ``calculus_error_bound`` evaluates per-rule worst-case bounds
 from per-factor data. Each bound contains a minimum over several candidate
@@ -40,7 +44,6 @@ from .sets import (
     PointSet,
     minimal_point_count,
     nshc_points,
-    quadratic_basis_matrix,
 )
 
 __all__ = [
@@ -167,21 +170,22 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
     ``p`` is the number of interpolation points and ``Qhat`` the natural
     quadratic-basis matrix on the points shifted to ``x0`` and scaled by
     the largest distance from it. Multiplied by ``delta_u ** 2`` this
-    budgets the model-gradient error at ``x0``.
+    budgets the model-gradient error at ``x0``. A :class:`PointSet` holds
+    the singular values of ``Qhat`` for its last center, so after
+    :func:`~nshess.quadmodel.interpolate_general` about ``x0`` on the same
+    set this takes no SVD. ``x0`` must be a finite point of the points'
+    dimension and ``lipschitz_hess`` nonnegative.
     """
-    if lipschitz_hess < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
-    pts = points.points if hasattr(points, "points") else np.asarray(points, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    p = pts.shape[0]
-    scale = float(np.max(np.linalg.norm(pts - x0, axis=1)))
-    basis, _, _ = quadratic_basis_matrix(pts, center=x0, scale=scale)
-    svals = np.linalg.svd(basis, compute_uv=False)
-    eps_cut = max(basis.shape) * np.finfo(float).eps * svals[0]
-    if svals[-1] <= eps_cut:
+    if not lipschitz_hess >= 0:
+        raise ValueError(f"Lipschitz constant must be nonnegative, got {lipschitz_hess}")
+    if not isinstance(points, PointSet):
+        points = PointSet._distinct(points, 0.0)
+    svals = points._singular_values(x0)
+    size = max(len(points), minimal_point_count(points.dim))  # larger side of Qhat
+    if svals[-1] <= size * np.finfo(float).eps * svals[0]:
         raise NotPoisedError("point set is not poised; model gradient constant undefined")
     inv_norm = 1.0 / float(svals[-1])
-    return 6.0 * (1.0 + _SQRT2) * math.sqrt(p) * lipschitz_hess * inv_norm
+    return 6.0 * (1.0 + _SQRT2) * math.sqrt(len(points)) * lipschitz_hess * inv_norm
 
 
 def quadratic_model_gradient(

@@ -4,7 +4,10 @@ Two routes to the same model: a general solver that interpolates any poised
 set of ``(n+1)(n+2)/2`` points, and a closed-form assembly that reuses the
 function values a nested Hessian estimate already paid for, so the model
 costs zero additional evaluations when the geometry is the folded pairing
-``(S, U_k)``.
+``(S, U_k)``. Neither rebuilds what its geometry already holds: the
+general solver reads the singular values its :class:`~nshess.sets.PointSet`
+holds for the center, and the closed form reads the grid record that an
+estimate on the same ``(x0, S, U_k)`` left on S.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .exceptions import NotPoisedError, RankDeficientError
 from .sets import (
     DirectionSet,
     PointSet,
+    _quadratic_terms,
     build_uk,
     minimal_point_count,
     quadratic_basis_matrix,
@@ -88,7 +92,11 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
     coefficients mapped back, which keeps the system well conditioned
     regardless of where the cluster sits. Raises
     :class:`~nshess.exceptions.NotPoisedError` when the set does not
-    determine a unique quadratic.
+    determine a unique quadratic, judged from the singular values of the
+    basis, which the point set holds for ``center`` (the centroid when
+    ``None``): a second solve about the same center on the same set, or a
+    :func:`~nshess.calculus.model_gradient_constant` after it, takes no
+    SVD.
     """
     n = points.dim
     need = minimal_point_count(n)
@@ -103,7 +111,7 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
         raise ValueError("values contain non-finite entries")
 
     basis, c, r = quadratic_basis_matrix(points.points, center)
-    if linalg.rank(basis) < need:
+    if np.count_nonzero(linalg._kept(points._singular_values(c, basis), basis.shape)) < need:
         raise NotPoisedError("point set is not poised for quadratic interpolation")
     coef = np.linalg.solve(basis, vals)
     residual = float(np.max(np.abs(basis @ coef - vals)))
@@ -112,16 +120,9 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
 
     a0 = coef[0]
     a = coef[1 : n + 1]
+    rows, cols, _ = _quadratic_terms(n)
     b = np.zeros((n, n))
-    pos = n + 1
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                b[i, i] = coef[pos]
-            else:
-                b[i, j] = coef[pos]
-                b[j, i] = coef[pos]
-            pos += 1
+    b[rows, cols] = b[cols, rows] = coef[n + 1 :]
 
     hessian = b / (r * r)
     alpha = a / r - (b @ c) / (r * r)
@@ -137,7 +138,8 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     points, bitwise, that :func:`~nshess.approx.nested_set_hessian`
     requests on ``(S, U_k)``; so a cache shared with that estimate answers
     every request from its exact-repeat memo and calls the oracle for
-    nothing new. The second differences ``D = S^T H U_k``
+    nothing new, and the points and class map come from the grid record
+    the estimate left on S. The second differences ``D = S^T H U_k``
     of a quadratic give the curvature matrix ``S^T H S = D E_k``, where
     ``U_k = S E_k`` and ``E_k`` is its own inverse; two solves with ``S^T``
     then map it back.

@@ -15,15 +15,23 @@ On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 
 Sampling geometry is built once and then held. A :class:`DirectionSet`
 keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
-norms derived from them for the rank cutoff last used; an outer set S
-holds the last ``U_k`` built from it. :func:`canonical_set` returns the
-same pair for a repeated ``(n, k, beta)`` from a bounded memo, so an
-estimate on a geometry seen before factors nothing again.
+norms derived from them for the rank cutoff last used. An outer set S
+holds the last ``U_k`` built from it and one grid record: the points to
+look up and the class map of the last ``(x0, T, tol)`` it was sampled
+with, and the deduplicated :class:`PointSet` once one is asked for. So an
+estimate, the closed-form model after it and :func:`nshc_points` on the
+same geometry build the grid once. A :class:`PointSet` holds the singular
+values of its quadratic basis for the last center asked for, which the
+poisedness checks and the model-gradient constant read.
+:func:`canonical_set` returns the same pair for a repeated
+``(n, k, beta)`` from a bounded memo, so an estimate on a geometry seen
+before factors nothing again.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -183,7 +191,8 @@ class PointSet:
     """Deduplicated evaluation points, one per row.
 
     Two points coincide when every coordinate differs by at most
-    ``dedup_tol``; construction rejects input violating that rule.
+    ``dedup_tol``; construction rejects input violating that rule. The
+    singular values of the quadratic basis are held for one center.
     """
 
     points: np.ndarray
@@ -218,6 +227,24 @@ class PointSet:
             raise ValueError(f"dedup_tol must be nonnegative, got {self.dedup_tol}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_svd", None)
+
+    def _singular_values(self, center=None, basis: np.ndarray | None = None) -> np.ndarray:
+        """Singular values of ``quadratic_basis_matrix(self.points, center)``.
+
+        Held, read-only, for the last center asked for, keyed by its bytes;
+        a caller that has just built that basis may pass it in.
+        """
+        key = _basis_center(self.points, center).tobytes()
+        held = self._svd
+        if held is None or held[0] != key:
+            if basis is None:
+                basis, _, _ = quadratic_basis_matrix(self.points, center)
+            if not np.isfinite(basis).all():
+                raise ValueError("quadratic basis contains non-finite entries")
+            held = (key, _read_only(np.linalg.svd(basis, compute_uv=False)))
+            object.__setattr__(self, "_svd", held)
+        return held[1]
 
     @property
     def dim(self) -> int:
@@ -399,27 +426,54 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     return grid
 
 
-def _grid_classes(
-    x0, s_set: DirectionSet, t_set: DirectionSet, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(eq=False)
+class _Grid:
     """The points to look up for :func:`sample_grid`, and each cell's row among them.
 
-    Returns ``(points, cls)`` with ``grid[i, j]`` read as ``points[cls[i, j]]``.
-    When T is bitwise ``build_uk(S, k)`` and every cell lies within ``tol``
-    of the first cell of its :func:`fold_index` class, the points are those
-    first cells, in row-major order; otherwise they are every cell in
-    row-major order and ``cls`` is the identity, leaving all coincidences
-    to the tolerance. (Cells of one class differ by rounding alone, which
-    a coincidence tolerance of :func:`dedup_tolerance` exceeds.)
+    ``grid[i, j]`` reads as ``points[cls[i, j]]``. When T is bitwise
+    ``build_uk(S, k)`` and every cell lies within ``tol`` of the first cell
+    of its :func:`fold_index` class, the points are those first cells, in
+    row-major order; otherwise they are every cell in row-major order and
+    ``cls`` is the identity, leaving all coincidences to the tolerance.
+    (Cells of one class differ by rounding alone, which a coincidence
+    tolerance of :func:`dedup_tolerance` exceeds.) ``point_set`` is the
+    deduplicated points, set by the first :func:`nshc_points` that asks;
+    when it kept every point, ``points`` becomes its array. Both arrays are
+    read-only.
     """
+
+    t_set: DirectionSet
+    x0_key: tuple
+    tol: float
+    points: np.ndarray
+    cls: np.ndarray
+    point_set: PointSet | None = None
+
+
+def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float) -> _Grid:
+    """The grid record of ``(x0, S, T)`` at ``tol``.
+
+    S holds one record, for the last ``(T, x0, tol)`` it served, so every
+    consumer of one geometry reads the same record and a sweep over ``x0``,
+    T or the tolerance keeps only the last. The key holds the shape of
+    ``x0`` with its bytes: only a shape :func:`sample_grid` accepted is
+    ever stored, so a malformed ``x0`` never hits and raises there.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    key = x0.shape, x0.tobytes()
+    held = s_set._held.get("grid")
+    if held is not None and held.t_set is t_set and held.x0_key == key and held.tol == tol:
+        return held
     grid = sample_grid(x0, s_set, t_set)
     flat = grid.reshape(-1, grid.shape[2])
+    points, cls = flat, np.arange(len(flat)).reshape(grid.shape[:2])
     k = _fold_k(s_set, t_set)
     if k is not None:
-        cls, first = fold_index(s_set.dim, k)
-        if np.abs(flat - flat[first[cls.ravel()]]).max() <= tol:
-            return flat[first], cls
-    return flat, np.arange(len(flat)).reshape(grid.shape[:2])
+        fold_cls, first = fold_index(s_set.dim, k)
+        if np.abs(flat - flat[first[fold_cls.ravel()]]).max() <= tol:
+            points, cls = flat[first], fold_cls
+    held = s_set._held["grid"] = _Grid(t_set, key, tol, _read_only(points), _read_only(cls))
+    return held
 
 
 def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
@@ -430,20 +484,34 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     first-seen representative of each coincidence class is kept, exactly
     as an evaluation cache with tolerance ``tol`` would keep it. On a
     folded pair ``(S, U_k)`` only the first cell of each
-    :func:`fold_index` class is read.
+    :func:`fold_index` class is read. When
+    :meth:`~nshess.cache.PointIndex.separated` proves the points to read
+    pairwise farther apart than ``tol``, they are all kept without a
+    lookup; otherwise they go through a :class:`~nshess.cache.PointIndex`
+    one by one. The result is held in the grid record on S, so a repeated
+    call on the same ``(x0, S, T, tol)`` returns the same set.
     """
     if tol is None:
         tol = dedup_tolerance(x0, s_set, t_set)
     elif not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    points, _ = _grid_classes(x0, s_set, t_set, tol)
-    index = PointIndex(points.shape[1])
-    for x in points:
-        key = x.tobytes()
-        i, y = index.lookup(x, key, tol)
-        if i < 0:
-            index.insert(x, key, y)
-    return PointSet._distinct(index.points, tol)
+    grid = _grid(x0, s_set, t_set, tol)
+    point_set = grid.point_set
+    if point_set is None:
+        points = grid.points
+        separated = PointIndex.separated(points, tol)
+        if not separated:
+            index = PointIndex(points.shape[1])
+            for x in points:
+                key = x.tobytes()
+                i, y = index.lookup(x, key, tol)
+                if i < 0:
+                    index.insert(x, key, y)
+            points = index.points
+        point_set = grid.point_set = PointSet._distinct(points, tol)
+        if separated:  # the same rows, bitwise: the record keeps one copy
+            grid.points = point_set.points
+    return point_set
 
 
 def count_distinct(x0, s_set: DirectionSet, t_set: DirectionSet) -> int:
@@ -462,31 +530,51 @@ def quadratic_basis_matrix(points: np.ndarray, center=None, scale: float | None 
     """Interpolation matrix of the natural quadratic basis on shifted points.
 
     Rows are ``[1, z, z_i*z_j (i<j), z_i^2/2]`` evaluated at
-    ``z = (y - center) / scale``. Returns ``(matrix, center, scale)``.
-    Default center is the centroid and default scale the largest distance
-    from it, which keeps the matrix well scaled for rank tests and solves.
+    ``z = (y - center) / scale``, the quadratic columns in row-major order
+    of the upper triangle. Returns ``(matrix, center, scale)``, the center
+    a read-only copy. Default center is the centroid and default scale the
+    largest distance from it, which keeps the matrix well scaled for rank
+    tests and solves. ``center`` must be a finite point of the points'
+    dimension and ``scale`` finite; a scale at or below zero means 1.
     """
     pts = np.asarray(points, dtype=float)
     p, n = pts.shape
-    if center is None:
-        center = pts.mean(axis=0)
-    else:
-        center = np.asarray(center, dtype=float)
+    center = _basis_center(pts, center)
     if scale is None:
         scale = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     if scale <= 0.0:
         scale = 1.0
     z = (pts - center) / scale
-    cols = [np.ones(p)]
-    for i in range(n):
-        cols.append(z[:, i])
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                cols.append(0.5 * z[:, i] ** 2)
-            else:
-                cols.append(z[:, i] * z[:, j])
-    return np.column_stack(cols), center, scale
+    rows, cols, weights = _quadratic_terms(n)
+    basis = np.empty((p, n + 1 + rows.size))
+    basis[:, 0] = 1.0
+    basis[:, 1 : n + 1] = z
+    quadratic = basis[:, n + 1 :]
+    np.multiply(z[:, rows], z[:, cols], out=quadratic)
+    quadratic *= weights
+    return basis, center, scale
+
+
+def _basis_center(points: np.ndarray, center) -> np.ndarray:
+    """``center`` as a read-only copy, or the centroid when ``None``; checked."""
+    n = points.shape[1]
+    center = points.mean(axis=0) if center is None else np.array(center, dtype=float)
+    if center.shape != (n,) or not np.isfinite(center).all():
+        raise ValueError(f"center must be a finite point in R^{n}, got {center!r}")
+    return _read_only(center)
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor indices ``(i, j)`` of each quadratic basis column and its weight.
+
+    Columns run over the upper triangle ``i <= j`` in row-major order; the
+    weight is 1/2 on the diagonal and 1 elsewhere. Memoized, read-only.
+    """
+    rows, cols = np.triu_indices(n)
+    return _read_only(rows), _read_only(cols), _read_only(np.where(rows == cols, 0.5, 1.0))
 
 
 def is_poised_quadratic(points: PointSet) -> bool:
@@ -499,8 +587,9 @@ def is_poised_quadratic(points: PointSet) -> bool:
     need = minimal_point_count(n)
     if len(points) != need:
         raise ValueError(f"poisedness test needs exactly {need} points in R^{n}, got {len(points)}")
-    basis, _, _ = quadratic_basis_matrix(points.points)
-    return linalg.rank(basis) == need
+    basis, center, _ = quadratic_basis_matrix(points.points)
+    svals = points._singular_values(center, basis)
+    return int(np.count_nonzero(linalg._kept(svals, basis.shape))) == need
 
 
 def is_minimal_nshc(points: PointSet, x0) -> MinimalityResult:

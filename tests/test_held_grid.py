@@ -1,0 +1,369 @@
+"""One grid record per outer set, one distinctness proof per point set, one SVD per basis."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nshess import (
+    DirectionSet,
+    EvaluationCache,
+    NotPoisedError,
+    StudyConfig,
+    build_uk,
+    canonical_set,
+    dedup_tolerance,
+    interpolate_general,
+    interpolate_minimal,
+    minimal_point_count,
+    model_gradient_constant,
+    nested_set_hessian,
+    nshc_points,
+    quadratic_basis_matrix,
+    quadratic_model_gradient,
+    run_study,
+    sets,
+    settings,
+)
+from nshess.approx import grid_tolerance
+from nshess.cache import PointIndex
+from nshess.sets import _fold_k, fold_index, sample_grid
+
+
+def _cubic(x):
+    return float(np.sum(x**3) + x[0] * np.sum(x) ** 2)
+
+
+def _greedy_reference(x0, s_set, t_set, tol):
+    """The points ``nshc_points`` keeps, found by a ``PointIndex`` lookup per point."""
+    flat = sample_grid(x0, s_set, t_set).reshape(-1, len(x0))
+    k = _fold_k(s_set, t_set)
+    if k is not None:
+        cls, first = fold_index(len(x0), k)
+        if np.abs(flat - flat[first[cls.ravel()]]).max() <= tol:
+            flat = flat[first]
+    index = PointIndex(flat.shape[1])
+    for x in flat:
+        if index.find(x, tol) < 0:
+            index.add(x)
+    return index.points
+
+
+def _geometry(kind, n, rng):
+    scale = 10.0 ** rng.uniform(-3, 0)
+    if kind == "canonical":
+        return canonical_set(n, int(rng.integers(0, n + 1)), scale)
+    s = scale * rng.standard_normal((n, n))
+    if kind == "random":
+        s = scale * rng.standard_normal((n, n + int(rng.integers(0, 3))))
+        return DirectionSet(s), DirectionSet(scale * rng.standard_normal((n, n + 1)))
+    if kind == "shared":  # T repeats columns of S: exact coincidences off the fold path
+        t = np.hstack([s[:, : max(1, n - 1)], scale * rng.standard_normal((n, 1))])
+        return DirectionSet(s), DirectionSet(t)
+    if kind == "adversarial" and n >= 2:
+        # Two columns of S within any tolerance drawn below: distinct fold
+        # classes whose first cells coincide.
+        s[:, 1] = s[:, 0] + 1e-15 * scale
+    s_set = DirectionSet(s)
+    return s_set, build_uk(s_set, int(rng.integers(0, n + 1)))
+
+
+@given(data=st.data())
+def _matches_greedy(data):
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["random", "shared", "folded", "adversarial", "canonical"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s_set, t_set = _geometry(kind, n, rng)
+    x0 = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.uniform(-2, 2)
+    tol = data.draw(st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-3]))
+    got = nshc_points(x0, s_set, t_set, tol)
+    want_tol = dedup_tolerance(x0, s_set, t_set) if tol is None else tol
+    want = _greedy_reference(x0, s_set, t_set, want_tol)
+    assert got.points.shape == want.shape
+    assert got.points.tobytes() == want.tobytes()
+    assert got.dedup_tol == want_tol
+
+
+class TestDistinctPoints:
+    def test_nshc_points_is_bitwise_the_greedy_loop(self, monkeypatch):
+        outcomes = []
+        real = PointIndex.separated
+
+        def recorded(points, tol):
+            outcomes.append(real(points, tol))
+            return outcomes[-1]
+
+        monkeypatch.setattr(PointIndex, "separated", staticmethod(recorded))
+        _matches_greedy()
+        assert True in outcomes and False in outcomes  # fast path and fallback both ran
+
+    def test_separated_answers(self):
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert PointIndex.separated(rows, 1e-9)
+        assert PointIndex.separated(rows[:1], np.inf)
+        assert not PointIndex.separated(rows, 1.0)
+        assert not PointIndex.separated(np.vstack([rows, rows[1]]), 0.0)
+        assert not PointIndex.separated(np.array([[0.0, 0.0], [-0.0, 0.0]]), 0.0)
+        near = rows.copy()
+        near[2] = near[1] + 1e-10
+        assert not PointIndex.separated(near, 1e-9)
+        for bad in (np.nan, np.inf):
+            odd = rows.copy()
+            odd[1, 0] = bad
+            assert not PointIndex.separated(odd, 1e-9)
+        with np.errstate(over="ignore"):  # the projections overflow
+            assert not PointIndex.separated(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0)
+
+    def test_adversarial_classes_merge(self):
+        s = 0.1 * np.eye(3)
+        s[:, 1] = s[:, 0] * (1.0 + 1e-14)
+        s_set = DirectionSet(s)
+        pts = nshc_points(np.zeros(3), s_set, build_uk(s_set, 2))
+        assert len(pts) < minimal_point_count(3)
+
+
+class TestGridRecord:
+    def setup_method(self):
+        sets._canonical_pair.cache_clear()
+
+    def test_estimate_then_model_build_the_grid_once(self, monkeypatch):
+        calls = []
+        real = sets.sample_grid
+        monkeypatch.setattr(sets, "sample_grid", lambda *a: calls.append(1) or real(*a))
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        s_set, t_set = canonical_set(4, 2, 0.05)
+        cache = EvaluationCache(_cubic)
+        estimate = nested_set_hessian(x0, s_set, t_set, cache)
+        model = interpolate_minimal(x0, s_set, 2, cache)
+        assert len(calls) == 1
+        tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
+        first = nshc_points(x0, s_set, t_set, tol)
+        _, _, again = quadratic_model_gradient(cache, x0, s_set, t_set)
+        assert again is first
+        assert len(calls) == 1
+        assert cache.distinct_count == minimal_point_count(4)
+        np.testing.assert_allclose(model.hessian, estimate.hessian, atol=1e-6)
+
+    def test_one_record_per_outer_set_across_an_x0_sweep(self):
+        s_set, t_set = canonical_set(3, 1, 0.1)
+        rng = np.random.default_rng(3)
+        sizes = set()
+        for _ in range(6):
+            x0 = rng.uniform(-1.0, 1.0, 3)
+            cache = EvaluationCache(_cubic)
+            nested_set_hessian(x0, s_set, t_set, cache)
+            pts = nshc_points(x0, s_set, t_set, grid_tolerance(cache, x0, S=s_set, T=t_set))
+            grids = [v for v in s_set._held.values() if isinstance(v, sets._Grid)]
+            assert len(grids) == 1
+            assert grids[0].x0_key == (x0.shape, x0.tobytes()) and grids[0].point_set is pts
+            sizes.add(len(s_set._held))
+        assert len(sizes) == 1
+        other = DirectionSet(0.1 * np.eye(3))
+        nshc_points(x0, s_set, other)
+        assert s_set._held["grid"].t_set is other
+        assert len(s_set._held) in sizes
+
+    def test_a_bad_x0_raises_before_it_becomes_a_key(self):
+        s_set, t_set = canonical_set(2, 1, 0.1)
+        nshc_points(np.ones(2), s_set, t_set)
+        record = s_set._held["grid"]
+        for bad in (np.ones((1, 2)), np.ones(3), np.ones(1)):
+            with pytest.raises(ValueError, match="dimension"):
+                nshc_points(bad, s_set, t_set, record.tol)
+        assert s_set._held["grid"] is record
+
+    def test_dedup_rtol_change_rebuilds_the_record(self, monkeypatch):
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        x0 = np.array([0.4, -0.3, 0.2])
+        first = nshc_points(x0, s_set, t_set)
+        record = s_set._held["grid"]
+        assert nshc_points(x0, s_set, t_set) is first
+        monkeypatch.setattr(settings, "dedup_rtol", 1e-9)
+        second = nshc_points(x0, s_set, t_set)
+        assert second is not first and s_set._held["grid"] is not record
+        assert second.dedup_tol == s_set._held["grid"].tol == dedup_tolerance(x0, s_set, t_set)
+        assert second.dedup_tol > first.dedup_tol
+        assert second.points.tobytes() == first.points.tobytes()
+
+    def test_held_arrays_are_read_only(self):
+        s_set, t_set = canonical_set(3, 1, 0.1)
+        x0 = np.array([0.1, 0.2, 0.3])
+        pts = nshc_points(x0, s_set, t_set)
+        model_gradient_constant(1.0, pts, x0)
+        record = s_set._held["grid"]
+        other = DirectionSet(0.1 * np.eye(3) + 0.01)
+        nshc_points(x0, other, DirectionSet(0.2 * np.eye(3)))
+        unfolded = other._held["grid"]
+        _, center, _ = quadratic_basis_matrix(pts.points, x0)
+        held = [record.points, record.cls, unfolded.points, unfolded.cls, pts.points,
+                pts._svd[1], center, *sets._quadratic_terms(3)]
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+
+
+class TestHeldBasis:
+    @pytest.mark.parametrize(
+        "estimator, function",
+        [("product-qc", "product_cubes_exp"), ("quotient-qc", "quotient_cubes_exp"),
+         ("power-qc", "power_cubes_2")],
+    )
+    def test_cold_rule_row_factors_the_basis_once(self, svd_calls, estimator, function):
+        config = StudyConfig(function=function, dim=10, k=3, estimator=estimator,
+                             beta_steps=1, seed=4)
+        (row,) = run_study(config).rows
+        assert row.evals == (1 if estimator == "power-qc" else 2) * 66
+        assert svd_calls.count((66, 66)) == 1
+
+    def test_one_svd_per_center(self, svd_calls):
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        pts = nshc_points(np.zeros(3), s_set, t_set)
+        rng = np.random.default_rng(8)
+        for center in rng.uniform(-0.1, 0.1, (4, 3)):
+            before = len(svd_calls)
+            first = model_gradient_constant(1.0, pts, center)
+            assert model_gradient_constant(1.0, pts, center.copy()) == first
+            interpolate_general(pts, np.arange(10.0), center=center)
+            assert len(svd_calls) == before + 1
+            assert pts._svd[0] == center.tobytes()
+        interpolate_general(pts, np.arange(10.0))
+        assert pts._svd[0] == pts.points.mean(axis=0).tobytes()
+
+    def test_a_caller_writing_its_center_leaves_the_held_key(self):
+        s_set, t_set = canonical_set(2, 1, 0.1)
+        x0 = np.array([0.2, 0.1])
+        pts = nshc_points(x0, s_set, t_set)
+        first = model_gradient_constant(1.0, pts, x0)
+        x0[0] = 5.0
+        assert pts._svd[0] == np.array([0.2, 0.1]).tobytes()
+        assert model_gradient_constant(1.0, pts, np.array([0.2, 0.1])) == first
+
+
+class TestSharedAcrossThreads:
+    def test_threads_sharing_one_geometry_get_their_own_answers(self):
+        # More threads than cores, switching often, each on its own x0 and
+        # center: a slot read after another thread replaced it would show
+        # as a wrong Hessian or constant.
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        x0s = [np.full(3, 0.01 * i) for i in range(4)]
+        shared = nshc_points(x0s[0], s_set, t_set)
+        want = [
+            (
+                nested_set_hessian(x0, DirectionSet(s_set.matrix), DirectionSet(t_set.matrix),
+                                   EvaluationCache(_cubic)).hessian.tobytes(),
+                model_gradient_constant(1.0, shared.points.copy(), x0),
+            )
+            for x0 in x0s
+        ]
+        wrong = []
+
+        def work(offset):
+            for step in range(40):
+                i = (offset + step) % len(x0s)
+                h = nested_set_hessian(x0s[i], s_set, t_set, EvaluationCache(_cubic)).hessian
+                if (h.tobytes(), model_gradient_constant(1.0, shared, x0s[i])) != want[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def _loop_basis(points, center, scale):
+    """The natural quadratic basis built one column at a time."""
+    z = (points - center) / scale
+    p, n = points.shape
+    cols = [np.ones(p)] + [z[:, i] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cols.append(0.5 * z[:, i] ** 2 if i == j else z[:, i] * z[:, j])
+    return np.column_stack(cols)
+
+
+class TestQuadraticBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_the_loop_form(self, n):
+        rng = np.random.default_rng(n)
+        for p in (minimal_point_count(n), 3):
+            points = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-4, 4)
+            center = points.mean(axis=0)
+            scale = float(np.max(np.linalg.norm(points - center, axis=1)))
+            basis, got_center, got_scale = quadratic_basis_matrix(points)
+            assert got_scale == scale and got_center.tobytes() == center.tobytes()
+            assert basis.tobytes() == _loop_basis(points, center, scale).tobytes()
+            x0 = rng.standard_normal(n)
+            basis, _, _ = quadratic_basis_matrix(points, x0, 0.25)
+            assert basis.tobytes() == _loop_basis(points, x0, 0.25).tobytes()
+
+    @pytest.mark.parametrize("center", [np.zeros(1), 0.0, np.zeros(3), np.zeros((1, 2)),
+                                        np.array([np.nan, 0.0]), np.array([0.0, np.inf])])
+    def test_rejects_a_center_of_another_shape_or_non_finite(self, center):
+        # A shape-(1,) or scalar center used to broadcast into a wrong basis.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="center"):
+            quadratic_basis_matrix(points, center)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_scale(self, scale):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="scale"):
+            quadratic_basis_matrix(points, None, scale)
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0])
+    def test_a_scale_at_or_below_zero_means_one(self, scale):
+        points = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        basis, _, got = quadratic_basis_matrix(points, np.zeros(2), scale)
+        assert got == 1.0
+        assert basis.tobytes() == quadratic_basis_matrix(points, np.zeros(2), 1.0)[0].tobytes()
+
+    def test_a_bad_center_raises_before_it_becomes_a_key(self):
+        s_set, t_set = canonical_set(2, 1, 0.1)
+        pts = nshc_points(np.zeros(2), s_set, t_set)
+        model_gradient_constant(1.0, pts, np.zeros(2))
+        held = pts._svd
+        for bad in (np.zeros(1), 0.0, np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="center"):
+                interpolate_general(pts, np.ones(6), center=bad)
+        assert pts._svd is held
+
+
+class TestModelGradientConstantInputs:
+    def _points(self):
+        s_set, t_set = canonical_set(2, 1, 0.1)
+        return nshc_points(np.zeros(2), s_set, t_set)
+
+    @pytest.mark.parametrize("x0", [np.zeros(1), 0.0, np.zeros(3), np.zeros((2, 1))])
+    def test_rejects_x0_of_another_shape(self, x0):
+        # A shape-(1,) x0 used to broadcast and return a plausible constant.
+        with pytest.raises(ValueError, match="R\\^2"):
+            model_gradient_constant(1.0, self._points(), x0)
+
+    @pytest.mark.parametrize("lipschitz", [np.nan, -1.0, -np.inf])
+    def test_rejects_nan_or_negative_lipschitz(self, lipschitz):
+        with pytest.raises(ValueError, match="Lipschitz"):
+            model_gradient_constant(lipschitz, self._points(), np.zeros(2))
+
+    def test_raw_arrays_and_point_sets_agree(self):
+        pts = self._points()
+        x0 = np.array([0.01, -0.02])
+        assert model_gradient_constant(2.0, pts.points.copy(), x0) == model_gradient_constant(
+            2.0, pts, x0
+        )
+
+    def test_degenerate_points_still_raise_not_poised(self):
+        line = np.array([[t, 0.0] for t in range(6)], dtype=float)
+        with pytest.raises(NotPoisedError):
+            model_gradient_constant(1.0, line, np.zeros(2))
