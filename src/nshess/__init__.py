@@ -32,7 +32,6 @@ from .calculus import (
     quadratic_model_gradient,
     quotient_hessian,
 )
-from .config import NumericSettings, settings
 from .exceptions import (
     CollapsedGridError,
     EvaluationError,
@@ -84,7 +83,6 @@ __all__ = [
     "HessianResult",
     "MinimalityResult",
     "NotPoisedError",
-    "NumericSettings",
     "PointSet",
     "QuadraticModel",
     "RankDeficientError",
@@ -127,7 +125,6 @@ __all__ = [
     "rank",
     "registry_names",
     "run_study",
-    "settings",
     "simplex_gradient",
     "solve",
     "spectral_norm",

@@ -48,11 +48,11 @@ class BoundInputs:
     def __post_init__(self):
         if self.m < 0 or self.k < 0:
             raise ValueError("set sizes must be nonnegative")
-        if self.lipschitz_grad < 0 or self.lipschitz_hess < 0:
+        if not (self.lipschitz_grad >= 0 and self.lipschitz_hess >= 0):
             raise ValueError("Lipschitz constants must be nonnegative")
         if not (self.delta_s >= 0 and self.delta_t >= 0):
             raise ValueError("set radii must be nonnegative")
-        if self.norm_s_pinv < 0 or self.norm_t_pinv < 0:
+        if not (self.norm_s_pinv >= 0 and self.norm_t_pinv >= 0):
             raise ValueError("norm factors must be nonnegative")
 
     @property
@@ -141,8 +141,8 @@ def error_bound_canonical(n: int, k: int, beta: float, lipschitz_hess: float) ->
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if lipschitz_hess < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
+    if not lipschitz_hess >= 0:
+        raise ValueError(f"Lipschitz constant must be nonnegative, got {lipschitz_hess}")
     if k == 0:
         return (5.0 / 3.0) * n ** 1.5 * lipschitz_hess * beta
     return 5.5 * n * n * lipschitz_hess * beta

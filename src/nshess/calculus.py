@@ -34,9 +34,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
 from .cache import EvaluationCache
-from .config import settings
 from .exceptions import NotPoisedError
 from .quadmodel import QuadraticModel, interpolate_general
 from .sets import (
@@ -95,7 +95,7 @@ class RuleGeometry:
     def __post_init__(self):
         if self.m < 1 or self.k < 1:
             raise ValueError("direction sets must be nonempty")
-        if self.delta_l <= 0 or self.delta_u < self.delta_l:
+        if not 0 < self.delta_l <= self.delta_u:
             raise ValueError("radii must satisfy 0 < delta_l <= delta_u")
 
     @classmethod
@@ -181,8 +181,7 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
     if not isinstance(points, PointSet):
         points = PointSet._distinct(points, 0.0)
     svals = points._singular_values(x0)
-    size = max(len(points), minimal_point_count(points.dim))  # larger side of Qhat
-    if svals[-1] <= size * np.finfo(float).eps * svals[0]:
+    if not linalg._kept(svals, (len(points), minimal_point_count(points.dim)))[-1]:
         raise NotPoisedError("point set is not poised; model gradient constant undefined")
     inv_norm = 1.0 / float(svals[-1])
     return 6.0 * (1.0 + _SQRT2) * math.sqrt(len(points)) * lipschitz_hess * inv_norm
@@ -250,7 +249,7 @@ def _rule_estimate(
     x0 = np.asarray(x0, dtype=float)
     if rule == "quotient":
         g0 = caches[1].evaluate(x0)
-        if abs(g0) <= settings.division_tol:
+        if g0 == 0.0:
             raise ZeroDivisionError(
                 f"quotient rule: g(x0) = {g0!r} is zero at the point of interest"
             )
@@ -317,8 +316,8 @@ def quotient_hessian(
 ) -> HessianResult:
     """Hessian estimate of ``f / g`` assembled by the quotient rule.
 
-    Raises ``ZeroDivisionError`` when ``g(x0)`` vanishes at the point of
-    interest (under ``settings.division_tol``).
+    Raises ``ZeroDivisionError`` when ``g(x0)`` is exactly zero at the
+    point of interest.
     """
     return _rule_estimate("quotient", [f_cache, g_cache], x0, s_set, t_set, mode, symmetrize)[0]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import settings
 from .exceptions import RankDeficientError
 
 __all__ = [
@@ -30,23 +29,25 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+_EPS = float(np.finfo(float).eps)
+# The absolute floor tiny / eps keeps 1 / s finite: a subnormal singular
+# value would otherwise pass a relative cutoff and invert to inf.
+_FLOOR = float(np.finfo(float).tiny) / _EPS
+
+
 def _cutoff(singular_values: np.ndarray, shape) -> float:
-    # The absolute floor tiny / eps keeps 1 / s finite: a subnormal singular
-    # value would otherwise pass a relative cutoff and invert to inf.
-    info = np.finfo(float)
-    rtol = settings.rank_rtol
-    if rtol is None:
-        rtol = max(shape) * info.eps
+    """``max(rows, cols) * eps * sigma_max``, and never below the floor."""
     top = singular_values[0] if singular_values.size else 0.0
-    return max(rtol * top, info.tiny / info.eps)
+    return max(max(shape) * _EPS * top, _FLOOR)
 
 
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
-    treated as zero (override through ``settings.rank_rtol``), as are those
-    at or below ``tiny / eps``, whose reciprocals would overflow.
+    treated as zero, as are those at or below ``tiny / eps``, whose
+    reciprocals would overflow. The cutoff is fixed; :func:`rank` takes
+    another one per call.
     """
     m = _as_matrix(a)
     return _pinv_from_svd(*np.linalg.svd(m, full_matrices=False), m.shape)
@@ -85,8 +86,8 @@ def rank(a, tol: float | None = None) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if tol is None:
         return int(np.count_nonzero(_kept(s, m.shape)))
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return int(np.count_nonzero(s > tol * (s[0] if s.size else 0.0)))
 
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import _grid_values, grid_tolerance, second_differences
+from .approx import _grid_values, _require_full_row_rank, grid_tolerance, second_differences
 from .cache import EvaluationCache
-from .config import settings
-from .exceptions import NotPoisedError, RankDeficientError
+from .exceptions import NotPoisedError
 from .sets import (
     DirectionSet,
     PointSet,
@@ -115,7 +114,7 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
         raise NotPoisedError("point set is not poised for quadratic interpolation")
     coef = np.linalg.solve(basis, vals)
     residual = float(np.max(np.abs(basis @ coef - vals)))
-    if residual > settings.residual_rtol * (1.0 + float(np.max(np.abs(vals)))):
+    if residual > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
         raise NotPoisedError(f"interpolation residual {residual:.3e} exceeds tolerance")
 
     a0 = coef[0]
@@ -150,9 +149,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
         raise ValueError(f"x0 must be a point in R^{s_set.dim}, got shape {x0.shape}")
     if s_set.count != n:
         raise ValueError(f"S must be square for the closed form, got {s_set.dim} x {s_set.count}")
-    r = s_set.rank(transpose=True)
-    if r < n:
-        raise RankDeficientError("S", r, n)
+    _require_full_row_rank(s_set, "S", transpose=True)
     u_set = build_uk(s_set, k)
     tol = grid_tolerance(cache, x0, S=s_set, T=u_set)
     values = _grid_values(cache, x0, s_set, u_set, tol)

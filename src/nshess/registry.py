@@ -350,8 +350,8 @@ def make_function(
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
-    if ball_radius <= 0:
-        raise ValueError(f"ball_radius must be positive, got {ball_radius}")
+    if not 0 < ball_radius < math.inf:
+        raise ValueError(f"ball_radius must be positive and finite, got {ball_radius}")
     if x0 is None:
         x0 = _defaults(name, dim)
     x0 = np.asarray(x0, dtype=float)

@@ -6,16 +6,19 @@ on the points ``x0 + s_i + t_j`` generated by an outer set S and an inner
 set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
 This module deduplicates that grid, greedily in first-seen order through
 the same :class:`~nshess.cache.PointIndex` coincidence test the evaluation
-cache uses, and answers two structural questions about a candidate point
-set: is it poised for quadratic interpolation, and is it exactly the sample
-set of some nested Hessian estimate of minimal size.
+cache uses, at the fixed relative tolerance of :func:`dedup_tolerance`
+unless the caller passes one. It also answers two structural questions
+about a candidate point set: is it poised for quadratic interpolation, and
+is it exactly the sample set of some nested Hessian estimate of minimal
+size.
 
 On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 (:func:`fold_index`), so only one point per class is looked up at all.
 
 Sampling geometry is built once and then held. A :class:`DirectionSet`
 keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
-norms derived from them for the rank cutoff last used. An outer set S
+norms derived from them under the fixed cutoff of :mod:`nshess.linalg`;
+a set is immutable, so nothing it holds ever goes stale. An outer set S
 holds the last ``U_k`` built from it and one grid record: the points to
 look up and the class map of the last ``(x0, T, tol)`` it was sampled
 with, and the deduplicated :class:`PointSet` once one is asked for. So an
@@ -39,7 +42,6 @@ import numpy as np
 
 from . import linalg
 from .cache import PointIndex, _write_text
-from .config import settings
 
 __all__ = [
     "DirectionSet",
@@ -74,11 +76,9 @@ class DirectionSet:
     The radius, the column spacing and the thin SVDs of the matrix and of
     its transpose are computed when first needed and then held, so
     :meth:`rank`, :meth:`pinv` and :meth:`pinv_norm` factor each
-    orientation once. The pseudoinverses and their norms are held too, one
-    per argument combination, with the library cutoff
-    (:data:`~nshess.config.settings`) they were computed under; a later
-    change of ``rank_rtol`` recomputes them. Held pseudoinverses are
-    read-only.
+    orientation once. The pseudoinverses and their norms, under the fixed
+    cutoff of :mod:`nshess.linalg`, are held too, one per argument
+    combination. Held pseudoinverses are read-only.
     """
 
     matrix: np.ndarray
@@ -126,15 +126,14 @@ class DirectionSet:
         return self._svd_t if transpose else self._svd
 
     def _hold(self, key: tuple, compute):
-        """``compute()``, held under ``key`` until the rank cutoff changes."""
-        rtol = settings.rank_rtol
-        slot = self._held.get(key)
-        if slot is None or slot[0] != rtol:
-            slot = self._held[key] = (rtol, compute())
-        return slot[1]
+        """``compute()``, held under ``key``."""
+        value = self._held.get(key)
+        if value is None:
+            value = self._held[key] = compute()
+        return value
 
     def rank(self, transpose: bool = False) -> int:
-        """Rank under the library cutoff, from the held SVD of the matrix or its transpose."""
+        """Rank under the fixed cutoff, from the held SVD of the matrix or its transpose."""
         return int(np.count_nonzero(linalg._kept(self._factors(transpose)[1], self.matrix.shape)))
 
     def pinv(self, transpose: bool = False) -> np.ndarray:
@@ -200,13 +199,7 @@ class PointSet:
 
     def __post_init__(self):
         self._freeze()
-        index = PointIndex(self.dim)
-        for b, x in enumerate(self.points):
-            key = x.tobytes()
-            a, y = index.lookup(x, key, self.dedup_tol)
-            if a >= 0:
-                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
-            index.insert(x, key, y)
+        PointIndex.distinct(self.points, self.dedup_tol, strict=True)
 
     @classmethod
     def _distinct(cls, points, dedup_tol: float) -> "PointSet":
@@ -262,12 +255,15 @@ class PointSet:
     def index_of(self, x, tol: float | None = None) -> int:
         """Row index of the point matching ``x``, or -1.
 
-        ``x`` must be one point of this set's dimension.
+        ``x`` must be one point of this set's dimension and ``tol``, when
+        given, nonnegative; it defaults to ``dedup_tol``.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"query must be a point in R^{self.dim}, got shape {x.shape}")
         t = self.dedup_tol if tol is None else tol
+        if not t >= 0:
+            raise ValueError(f"tol must be nonnegative, got {t}")
         hits = np.nonzero(np.max(np.abs(self.points - x), axis=1) <= t)[0]
         return int(hits[0]) if hits.size else -1
 
@@ -294,12 +290,13 @@ class MinimalityResult:
 def dedup_tolerance(x0, *sets: DirectionSet) -> float:
     """Coincidence threshold for points sampled around ``x0``.
 
-    Relative to the magnitude of the base point plus the radii of the
-    direction sets involved, so that points assembled through different
-    arithmetic paths still match.
+    ``1e-12 * (1 + |x0| + set radii)``: relative to the magnitude of the
+    base point plus the radii of the direction sets involved, so that
+    points assembled through different arithmetic paths still match.
+    Callers that need another threshold pass it to :func:`nshc_points`.
     """
     x0 = np.asarray(x0, dtype=float)
-    return settings.dedup_rtol * (1.0 + float(np.linalg.norm(x0)) + sum(s.radius for s in sets))
+    return 1e-12 * (1.0 + float(np.linalg.norm(x0)) + sum(s.radius for s in sets))
 
 
 def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
@@ -484,12 +481,10 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     first-seen representative of each coincidence class is kept, exactly
     as an evaluation cache with tolerance ``tol`` would keep it. On a
     folded pair ``(S, U_k)`` only the first cell of each
-    :func:`fold_index` class is read. When
-    :meth:`~nshess.cache.PointIndex.separated` proves the points to read
-    pairwise farther apart than ``tol``, they are all kept without a
-    lookup; otherwise they go through a :class:`~nshess.cache.PointIndex`
-    one by one. The result is held in the grid record on S, so a repeated
-    call on the same ``(x0, S, T, tol)`` returns the same set.
+    :func:`fold_index` class is read, and the points go through
+    :meth:`~nshess.cache.PointIndex.distinct`. ``tol`` defaults to
+    :func:`dedup_tolerance`. The result is held in the grid record on S,
+    so a repeated call on the same ``(x0, S, T, tol)`` returns the same set.
     """
     if tol is None:
         tol = dedup_tolerance(x0, s_set, t_set)
@@ -498,18 +493,9 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     grid = _grid(x0, s_set, t_set, tol)
     point_set = grid.point_set
     if point_set is None:
-        points = grid.points
-        separated = PointIndex.separated(points, tol)
-        if not separated:
-            index = PointIndex(points.shape[1])
-            for x in points:
-                key = x.tobytes()
-                i, y = index.lookup(x, key, tol)
-                if i < 0:
-                    index.insert(x, key, y)
-            points = index.points
+        points = PointIndex.distinct(grid.points, tol)
         point_set = grid.point_set = PointSet._distinct(points, tol)
-        if separated:  # the same rows, bitwise: the record keeps one copy
+        if points is grid.points:  # every row kept: the record keeps one copy
             grid.points = point_set.points
     return point_set
 

@@ -107,7 +107,9 @@ class TestCanonicalBound:
                 assert general <= closed * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
-        "bad", [(0, 0, 0.1, 1.0), (2, 3, 0.1, 1.0), (2, 0, 0.0, 1.0), (2, 0, 0.1, -1.0)]
+        "bad",
+        [(0, 0, 0.1, 1.0), (2, 3, 0.1, 1.0), (2, 0, 0.0, 1.0), (2, 0, 0.1, -1.0),
+         (3, 0, 0.1, float("nan"))],  # a NaN constant used to give a NaN bound
     )
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):
@@ -158,3 +160,11 @@ class TestBoundInputsFactories:
             inputs(delta_s=-0.1)
         with pytest.raises(ValueError):
             inputs(norm_t_pinv=-2.0)
+
+    @pytest.mark.parametrize(
+        "field", ["lipschitz_grad", "lipschitz_hess", "norm_s_pinv", "norm_t_pinv"]
+    )
+    def test_rejects_nan_certificates(self, field):
+        # NaN used to pass the "< 0" checks, and error_bound_nsh returned nan.
+        with pytest.raises(ValueError, match="nonnegative"):
+            inputs(**{field: float("nan")})

@@ -61,6 +61,12 @@ class TestRuleGeometry:
         with pytest.raises(ValueError):
             geometry(du=0.1, dl=0.2)
 
+    @pytest.mark.parametrize("du, dl", [(np.nan, 0.1), (0.1, np.nan), (np.nan, np.nan)])
+    def test_rejects_nan_radii(self, du, dl):
+        # A NaN delta_u used to pass both comparisons.
+        with pytest.raises(ValueError, match="radii"):
+            geometry(du=du, dl=dl)
+
 
 class TestConstants:
     def test_gradient_constant_uses_raw_pseudoinverse(self):

@@ -17,7 +17,6 @@ from nshess import (
     nested_set_hessian,
     run_study,
     sets,
-    settings,
     simplex_gradient,
 )
 from nshess.approx import second_differences
@@ -83,24 +82,6 @@ class TestSvdCount:
         nested_set_hessian(x0, s_set, t_set, cache)
         interpolate_minimal(x0, s_set, 2, cache)
         assert len(svd_calls) == 2
-
-
-class TestCutoffAtUse:
-    def test_rank_rtol_change_after_factoring(self, monkeypatch):
-        matrix = np.array([[1.0, 0.0], [0.0, 1e-10]])
-        d = DirectionSet(matrix)
-        assert d.rank() == d.rank(transpose=True) == 2
-        full = d.pinv()
-        assert full[1, 1] == pytest.approx(1e10)
-        monkeypatch.setattr(settings, "rank_rtol", 1e-8)
-        assert d.rank() == d.rank(transpose=True) == linalg.rank(matrix) == 1
-        cut = d.pinv()
-        assert cut[1, 1] == 0.0
-        np.testing.assert_array_equal(cut, linalg.pseudoinverse(matrix))
-        np.testing.assert_array_equal(d.pinv(transpose=True), linalg.pseudoinverse(matrix.T))
-        assert d.pinv_norm() == pytest.approx(1.0)
-        monkeypatch.setattr(settings, "rank_rtol", None)
-        np.testing.assert_array_equal(d.pinv(), full)
 
 
 class TestBitwiseEstimates:
@@ -247,28 +228,9 @@ class TestGeometryMemo:
                 canonical_set(*args)
         assert sets._canonical_pair.cache_info().currsize == 1
 
-    def test_rank_rtol_change_on_a_warm_memo(self, monkeypatch):
-        # The singular values of E_1 at n = 5 spread over a factor of about
-        # 6, so a relative cutoff of 0.5 drops some of them.
-        s_set, t_set = canonical_set(5, 1, 0.1)
-        warm = t_set.rank(), t_set.pinv(), t_set.pinv_norm(), s_set.rank(transpose=True)
-        assert warm[0] == warm[3] == 5
-        monkeypatch.setattr(settings, "rank_rtol", 0.5)
-        s_again, t_again = canonical_set(5, 1, 0.1)
-        assert t_again is t_set
-        assert t_set.rank() == linalg.rank(t_set.matrix) < 5
-        assert t_set.pinv().tobytes() == linalg.pseudoinverse(t_set.matrix).tobytes()
-        assert t_set.pinv().tobytes() != warm[1].tobytes()
-        assert t_set.pinv_norm() != warm[2]
-        assert s_again.rank(transpose=True) == 5
-        monkeypatch.setattr(settings, "rank_rtol", None)
-        assert t_set.rank() == 5
-        assert t_set.pinv().tobytes() == warm[1].tobytes()
-        assert t_set.pinv_norm() == warm[2]
-
-    def test_held_factors_stay_bounded_across_cutoffs(self, monkeypatch):
-        # One slot per pseudoinverse or norm, overwritten when the cutoff
-        # changes, so a sweep over rank_rtol cannot grow a memoized set.
+    def test_held_factors_stay_bounded(self):
+        # One slot per pseudoinverse or norm, so asking again cannot grow a
+        # memoized set.
         s_set, t_set = canonical_set(5, 1, 0.1)
 
         def ask_everything():
@@ -279,13 +241,9 @@ class TestGeometryMemo:
                         for normalized in (False, True):
                             d.pinv_norm(transpose, frobenius, normalized)
 
-        ask_everything()
-        sizes = len(s_set._held), len(t_set._held)
-        assert sizes == (11, 10)  # S also holds its U_k
-        for rtol in (1e-12, 1e-6, 0.1, 0.5, None):
-            monkeypatch.setattr(settings, "rank_rtol", rtol)
+        for _ in range(2):
             ask_everything()
-            assert (len(s_set._held), len(t_set._held)) == sizes
+            assert (len(s_set._held), len(t_set._held)) == (11, 10)  # S also holds its U_k
 
     def test_build_uk_holds_one_set_per_outer_set(self):
         # The closed-form model reuses the estimate's T; a sweep over k on

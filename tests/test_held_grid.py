@@ -12,6 +12,7 @@ from nshess import (
     DirectionSet,
     EvaluationCache,
     NotPoisedError,
+    PointSet,
     StudyConfig,
     build_uk,
     canonical_set,
@@ -26,7 +27,6 @@ from nshess import (
     quadratic_model_gradient,
     run_study,
     sets,
-    settings,
 )
 from nshess.approx import grid_tolerance
 from nshess.cache import PointIndex
@@ -117,6 +117,23 @@ class TestDistinctPoints:
         with np.errstate(over="ignore"):  # the projections overflow
             assert not PointIndex.separated(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0)
 
+    def test_point_set_construction_takes_the_vectorized_proof(self, monkeypatch):
+        s_set, t_set = canonical_set(4, 2, 0.1)
+        points = nshc_points(np.full(4, 0.3), s_set, t_set).points.copy()
+        lookups = []
+        real = PointIndex.lookup
+        monkeypatch.setattr(
+            PointIndex, "lookup", lambda self, *a: lookups.append(1) or real(self, *a)
+        )
+        assert PointIndex.distinct(points, 1e-12) is points
+        assert PointSet(points, 1e-12).points.tobytes() == points.tobytes()
+        assert lookups == []
+        repeated = np.vstack([points, points[3] + 1e-14])
+        with pytest.raises(ValueError, match="points 3 and 15 coincide"):
+            PointSet(repeated, 1e-12)
+        assert len(lookups) == 16
+        assert PointIndex.distinct(repeated, 1e-12).tobytes() == points.tobytes()
+
     def test_adversarial_classes_merge(self):
         s = 0.1 * np.eye(3)
         s[:, 1] = s[:, 0] * (1.0 + 1e-14)
@@ -175,17 +192,18 @@ class TestGridRecord:
                 nshc_points(bad, s_set, t_set, record.tol)
         assert s_set._held["grid"] is record
 
-    def test_dedup_rtol_change_rebuilds_the_record(self, monkeypatch):
+    def test_tolerance_change_rebuilds_the_record(self):
         s_set, t_set = canonical_set(3, 2, 0.1)
         x0 = np.array([0.4, -0.3, 0.2])
         first = nshc_points(x0, s_set, t_set)
         record = s_set._held["grid"]
         assert nshc_points(x0, s_set, t_set) is first
-        monkeypatch.setattr(settings, "dedup_rtol", 1e-9)
-        second = nshc_points(x0, s_set, t_set)
+        assert first.dedup_tol == record.tol == dedup_tolerance(x0, s_set, t_set)
+        wider = 1e3 * first.dedup_tol
+        second = nshc_points(x0, s_set, t_set, wider)
         assert second is not first and s_set._held["grid"] is not record
-        assert second.dedup_tol == s_set._held["grid"].tol == dedup_tolerance(x0, s_set, t_set)
-        assert second.dedup_tol > first.dedup_tol
+        assert second.dedup_tol == s_set._held["grid"].tol == wider
+        assert nshc_points(x0, s_set, t_set, wider) is second
         assert second.points.tobytes() == first.points.tobytes()
 
     def test_held_arrays_are_read_only(self):

@@ -169,6 +169,8 @@ def test_rank_custom_tolerance():
     assert linalg.rank(a, tol=1e-3) == 1
     with pytest.raises(ValueError):
         linalg.rank(a, tol=-1.0)
+    with pytest.raises(ValueError):  # NaN used to keep no singular value: rank 0
+        linalg.rank(a, tol=float("nan"))
 
 
 def test_solve_round_trip():

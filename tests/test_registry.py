@@ -74,6 +74,13 @@ class TestMakeFunctionValidation:
         with pytest.raises(ValueError, match="ball_radius"):
             make_function("quadratic", 2, ball_radius=0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_ball_radius_must_be_finite(self, radius):
+        # A NaN radius used to pass the self-check and certify
+        # lipschitz_grad = nan.
+        with pytest.raises(ValueError, match="ball_radius"):
+            make_function("sum_of_cubes", 3, ball_radius=radius)
+
     def test_x0_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             make_function("quadratic", 2, x0=[1.0, 2.0, 3.0])

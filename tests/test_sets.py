@@ -210,6 +210,16 @@ class TestPointSet:
         assert ps.index_of([0.0, 0.0]) == 0
         assert ps.index_of([9.0, 9.0]) == -1
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9])
+    def test_query_rejects_nan_and_negative_tolerance(self, tol):
+        # Both used to answer -1 / False silently.
+        ps = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]), dedup_tol=1e-9)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ps.index_of([1.0, 0.0], tol)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ps.contains([1.0, 0.0], tol)
+        assert ps.index_of([1.0, 0.0], 0.0) == 1
+
     @pytest.mark.parametrize("query", [[1.0], 1.0, [1.0, 1.0, 1.0], [[1.0, 1.0]]])
     def test_wrong_shaped_query_raises(self, query):
         # A shape-(1,) or scalar query used to broadcast against every row
