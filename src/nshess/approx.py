@@ -54,6 +54,10 @@ class HessianResult:
     estimate finished. ``bound`` stays ``None`` unless a caller fills in a
     theoretical error bound. The raw estimate is generally asymmetric;
     ``symmetrized`` records whether ``(H + H^T) / 2`` was applied.
+    ``values`` is the read-only ``(m+1, k+1)`` grid F that
+    :func:`nested_set_hessian` read, ``F[0, 0] = f(x0)`` and ``F[0, j] =
+    f(x0 + t_j)``, so gradients and models on the same samples need not
+    ask the cache again; it is ``None`` on estimates assembled otherwise.
     """
 
     hessian: np.ndarray
@@ -64,6 +68,7 @@ class HessianResult:
     eval_count: int
     symmetrized: bool
     bound: float | None = None
+    values: np.ndarray | None = None
 
 
 def _base_point(x0) -> np.ndarray:
@@ -123,18 +128,28 @@ def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
     return _differences(x0, t_set, cache)
 
 
-def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> GradientResult:
+def simplex_gradient(
+    x0, t_set: DirectionSet, cache: EvaluationCache, values=None
+) -> GradientResult:
     """Least-squares gradient estimate from forward differences over T.
 
     T must have full row rank (at least n columns spanning R^n); the
     estimate is ``pinv(T^T) @ delta_f``, which reduces to the exact solve
-    when T is square.
+    when T is square. ``values``, when given, are ``f(x0)`` and ``f(x0 +
+    t_j)``, such as row 0 of :attr:`HessianResult.values` of an estimate
+    with this T, and are read instead of requested from ``cache``.
     """
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T", transpose=True)
-    d = _differences(x0, t_set, cache)
+    if values is None:
+        d = _differences(x0, t_set, cache)
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (t_set.count + 1,):
+            raise ValueError(f"values must have shape ({t_set.count + 1},), got {values.shape}")
+        d = values[1:] - values[0]
     g = t_set.pinv(transpose=True) @ d
     return GradientResult(g, t_set.radius, cache.distinct_count)
 
@@ -170,7 +185,9 @@ def nested_set_hessian(
     _require_full_row_rank(s_set, "S", transpose=True)
     _require_full_row_rank(t_set, "T", transpose=False)
     tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
-    d = second_differences(_grid_values(cache, x0, s_set, t_set, tol))
+    values = _grid_values(cache, x0, s_set, t_set, tol)
+    values.setflags(write=False)
+    d = second_differences(values)
     h = s_set.pinv(transpose=True) @ d @ t_set.pinv()
     if symmetrize:
         h = 0.5 * (h + h.T)
@@ -184,4 +201,5 @@ def nested_set_hessian(
         delta_l=delta_l,
         eval_count=cache.distinct_count,
         symmetrized=symmetrize,
+        values=values,
     )

@@ -10,16 +10,20 @@ where that gradient information comes from:
   full sample grid, which is exact whenever the factor is a quadratic, at
   zero additional evaluations.
 
-Each factor is visited once. One pass over its cache yields a record: the
-nested-set Hessian estimate, ``f(x0)``, the mode's gradient at ``x0`` and,
-in quadratic mode, the interpolation model and the point set that gradient
-came from. The rule assembles its estimate from these records, and a caller
-certifying the estimate reads the same records, so the bound covers exactly
-the numbers the estimate used. In quadratic mode the factors share one
-geometry: the grid record on S gives both of them the same point set, whose
-quadratic basis is factored once, for the model's poisedness check, and
-read again by :func:`model_gradient_constant` for each factor's
-certificate.
+Each factor is visited once, and each of its sample values is read once.
+Its nested-set estimate reads the grid F from its cache, and the rest of
+its record comes from F with no further request: ``f(x0)`` is ``F[0, 0]``;
+the simplex gradient reads row 0 of F; the quadratic model reads F
+wherever its point set holds exactly the grid record's points, as on the
+folded pairs ``(S, U_k)``, and asks the cache again only on other pairs.
+In quadratic mode the record also keeps the interpolation model and the
+point set the gradient came from. The rule assembles its estimate from
+these records, and a caller certifying the estimate reads the same
+records, so the bound covers exactly the numbers the estimate used. In
+quadratic mode the factors share one geometry: the grid record on S gives
+both of them the same point set, whose quadratic basis is factored once,
+for the model's poisedness check, and read again by
+:func:`model_gradient_constant` for each factor's certificate.
 
 The matching ``calculus_error_bound`` evaluates per-rule worst-case bounds
 from per-factor data. Each bound contains a minimum over several candidate
@@ -42,6 +46,7 @@ from .quadmodel import QuadraticModel, interpolate_general
 from .sets import (
     DirectionSet,
     PointSet,
+    _grid,
     minimal_point_count,
     nshc_points,
 )
@@ -97,6 +102,9 @@ class RuleGeometry:
             raise ValueError("direction sets must be nonempty")
         if not 0 < self.delta_l <= self.delta_u:
             raise ValueError("radii must satisfy 0 < delta_l <= delta_u")
+        for name in ("norm_s_hat_pinv", "norm_t_hat_pinv", "norm_t_pinv"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @classmethod
     def from_sets(cls, s_set: DirectionSet, t_set: DirectionSet) -> "RuleGeometry":
@@ -120,7 +128,9 @@ class RuleFunctionData:
     mode uses (simplex estimate or model gradient). ``model_grad_constant``
     is the quadratic-mode gradient constant, user-supplied or computed by
     :func:`model_gradient_constant`. Optional fields left ``None`` simply
-    disable the bound candidates that need them.
+    disable the bound candidates that need them. ``value`` must be finite
+    and every other field nonnegative, whether set at construction or
+    later; NaN is rejected.
     """
 
     value: float
@@ -129,6 +139,13 @@ class RuleFunctionData:
     grad_norm: float | None = None
     approx_grad_norm: float | None = None
     model_grad_constant: float | None = None
+
+    def __setattr__(self, name, x):
+        if name == "value" and not math.isfinite(x):
+            raise ValueError(f"value must be finite, got {x}")
+        if name != "value" and x is not None and not x >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {x}")
+        super().__setattr__(name, x)
 
 
 @dataclass
@@ -188,15 +205,19 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
 
 
 def quadratic_model_gradient(
-    cache: EvaluationCache, x0, s_set: DirectionSet, t_set: DirectionSet
+    cache: EvaluationCache, x0, s_set: DirectionSet, t_set: DirectionSet, values=None
 ) -> tuple[np.ndarray, QuadraticModel, PointSet]:
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
     be poised. Points are deduplicated at the tolerance of this geometry
-    (:func:`~nshess.approx.grid_tolerance`) and their values read in one
-    bulk lookup, so after a nested Hessian estimate this costs no new
-    evaluations.
+    (:func:`~nshess.approx.grid_tolerance`). ``values``, when given, is
+    the grid F of a nested Hessian estimate at ``x0`` on ``(S, T)`` and
+    ``cache``, :attr:`~nshess.approx.HessianResult.values`. When the point
+    set holds exactly the points of the grid record, as on the folded pairs
+    ``(S, U_k)``, the model reads its values from F and asks the cache for
+    nothing; otherwise they are read in one bulk lookup, which after such an
+    estimate costs no new evaluations.
     """
     x0 = np.asarray(x0, dtype=float)
     tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
@@ -206,17 +227,27 @@ def quadratic_model_gradient(
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    values = cache.evaluate_many(pts.points, tol)
-    model = interpolate_general(pts, values, center=x0)
+    grid = _grid(x0, s_set, t_set, tol)
+    if values is not None and pts.points is grid.points:
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.cls.shape:
+            raise ValueError(f"values must have shape {grid.cls.shape}, got {values.shape}")
+        # Every cell of a class holds its point's value, so any one will do.
+        point_values = np.empty(need)
+        point_values[grid.cls.ravel()] = values.ravel()
+    else:
+        point_values = cache.evaluate_many(pts.points, tol)
+    model = interpolate_general(pts, point_values, center=x0)
     return model.gradient(x0), model, pts
 
 
 @dataclass(frozen=True)
 class _FactorRecord:
-    """One factor's pass over its cache, read by both the rule and its bound.
+    """One factor's read of its cache, used by both the rule and its bound.
 
     ``estimate`` is the factor's nested-set Hessian, ``value`` is ``f(x0)``
-    and ``gradient`` the mode's gradient at ``x0``. In quadratic mode the
+    and ``gradient`` the mode's gradient at ``x0``, both taken from the
+    grid values the estimate read. In quadratic mode the
     record also keeps the interpolation ``model`` and the ``points`` it was
     built on; in simplex mode both are ``None``.
     """
@@ -238,7 +269,7 @@ def _rule_estimate(
     symmetrize: bool = False,
     power: int | None = None,
 ) -> tuple[HessianResult, list[_FactorRecord]]:
-    """The ``rule`` estimate over one pass per factor, and the factor records.
+    """The ``rule`` estimate over one read per factor, and the factor records.
 
     ``caches`` holds one cache per factor: ``[f, g]`` for the product and
     quotient rules, ``[f]`` for the power rule with exponent ``power``.
@@ -256,12 +287,12 @@ def _rule_estimate(
     records = []
     for cache in caches:
         estimate = nested_set_hessian(x0, s_set, t_set, cache, symmetrize)
-        value = cache.evaluate(x0)
+        values = estimate.values
         if mode is CalcMode.SIMPLEX:
-            mode_data = (simplex_gradient(x0, t_set, cache).gradient,)
+            mode_data = (simplex_gradient(x0, t_set, cache, values[0]).gradient,)
         else:  # gradient, model and point set
-            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
-        records.append(_FactorRecord(estimate, value, *mode_data))
+            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set, values)
+        records.append(_FactorRecord(estimate, float(values[0, 0]), *mode_data))
     hf, f0, gf = records[0].estimate.hessian, records[0].value, records[0].gradient
     if rule == "power":
         lead = f0 ** (power - 1)

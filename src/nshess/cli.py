@@ -4,14 +4,16 @@ Three subcommands: ``study`` sweeps a beta schedule and writes the
 convergence table as CSV, ``verify-examples`` re-runs the built-in worked
 examples, and ``approx`` produces a one-shot Hessian estimate as JSON.
 
-Exit codes: 0 on success, 1 when a check or estimator fails, 2 on
-configuration errors.
+Exit codes: 0 on success, 1 when a check or estimator fails or stdout is
+closed before the output is written (``| head``), 2 on configuration
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -131,12 +133,16 @@ def _cmd_approx(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"study": _cmd_study, "verify-examples": _cmd_verify, "approx": _cmd_approx}
     try:
-        if args.command == "study":
-            return _cmd_study(args)
-        if args.command == "verify-examples":
-            return _cmd_verify(args)
-        return _cmd_approx(args)
+        status = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # The reader went away. Send what is still buffered to devnull, so
+        # the flush at exit cannot raise again, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,8 +67,12 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, shape) -> np.nd
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(_as_matrix(a), 2))
+    """Largest singular value.
+
+    The first of the singular values alone: bitwise ``np.linalg.norm(a, 2)``,
+    which takes their maximum, at about half its cost on small matrices.
+    """
+    return float(np.linalg.svd(_as_matrix(a), compute_uv=False)[0])
 
 
 def frobenius_norm(a) -> float:

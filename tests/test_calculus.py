@@ -67,6 +67,53 @@ class TestRuleGeometry:
         with pytest.raises(ValueError, match="radii"):
             geometry(du=du, dl=dl)
 
+    @pytest.mark.parametrize("field", ["ns", "nt", "nt_raw"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_norm_factors(self, field, bad):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            geometry(**{field: bad})
+
+    def test_nan_norm_factor_no_longer_reaches_the_bound(self):
+        # This used to build, and calculus_error_bound returned nan.
+        f = RuleFunctionData(value=1.0, lipschitz_grad=1.0, lipschitz_hess=1.0, grad_norm=1.0)
+        with pytest.raises(ValueError, match="norm_s_hat_pinv"):
+            calculus_error_bound(
+                "power", "simplex",
+                RuleBoundInputs(f=f, geometry=geometry(ns=np.nan, nt_raw=-1.0), power=2),
+            )
+
+
+class TestRuleFunctionData:
+    FIELDS = ["lipschitz_grad", "lipschitz_hess", "grad_norm", "approx_grad_norm",
+              "model_grad_constant"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_factors(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            RuleFunctionData(value=1.0, **{field: bad})
+        data = RuleFunctionData(value=1.0)
+        with pytest.raises(ValueError, match=field):
+            setattr(data, field, bad)
+        assert getattr(data, field) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_value(self, bad):
+        with pytest.raises(ValueError, match="value"):
+            RuleFunctionData(value=bad)
+
+    def test_accepts_zero_negative_values_and_missing_factors(self):
+        data = RuleFunctionData(value=-2.0, lipschitz_grad=0.0, grad_norm=None)
+        assert (data.value, data.lipschitz_grad, data.grad_norm) == (-2.0, 0.0, None)
+
+    def test_nan_factor_no_longer_reaches_the_bound(self):
+        # This used to build, and calculus_error_bound returned nan.
+        with pytest.raises(ValueError, match="lipschitz_grad"):
+            f = RuleFunctionData(value=1.0, lipschitz_grad=np.nan, lipschitz_hess=-1.0,
+                                 grad_norm=1.0)
+            calculus_error_bound("power", "simplex",
+                                 RuleBoundInputs(f=f, geometry=geometry(), power=2))
+
 
 class TestConstants:
     def test_gradient_constant_uses_raw_pseudoinverse(self):

@@ -150,6 +150,18 @@ def test_norms_on_known_matrix():
     assert linalg.frobenius_norm(a) == 5.0
 
 
+def test_spectral_norm_is_bitwise_numpy_two_norm():
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((3, 3)), np.ones((2, 4)), np.array([[0.0, 1e-300], [0.0, 0.0]])]
+    for _ in range(300):
+        a = rng.standard_normal(tuple(rng.integers(1, 7, 2)))
+        a[:, rng.integers(a.shape[1])] = 0.0  # a zero column: rank deficient
+        cases.append(a)
+        cases.append(np.outer(a[:, 0], rng.standard_normal(4)))  # rank at most one
+    for a in cases:
+        assert linalg.spectral_norm(a) == float(np.linalg.norm(a, 2))
+
+
 def test_frobenius_dominates_spectral():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from nshess import (
     run_study,
     verify_examples,
 )
+import nshess
 from nshess.cli import build_parser, main
 from nshess.study import CSV_HEADER
 
@@ -344,3 +349,35 @@ class TestCli:
         lines = grid.read_text().strip().split("\n")
         assert lines[0] == "x1,x2"
         assert len(lines) == 7
+
+
+def _run_into_closed_pipe(*args):
+    """Run the console entry with stdout a pipe whose reader has already gone."""
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(nshess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "nshess.cli", *args],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    def test_approx_stops_quietly(self):
+        # ``nshess approx ... --dim 30 ... | head -c 300`` used to end in a
+        # BrokenPipeError traceback.
+        proc = _run_into_closed_pipe(
+            "approx", "--function", "quadratic", "--dim", "30", "--k", "2", "--with-model"
+        )
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_study_to_stdout_stops_quietly(self):
+        proc = _run_into_closed_pipe(
+            "study", "--function", "sum_of_cubes", "--dim", "3", "--beta-steps", "3"
+        )
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr and b"BrokenPipe" not in proc.stderr
