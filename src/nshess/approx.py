@@ -51,8 +51,7 @@ class HessianResult:
     """Hessian estimate plus the provenance needed to reason about it.
 
     ``eval_count`` is the distinct-evaluation total of the cache when the
-    estimate finished. ``bound`` stays ``None`` unless a caller fills in a
-    theoretical error bound. The raw estimate is generally asymmetric;
+    estimate finished. The raw estimate is generally asymmetric;
     ``symmetrized`` records whether ``(H + H^T) / 2`` was applied.
     ``values`` is the read-only ``(m+1, k+1)`` grid F that
     :func:`nested_set_hessian` read, ``F[0, 0] = f(x0)`` and ``F[0, j] =
@@ -67,7 +66,6 @@ class HessianResult:
     delta_l: float
     eval_count: int
     symmetrized: bool
-    bound: float | None = None
     values: np.ndarray | None = None
 
 

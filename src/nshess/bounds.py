@@ -3,10 +3,12 @@
 The bounds take Lipschitz constants of the true derivatives on a ball
 covering every sample point, together with conditioning factors of the
 normalized direction sets. Factors default to spectral norms computed from
-the actual sets; Frobenius norms give looser but cheaper certificates.
-Both come from the singular values each :class:`~nshess.sets.DirectionSet`
-holds (:meth:`~nshess.sets.DirectionSet.pinv_norm`), the same factorization
-its estimator's pseudoinverse uses, so a bound factors no set again.
+the actual sets; Frobenius norms give looser certificates. Both come from
+the singular values each :class:`~nshess.sets.DirectionSet` holds
+(:meth:`~nshess.sets.DirectionSet.pinv_norm`), the same factorization its
+estimator's pseudoinverse uses, so a bound factors no set again. Each
+bound is a per-unit-radius constant times a radius; the rule certificates
+of :mod:`nshess.calculus` read the same constants and input check.
 """
 
 from __future__ import annotations
@@ -46,14 +48,11 @@ class BoundInputs:
     norm_t_pinv: float
 
     def __post_init__(self):
-        if self.m < 0 or self.k < 0:
-            raise ValueError("set sizes must be nonnegative")
-        if not (self.lipschitz_grad >= 0 and self.lipschitz_hess >= 0):
-            raise ValueError("Lipschitz constants must be nonnegative")
-        if not (self.delta_s >= 0 and self.delta_t >= 0):
-            raise ValueError("set radii must be nonnegative")
-        if not (self.norm_s_pinv >= 0 and self.norm_t_pinv >= 0):
-            raise ValueError("norm factors must be nonnegative")
+        _require_nonnegative(
+            m=self.m, k=self.k, lipschitz_grad=self.lipschitz_grad,
+            lipschitz_hess=self.lipschitz_hess, delta_s=self.delta_s, delta_t=self.delta_t,
+            norm_s_pinv=self.norm_s_pinv, norm_t_pinv=self.norm_t_pinv,
+        )
 
     @property
     def delta_u(self) -> float:
@@ -101,11 +100,39 @@ class BoundInputs:
         )
 
 
+def _require_nonnegative(**factors: float) -> None:
+    """Reject a NaN or negative certificate factor, naming it."""
+    for name, x in factors.items():
+        if not x >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {x}")
+
+
+def _gsg_constant(k: int, lipschitz_grad: float, norm_t_pinv: float) -> float:
+    """``sqrt(k)/2 * L * norm_t_pinv``, the gradient bound per unit radius."""
+    if k < 1:
+        raise ValueError("gradient bound needs at least one direction")
+    return 0.5 * math.sqrt(k) * lipschitz_grad * norm_t_pinv
+
+
+def _nsh_constant(geometry, lipschitz_hess: float, norm_s_pinv: float, norm_t_pinv: float) -> float:
+    """``m sqrt(k)/3 * L * (2 delta_u / delta_l + 3) * norm_s_pinv * norm_t_pinv``.
+
+    The Hessian bound per unit upper radius; ``m``, ``k``, ``delta_u`` and
+    ``delta_l`` are read from ``geometry``, a :class:`BoundInputs` or a
+    :class:`~nshess.calculus.RuleGeometry`.
+    """
+    m, k, delta_l = geometry.m, geometry.k, geometry.delta_l
+    if m < 1 or k < 1:
+        raise ValueError("Hessian bound needs nonempty direction sets")
+    if delta_l <= 0:
+        raise ValueError("Hessian bound needs a strictly positive lower radius")
+    ratio = 2.0 * geometry.delta_u / delta_l + 3.0
+    return (m * math.sqrt(k) / 3.0) * lipschitz_hess * ratio * norm_s_pinv * norm_t_pinv
+
+
 def error_bound_gsg(inputs: BoundInputs) -> float:
     """Gradient estimate error bound: ``sqrt(k)/2 * L * |pinv(T_hat^T)| * delta_T``."""
-    if inputs.k < 1:
-        raise ValueError("gradient bound needs at least one direction")
-    return 0.5 * math.sqrt(inputs.k) * inputs.lipschitz_grad * inputs.norm_t_pinv * inputs.delta_t
+    return _gsg_constant(inputs.k, inputs.lipschitz_grad, inputs.norm_t_pinv) * inputs.delta_t
 
 
 def error_bound_nsh(inputs: BoundInputs) -> float:
@@ -114,19 +141,8 @@ def error_bound_nsh(inputs: BoundInputs) -> float:
     ``m sqrt(k)/3 * L * (2 delta_u / delta_l + 3) * |pinv(S_hat^T)| *
     |pinv(T_hat)| * delta_u``; requires a strictly positive lower radius.
     """
-    if inputs.m < 1 or inputs.k < 1:
-        raise ValueError("Hessian bound needs nonempty direction sets")
-    if inputs.delta_l <= 0:
-        raise ValueError("Hessian bound needs a strictly positive lower radius")
-    ratio = 2.0 * inputs.delta_u / inputs.delta_l + 3.0
-    return (
-        (inputs.m * math.sqrt(inputs.k) / 3.0)
-        * inputs.lipschitz_hess
-        * ratio
-        * inputs.norm_s_pinv
-        * inputs.norm_t_pinv
-        * inputs.delta_u
-    )
+    constant = _nsh_constant(inputs, inputs.lipschitz_hess, inputs.norm_s_pinv, inputs.norm_t_pinv)
+    return constant * inputs.delta_u
 
 
 def error_bound_canonical(n: int, k: int, beta: float, lipschitz_hess: float) -> float:
@@ -141,8 +157,7 @@ def error_bound_canonical(n: int, k: int, beta: float, lipschitz_hess: float) ->
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if not lipschitz_hess >= 0:
-        raise ValueError(f"Lipschitz constant must be nonnegative, got {lipschitz_hess}")
+    _require_nonnegative(lipschitz_hess=lipschitz_hess)
     if k == 0:
         return (5.0 / 3.0) * n ** 1.5 * lipschitz_hess * beta
     return 5.5 * n * n * lipschitz_hess * beta

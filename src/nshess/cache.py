@@ -108,24 +108,26 @@ class PointIndex:
 
     @classmethod
     def distinct(cls, points: np.ndarray, tol: float, strict: bool = False) -> np.ndarray:
-        """The rows an empty index stores when fed ``points`` in order.
+        """Indices of the rows an empty index stores when fed ``points`` in order.
 
-        ``points`` itself when :meth:`separated` proves every row distinct;
+        Every row when :meth:`separated` proves every row distinct;
         otherwise the rows go through a fresh index one by one. With
         ``strict``, a row within ``tol`` of an earlier one raises
         :class:`ValueError` naming both.
         """
         if cls.separated(points, tol):
-            return points
+            return np.arange(len(points))
         index = cls(points.shape[1])
+        kept = []
         for b, x in enumerate(points):
             key = x.tobytes()
             a, y = index.lookup(x, key, tol)
             if a < 0:
                 index.insert(x, key, y)
+                kept.append(b)
             elif strict:
                 raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
-        return index.points
+        return np.array(kept, dtype=np.intp)
 
     def __len__(self) -> int:
         return self._count

@@ -13,11 +13,9 @@ where that gradient information comes from:
 Each factor is visited once, and each of its sample values is read once.
 Its nested-set estimate reads the grid F from its cache, and the rest of
 its record comes from F with no further request: ``f(x0)`` is ``F[0, 0]``;
-the simplex gradient reads row 0 of F; the quadratic model reads F
-wherever its point set holds exactly the grid record's points, as on the
-folded pairs ``(S, U_k)``, and asks the cache again only on other pairs.
-In quadratic mode the record also keeps the interpolation model and the
-point set the gradient came from. The rule assembles its estimate from
+the simplex gradient reads row 0 of F; the quadratic model reads the cells
+of F its point set kept. In quadratic mode the record also keeps the
+interpolation model and the point set the gradient came from. The rule assembles its estimate from
 these records, and a caller certifying the estimate reads the same
 records, so the bound covers exactly the numbers the estimate used. In
 quadratic mode the factors share one geometry: the grid record on S gives
@@ -26,7 +24,8 @@ for the model's poisedness check, and read again by
 :func:`model_gradient_constant` for each factor's certificate.
 
 The matching ``calculus_error_bound`` evaluates per-rule worst-case bounds
-from per-factor data. Each bound contains a minimum over several candidate
+from per-factor data, with the Hessian and gradient constants of
+:mod:`nshess.bounds`. Each bound contains a minimum over several candidate
 cross terms; candidates needing unavailable quantities are skipped.
 """
 
@@ -40,6 +39,7 @@ import numpy as np
 
 from . import linalg
 from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
+from .bounds import _gsg_constant, _nsh_constant, _require_nonnegative
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
 from .quadmodel import QuadraticModel, interpolate_general
@@ -102,9 +102,10 @@ class RuleGeometry:
             raise ValueError("direction sets must be nonempty")
         if not 0 < self.delta_l <= self.delta_u:
             raise ValueError("radii must satisfy 0 < delta_l <= delta_u")
-        for name in ("norm_s_hat_pinv", "norm_t_hat_pinv", "norm_t_pinv"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        _require_nonnegative(
+            norm_s_hat_pinv=self.norm_s_hat_pinv, norm_t_hat_pinv=self.norm_t_hat_pinv,
+            norm_t_pinv=self.norm_t_pinv,
+        )
 
     @classmethod
     def from_sets(cls, s_set: DirectionSet, t_set: DirectionSet) -> "RuleGeometry":
@@ -143,8 +144,8 @@ class RuleFunctionData:
     def __setattr__(self, name, x):
         if name == "value" and not math.isfinite(x):
             raise ValueError(f"value must be finite, got {x}")
-        if name != "value" and x is not None and not x >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {x}")
+        if name != "value" and x is not None:
+            _require_nonnegative(**{name: x})
         super().__setattr__(name, x)
 
 
@@ -157,27 +158,25 @@ class RuleBoundInputs:
 
 
 def gradient_constant(geometry: RuleGeometry, data: RuleFunctionData) -> float:
-    """Simplex-mode gradient constant ``sqrt(k)/2 * L_grad * |pinv(T^T)|``.
+    """Simplex-mode gradient constant ``sqrt(k)/2 * L_grad * |pinv(T)|``.
 
-    Uses the unnormalized pseudoinverse factor, so the product with
-    ``delta_u`` is the gradient error allowance the rule bounds budget.
+    The gradient bound's constant on the unnormalized ``norm_t_pinv``,
+    read from T's own SVD (``|pinv(T^T)|`` in exact arithmetic), so the
+    product with ``delta_u`` is the gradient error allowance the rule
+    bounds budget.
     """
     if data.lipschitz_grad is None:
         raise ValueError("gradient constant needs the Lipschitz constant of the gradient")
-    return 0.5 * math.sqrt(geometry.k) * data.lipschitz_grad * geometry.norm_t_pinv
+    return _gsg_constant(geometry.k, data.lipschitz_grad, geometry.norm_t_pinv)
 
 
 def hessian_constant(geometry: RuleGeometry, data: RuleFunctionData) -> float:
-    """Hessian constant ``m sqrt(k)/3 * L_hess * (2 du/dl + 3) * norms``."""
+    """Hessian constant ``m sqrt(k)/3 * L_hess * (2 du/dl + 3) * norms``: times ``delta_u``,
+    the factor's :func:`~nshess.bounds.error_bound_nsh`."""
     if data.lipschitz_hess is None:
         raise ValueError("Hessian constant needs the Lipschitz constant of the Hessian")
-    ratio = 2.0 * geometry.delta_u / geometry.delta_l + 3.0
-    return (
-        (geometry.m * math.sqrt(geometry.k) / 3.0)
-        * data.lipschitz_hess
-        * ratio
-        * geometry.norm_s_hat_pinv
-        * geometry.norm_t_hat_pinv
+    return _nsh_constant(
+        geometry, data.lipschitz_hess, geometry.norm_s_hat_pinv, geometry.norm_t_hat_pinv
     )
 
 
@@ -193,8 +192,7 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
     set this takes no SVD. ``x0`` must be a finite point of the points'
     dimension and ``lipschitz_hess`` nonnegative.
     """
-    if not lipschitz_hess >= 0:
-        raise ValueError(f"Lipschitz constant must be nonnegative, got {lipschitz_hess}")
+    _require_nonnegative(lipschitz_hess=lipschitz_hess)
     if not isinstance(points, PointSet):
         points = PointSet._distinct(points, 0.0)
     svals = points._singular_values(x0)
@@ -213,11 +211,9 @@ def quadratic_model_gradient(
     be poised. Points are deduplicated at the tolerance of this geometry
     (:func:`~nshess.approx.grid_tolerance`). ``values``, when given, is
     the grid F of a nested Hessian estimate at ``x0`` on ``(S, T)`` and
-    ``cache``, :attr:`~nshess.approx.HessianResult.values`. When the point
-    set holds exactly the points of the grid record, as on the folded pairs
-    ``(S, U_k)``, the model reads its values from F and asks the cache for
-    nothing; otherwise they are read in one bulk lookup, which after such an
-    estimate costs no new evaluations.
+    ``cache``, :attr:`~nshess.approx.HessianResult.values`; the model then
+    reads each point's value from the grid cell it was kept from and asks
+    the cache for nothing. Otherwise the values are read in one bulk lookup.
     """
     x0 = np.asarray(x0, dtype=float)
     tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
@@ -227,16 +223,17 @@ def quadratic_model_gradient(
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    grid = _grid(x0, s_set, t_set, tol)
-    if values is not None and pts.points is grid.points:
+    if values is None:
+        point_values = cache.evaluate_many(pts.points, tol)
+    else:
+        grid = _grid(x0, s_set, t_set, tol)  # the record nshc_points kept ``pts`` in
         values = np.asarray(values, dtype=float)
         if values.shape != grid.cls.shape:
             raise ValueError(f"values must have shape {grid.cls.shape}, got {values.shape}")
         # Every cell of a class holds its point's value, so any one will do.
-        point_values = np.empty(need)
-        point_values[grid.cls.ravel()] = values.ravel()
-    else:
-        point_values = cache.evaluate_many(pts.points, tol)
+        grid_values = np.empty(len(grid.points))
+        grid_values[grid.cls.ravel()] = values.ravel()
+        point_values = grid_values[grid.kept]
     model = interpolate_general(pts, point_values, center=x0)
     return model.gradient(x0), model, pts
 
@@ -259,6 +256,11 @@ class _FactorRecord:
     points: PointSet | None = None
 
 
+def _require_exponent(p) -> None:
+    if not isinstance(p, (int, np.integer)) or p < 2:
+        raise ValueError(f"power rule needs an integer exponent p >= 2, got {p!r}")
+
+
 def _rule_estimate(
     rule: str,
     caches: list[EvaluationCache],
@@ -275,8 +277,8 @@ def _rule_estimate(
     quotient rules, ``[f]`` for the power rule with exponent ``power``.
     """
     mode = CalcMode.coerce(mode)
-    if rule == "power" and (not isinstance(power, (int, np.integer)) or power < 2):
-        raise ValueError(f"power rule needs an integer exponent p >= 2, got {power!r}")
+    if rule == "power":
+        _require_exponent(power)
     x0 = np.asarray(x0, dtype=float)
     if rule == "quotient":
         g0 = caches[1].evaluate(x0)
@@ -393,43 +395,33 @@ def _cross_minimum(
     mode: CalcMode,
     geometry: RuleGeometry,
     f: RuleFunctionData,
-    g: RuleFunctionData | None,
+    g: RuleFunctionData | None = None,
+    ehg: float | None = None,
 ) -> float:
+    """The least available cross-term candidate; ``ehg`` is g's Hessian constant (quotient)."""
     du = geometry.delta_u
     step = du if mode is CalcMode.SIMPLEX else du * du
     ef = _grad_budget(mode, geometry, f)
+    f_norm, f_est = f.grad_norm, f.approx_grad_norm
 
     if rule == "power":
         cands = [
-            None if f.grad_norm is None else ef * step + 2.0 * f.grad_norm,
-            None
-            if (f.approx_grad_norm is None or f.grad_norm is None)
-            else f.approx_grad_norm + f.grad_norm,
+            None if f_norm is None else ef * step + 2.0 * f_norm,
+            None if f_est is None or f_norm is None else f_est + f_norm,
         ]
         return _min_available(cands, "power rule")
 
-    assert g is not None
     eg = _grad_budget(mode, geometry, g)
+    g_norm, g_est = g.grad_norm, g.approx_grad_norm
     cands = [
-        None
-        if (f.grad_norm is None or g.grad_norm is None)
-        else ef * eg * step + eg * f.grad_norm + ef * g.grad_norm,
-        None
-        if (g.approx_grad_norm is None or f.grad_norm is None)
-        else ef * g.approx_grad_norm + eg * f.grad_norm,
-        None
-        if (f.approx_grad_norm is None or g.grad_norm is None)
-        else eg * f.approx_grad_norm + ef * g.grad_norm,
+        None if f_norm is None or g_norm is None else ef * eg * step + eg * f_norm + ef * g_norm,
+        None if g_est is None or f_norm is None else ef * g_est + eg * f_norm,
+        None if f_est is None or g_norm is None else eg * f_est + ef * g_norm,
     ]
     if rule == "quotient":
-        ehg = hessian_constant(geometry, g)
         extra_first = ehg * du if mode is CalcMode.SIMPLEX else ehg
-        cands.append(None if g.grad_norm is None else extra_first + 2.0 * eg * g.grad_norm)
-        cands.append(
-            None
-            if (g.approx_grad_norm is None or g.grad_norm is None)
-            else eg * g.approx_grad_norm + eg * g.grad_norm
-        )
+        cands.append(None if g_norm is None else extra_first + 2.0 * eg * g_norm)
+        cands.append(None if g_est is None or g_norm is None else eg * g_est + eg * g_norm)
     return _min_available(cands, f"{rule} rule")
 
 
@@ -448,38 +440,30 @@ def calculus_error_bound(rule: str, mode, inputs: RuleBoundInputs) -> float:
     ehf = hessian_constant(geometry, f)
     m_step = 1.0 if mode is CalcMode.SIMPLEX else du
 
-    if rule == "product":
-        if inputs.g is None:
-            raise ValueError("product rule needs data for both factors")
-        g = inputs.g
-        ehg = hessian_constant(geometry, g)
-        m_min = _cross_minimum(rule, mode, geometry, f, g)
-        return (ehf * abs(g.value) + ehg * abs(f.value) + 2.0 * m_min * m_step) * du
-
-    if rule == "quotient":
-        if inputs.g is None:
-            raise ValueError("quotient rule needs data for both factors")
-        g = inputs.g
-        if g.value == 0:
-            raise ValueError("quotient bound undefined when g(x0) is zero")
-        ehg = hessian_constant(geometry, g)
-        m_min = _cross_minimum(rule, mode, geometry, f, g)
-        g0 = g.value
-        core = (
-            ehf * g0 * g0
-            + ehg * abs(f.value * g0 * g0)
-            + 2.0 * m_min * (abs(f.value) + abs(g0)) * m_step
-        )
-        return core * du / abs(g0) ** 3
-
     if rule == "power":
         p = inputs.power
-        if not isinstance(p, (int, np.integer)) or p < 2:
-            raise ValueError(f"power rule needs an integer exponent p >= 2, got {p!r}")
-        m_min = _cross_minimum(rule, mode, geometry, f, None)
+        _require_exponent(p)
+        m_min = _cross_minimum(rule, mode, geometry, f)
         ef = _grad_budget(mode, geometry, f)
         lead = abs(f.value) ** (p - 1)
         cross = 1.0 if p == 2 else abs(f.value) ** (p - 2)
         return (p * ehf * lead + p * (p - 1) * ef * cross * m_min * m_step) * du
 
-    raise ValueError(f"unknown rule {rule!r}; expected product, quotient or power")
+    if rule not in ("product", "quotient"):
+        raise ValueError(f"unknown rule {rule!r}; expected product, quotient or power")
+    g = inputs.g
+    if g is None:
+        raise ValueError(f"{rule} rule needs data for both factors")
+    if rule == "quotient" and g.value == 0:
+        raise ValueError("quotient bound undefined when g(x0) is zero")
+    ehg = hessian_constant(geometry, g)
+    m_min = _cross_minimum(rule, mode, geometry, f, g, ehg)
+    if rule == "product":
+        return (ehf * abs(g.value) + ehg * abs(f.value) + 2.0 * m_min * m_step) * du
+    g0 = g.value
+    core = (
+        ehf * g0 * g0
+        + ehg * abs(f.value * g0 * g0)
+        + 2.0 * m_min * (abs(f.value) + abs(g0)) * m_step
+    )
+    return core * du / abs(g0) ** 3

@@ -434,8 +434,8 @@ class _Grid:
     ``cls`` is the identity, leaving all coincidences to the tolerance.
     (Cells of one class differ by rounding alone, which a coincidence
     tolerance of :func:`dedup_tolerance` exceeds.) ``point_set`` is the
-    deduplicated points, set by the first :func:`nshc_points` that asks;
-    when it kept every point, ``points`` becomes its array. Both arrays are
+    deduplicated points and ``kept`` their rows in ``points``, both set by
+    the first :func:`nshc_points` that asks. ``points`` and ``cls`` are
     read-only.
     """
 
@@ -445,6 +445,7 @@ class _Grid:
     points: np.ndarray
     cls: np.ndarray
     point_set: PointSet | None = None
+    kept: np.ndarray | None = None
 
 
 def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float) -> _Grid:
@@ -493,10 +494,8 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     grid = _grid(x0, s_set, t_set, tol)
     point_set = grid.point_set
     if point_set is None:
-        points = PointIndex.distinct(grid.points, tol)
-        point_set = grid.point_set = PointSet._distinct(points, tol)
-        if points is grid.points:  # every row kept: the record keeps one copy
-            grid.points = point_set.points
+        grid.kept = PointIndex.distinct(grid.points, tol)
+        point_set = grid.point_set = PointSet._distinct(grid.points[grid.kept], tol)
     return point_set
 
 

@@ -217,15 +217,21 @@ def _estimate(
     return res, _rule_bound(fn, mode, x0, s_set, t_set, records), caches
 
 
-def run_study(config: StudyConfig) -> ConvergenceReport:
-    """Sweep the beta schedule and report errors, bounds and the fitted order."""
+def _setup(config: StudyConfig):
+    """The validated ``config``'s function, ``x0`` and sets at ``beta_start``;
+    the certificates cover ``1.5 (delta_S + delta_T)``, every scale's grid."""
     config.validate()
-    s0, t0 = config.sets_at(config.beta_start)
-    ball = 1.5 * (s0.radius + t0.radius)
+    s_set, t_set = config.sets_at(config.beta_start)
+    ball = 1.5 * (s_set.radius + t_set.radius)
     fn = make_function(
         config.function, config.dim, seed=config.seed, x0=config.x0, ball_radius=ball
     )
-    x0 = np.asarray(fn.base_point, dtype=float)
+    return fn, np.asarray(fn.base_point, dtype=float), s_set, t_set
+
+
+def run_study(config: StudyConfig) -> ConvergenceReport:
+    """Sweep the beta schedule and report errors, bounds and the fitted order."""
+    fn, x0, _, _ = _setup(config)
     if config.estimator == "nested-set":
         if fn.lipschitz_grad is None or fn.lipschitz_hess is None:
             raise ValueError(
@@ -276,14 +282,7 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
     """
     from .quadmodel import interpolate_minimal
 
-    config.validate()
-    beta = config.beta_start
-    s_set, t_set = config.sets_at(beta)
-    ball = 1.5 * (s_set.radius + t_set.radius)
-    fn = make_function(
-        config.function, config.dim, seed=config.seed, x0=config.x0, ball_radius=ball
-    )
-    x0 = np.asarray(fn.base_point, dtype=float)
+    fn, x0, s_set, t_set = _setup(config)
     if with_model and (config.estimator != "nested-set" or config.s_base is not None):
         raise ValueError("--with-model applies to the nested-set estimator on canonical sets")
 
@@ -292,7 +291,7 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
     payload = {
         "function": config.function,
         "estimator": config.estimator,
-        "beta": beta,
+        "beta": config.beta_start,
         "k": config.k,
         "x0": [float(v) for v in x0],
         "hessian": [[float(v) for v in row] for row in res.hessian],

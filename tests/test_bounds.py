@@ -109,7 +109,8 @@ class TestCanonicalBound:
     @pytest.mark.parametrize(
         "bad",
         [(0, 0, 0.1, 1.0), (2, 3, 0.1, 1.0), (2, 0, 0.0, 1.0), (2, 0, 0.1, -1.0),
-         (3, 0, 0.1, float("nan"))],  # a NaN constant used to give a NaN bound
+         (3, 0, 0.1, float("nan")),  # a NaN constant used to give a NaN bound
+         (3, 2, 0.1, -np.inf)],
     )
     def test_rejects_bad_arguments(self, bad):
         with pytest.raises(ValueError):
@@ -162,9 +163,10 @@ class TestBoundInputsFactories:
             inputs(norm_t_pinv=-2.0)
 
     @pytest.mark.parametrize(
-        "field", ["lipschitz_grad", "lipschitz_hess", "norm_s_pinv", "norm_t_pinv"]
+        "field",
+        ["lipschitz_grad", "lipschitz_hess", "delta_s", "delta_t", "norm_s_pinv", "norm_t_pinv"],
     )
     def test_rejects_nan_certificates(self, field):
         # NaN used to pass the "< 0" checks, and error_bound_nsh returned nan.
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
             inputs(**{field: float("nan")})

@@ -19,6 +19,7 @@ from nshess import (
     quadratic_model_gradient,
     quotient_hessian,
 )
+from nshess.bounds import BoundInputs, _gsg_constant, error_bound_gsg, error_bound_nsh
 from nshess.exceptions import NotPoisedError
 
 
@@ -130,6 +131,39 @@ class TestConstants:
         geo = geometry(m=4, k=4, du=0.1, dl=0.1)
         data = RuleFunctionData(value=0.0, lipschitz_hess=0.3)
         np.testing.assert_allclose(hessian_constant(geo, data), 4.0, rtol=1e-14)
+
+    @staticmethod
+    def _random_pairs(count=300):
+        """Canonical pairs and overdetermined random pairs over many scales."""
+        rng = np.random.default_rng(17)
+        for i in range(count):
+            n = int(rng.integers(1, 6))
+            beta = 10.0 ** rng.uniform(-7, 0)
+            if i % 2:
+                yield canonical_set(n, int(rng.integers(0, n + 1)), beta)
+            else:
+                m, k = (n + int(rng.integers(0, 3)) for _ in range(2))
+                yield (
+                    DirectionSet(beta * rng.standard_normal((n, m))),
+                    DirectionSet(beta * rng.uniform(0.2, 5.0) * rng.standard_normal((n, k))),
+                )
+
+    def test_hessian_constant_is_the_nested_set_bound_per_unit_radius(self):
+        # Both read one formula: bitwise, not approximately.
+        for s, t in self._random_pairs():
+            geo = RuleGeometry.from_sets(s, t)
+            data = RuleFunctionData(value=0.0, lipschitz_grad=2.0, lipschitz_hess=3.0)
+            nsh = error_bound_nsh(BoundInputs.for_hessian(s, t, 2.0, 3.0))
+            assert hessian_constant(geo, data) * geo.delta_u == nsh
+
+    def test_gradient_constant_is_the_gradient_bound_on_the_raw_factor(self):
+        for s, t in self._random_pairs():
+            geo = RuleGeometry.from_sets(s, t)
+            data = RuleFunctionData(value=0.0, lipschitz_grad=2.0)
+            assert gradient_constant(geo, data) == _gsg_constant(t.count, 2.0, t.pinv_norm())
+            gsg = error_bound_gsg(BoundInputs.for_gradient(t, 2.0))
+            hat = t.pinv_norm(transpose=True, normalized=True)
+            assert gsg == _gsg_constant(t.count, 2.0, hat) * t.radius
 
     def test_missing_lipschitz_constants_rejected(self):
         geo = geometry()

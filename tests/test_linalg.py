@@ -55,8 +55,11 @@ def test_pseudoinverse_penrose_properties(rows, cols, data):
             elements=st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
         )
     )
+    # Identities 2-4 hold only to about eps * kappa for any double-precision
+    # pseudoinverse, so every draw is held to the rounding model of the
+    # ill-conditioned cases below, whatever its condition number.
     p = linalg.pseudoinverse(a)
-    check_penrose(a, p, 1e-10)
+    check_penrose(a, p, PENROSE_ROUNDING_C * np.finfo(float).eps * kept_condition(a))
 
 
 def _hilbert(n):

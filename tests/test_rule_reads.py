@@ -1,9 +1,9 @@
 """A rule row reads each sample value once.
 
 A factor's nested-set estimate returns the grid values it read, and the
-factor's ``f(x0)`` and mode gradient come from them: on the folded pairs no
-value is requested twice. The references below request the values again,
-the way a row was built before the estimate returned them.
+factor's ``f(x0)`` and mode gradient come from them: no value is requested
+twice, on the folded pairs or off them. The references below request the
+values again, the way a row was built before the estimate returned them.
 """
 
 import numpy as np
@@ -130,7 +130,7 @@ class TestUnfoldedCoincidentGrid:
         assert t_set.matrix.tobytes() != u.tobytes()
         return s_set, t_set
 
-    def test_model_still_requests_its_values(self):
+    def test_model_requests_nothing_after_the_estimate(self):
         fn = make_function("sum_of_cubes", 3, seed=1)
         s_set, t_set = self._sets()
         x0 = fn.base_point
@@ -139,8 +139,14 @@ class TestUnfoldedCoincidentGrid:
         pts = nshc_points(x0, s_set, t_set, grid_tolerance(cache, x0, S=s_set, T=t_set))
         assert len(pts) == minimal_point_count(3) < res.values.size
         before = cache.total_requests
-        quadratic_model_gradient(cache, x0, s_set, t_set, res.values)
+        got = quadratic_model_gradient(cache, x0, s_set, t_set, res.values)
+        assert cache.total_requests == before
+        want = quadratic_model_gradient(cache, x0, s_set, t_set)
         assert cache.total_requests == before + len(pts)
+        assert np.array_equal(got[0], want[0]) and want[2] is pts
+        assert np.array_equal(got[1].hessian, want[1].hessian)
+        with pytest.raises(ValueError, match="shape"):
+            quadratic_model_gradient(cache, x0, s_set, t_set, res.values[:, 1:])
 
     def test_product_rule_matches_the_requesting_reference(self):
         fn = make_function("product_cubes_exp", 3, seed=1)
