@@ -38,7 +38,7 @@ from .exceptions import (
     NotPoisedError,
     RankDeficientError,
 )
-from .linalg import frobenius_norm, pseudoinverse, rank, solve, spectral_norm
+from .linalg import frobenius_norm, pseudoinverse, rank, spectral_norm
 from .quadmodel import QuadraticModel, interpolate_general, interpolate_minimal
 from .registry import CompositeFunction, TestFunction, make_function, registry_names
 from .sets import (
@@ -126,7 +126,6 @@ __all__ = [
     "registry_names",
     "run_study",
     "simplex_gradient",
-    "solve",
     "spectral_norm",
     "verify_examples",
 ]

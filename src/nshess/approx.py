@@ -15,7 +15,10 @@ values on the ``(m+1) x (k+1)`` sample grid of
 :func:`~nshess.sets.sample_grid`. The grid is read through a shared
 :class:`~nshess.cache.EvaluationCache` in one bulk lookup, so coincident
 points are evaluated once; on the folded pairs ``(S, U_k)`` that lookup
-asks only for one point per :func:`~nshess.sets.fold_index` class.
+asks only for one point per :func:`~nshess.sets.fold_index` class. The
+lookup's coincidence tolerance is the one the grid record of the geometry
+worked out when it was built; the simplex gradient, which has no grid,
+reads at :func:`~nshess.sets.dedup_tolerance` of ``x0`` and T.
 """
 
 from __future__ import annotations
@@ -26,13 +29,12 @@ import numpy as np
 
 from .cache import EvaluationCache
 from .exceptions import CollapsedGridError, RankDeficientError
-from .sets import DirectionSet, _grid, dedup_tolerance
+from .sets import DirectionSet, _Grid, _grid, dedup_tolerance
 
 __all__ = [
     "GradientResult",
     "HessianResult",
     "delta_f",
-    "grid_tolerance",
     "second_differences",
     "simplex_gradient",
     "nested_set_hessian",
@@ -76,28 +78,21 @@ def _base_point(x0) -> np.ndarray:
     return x0
 
 
-def grid_tolerance(cache: EvaluationCache, x0, **sets: DirectionSet) -> float:
-    """Coincidence tolerance for sampling the named sets around ``x0``.
-
-    The larger of the cache's own tolerance and
-    :func:`~nshess.sets.dedup_tolerance` of ``x0`` and the sets. It depends
-    on this geometry alone and changes nothing in ``cache``; estimators
-    pass it with each of their cache reads. Raises
-    :class:`~nshess.exceptions.CollapsedGridError` when a column of any
-    set has max-norm at or below it: its points would merge with their
-    base points and the estimate would read as zero.
-    """
-    tol = max(cache.tol, dedup_tolerance(x0, *sets.values()))
+def _require_spacing(tol: float, **sets: DirectionSet) -> None:
+    """Raise :class:`~nshess.exceptions.CollapsedGridError` when a column of
+    any named set has max-norm at or below the coincidence tolerance ``tol``
+    of its geometry: its points would merge with their base points and the
+    estimate would read as zero."""
     for name, d in sets.items():
         if d.spacing <= tol:
             raise CollapsedGridError(name, d.spacing, tol)
-    return tol
 
 
-def _grid_values(cache: EvaluationCache, x0, s_set, t_set, tol: float) -> np.ndarray:
-    """``F[i, j]``, read in one lookup of the points the held ``sets._grid`` record names."""
-    grid = _grid(x0, s_set, t_set, tol)
-    return cache.evaluate_many(grid.points, tol)[grid.cls]
+def _checked_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> _Grid:
+    """The held ``sets._grid`` record of ``(x0, S, T)``, once S and T clear its tolerance."""
+    grid = _grid(x0, s_set, t_set)
+    _require_spacing(grid.tol, S=s_set, T=t_set)
+    return grid
 
 
 def second_differences(values: np.ndarray) -> np.ndarray:
@@ -106,7 +101,8 @@ def second_differences(values: np.ndarray) -> np.ndarray:
 
 
 def _differences(base: np.ndarray, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
-    tol = grid_tolerance(cache, base, T=t_set)
+    tol = dedup_tolerance(base, t_set)
+    _require_spacing(tol, T=t_set)
     values = cache.evaluate_many(np.vstack([base, base + t_set.matrix.T]), tol)
     return values[1:] - values[0]
 
@@ -170,7 +166,8 @@ def nested_set_hessian(
     ``build_uk(S, k)`` that lookup asks only for the first cell of each
     :func:`~nshess.sets.fold_index` class, ``(n+1)(n+2)/2`` requests in
     all, and every other cell reads its class's value; any other pair
-    requests every cell and leaves coincidences to the cache's tolerance.
+    requests every cell and leaves coincidences to the cache lookup, at
+    the tolerance the grid record of this geometry holds.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
     is too short for the coincidence tolerance of this geometry.
     """
@@ -182,8 +179,7 @@ def nested_set_hessian(
         )
     _require_full_row_rank(s_set, "S", transpose=True)
     _require_full_row_rank(t_set, "T", transpose=False)
-    tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
-    values = _grid_values(cache, x0, s_set, t_set, tol)
+    values = _checked_grid(x0, s_set, t_set).read(cache)
     values.setflags(write=False)
     d = second_differences(values)
     h = s_set.pinv(transpose=True) @ d @ t_set.pinv()

@@ -2,9 +2,9 @@
 
 The bounds take Lipschitz constants of the true derivatives on a ball
 covering every sample point, together with conditioning factors of the
-normalized direction sets. Factors default to spectral norms computed from
-the actual sets; Frobenius norms give looser certificates. Both come from
-the singular values each :class:`~nshess.sets.DirectionSet` holds
+normalized direction sets. The factors are spectral norms computed from
+the actual sets, from the singular values each
+:class:`~nshess.sets.DirectionSet` holds
 (:meth:`~nshess.sets.DirectionSet.pinv_norm`), the same factorization its
 estimator's pseudoinverse uses, so a bound factors no set again. Each
 bound is a per-unit-radius constant times a radius; the rule certificates
@@ -63,9 +63,7 @@ class BoundInputs:
         return min(self.delta_s, self.delta_t)
 
     @classmethod
-    def for_gradient(
-        cls, t_set: DirectionSet, lipschitz_grad: float, frobenius: bool = False
-    ) -> "BoundInputs":
+    def for_gradient(cls, t_set: DirectionSet, lipschitz_grad: float) -> "BoundInputs":
         """Inputs for :func:`error_bound_gsg` from an actual T."""
         return cls(
             m=0,
@@ -75,7 +73,7 @@ class BoundInputs:
             delta_s=t_set.radius,
             delta_t=t_set.radius,
             norm_s_pinv=0.0,
-            norm_t_pinv=t_set.pinv_norm(transpose=True, frobenius=frobenius, normalized=True),
+            norm_t_pinv=t_set.pinv_norm(transpose=True, normalized=True),
         )
 
     @classmethod
@@ -85,7 +83,6 @@ class BoundInputs:
         t_set: DirectionSet,
         lipschitz_grad: float,
         lipschitz_hess: float,
-        frobenius: bool = False,
     ) -> "BoundInputs":
         """Inputs for :func:`error_bound_nsh` from actual S and T."""
         return cls(
@@ -95,8 +92,8 @@ class BoundInputs:
             lipschitz_hess=float(lipschitz_hess),
             delta_s=s_set.radius,
             delta_t=t_set.radius,
-            norm_s_pinv=s_set.pinv_norm(transpose=True, frobenius=frobenius, normalized=True),
-            norm_t_pinv=t_set.pinv_norm(frobenius=frobenius, normalized=True),
+            norm_s_pinv=s_set.pinv_norm(transpose=True, normalized=True),
+            norm_t_pinv=t_set.pinv_norm(normalized=True),
         )
 
 

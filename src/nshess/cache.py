@@ -76,6 +76,7 @@ class PointIndex:
     """
 
     def __init__(self, dim: int):
+        self.dim = dim
         self._block = np.empty((8, dim))
         self._count = 0
         self._exact: dict[bytes, int] = {}
@@ -196,40 +197,39 @@ class EvaluationCache:
 
     A request at ``x`` returns the value of the first stored point whose
     coordinates all differ from ``x`` by at most the request's ``tol``
-    (the constructor's ``tol`` when the request gives none), and calls the
-    oracle only when there is none. Points of different dimensions never
-    match. The tolerance belongs to the request, not to the cache:
-    operations that know their sampling geometry pass the one it needs
-    (:func:`~nshess.approx.grid_tolerance`), so one cache serves estimates
-    at every scale. A request bitwise equal to an earlier one gets that
-    request's value whatever its own tolerance.
+    (0 when it gives none), and calls the oracle only when there is none.
+    The tolerance belongs to the request, not to the cache: an estimator
+    passes the one of its sampling geometry (the ``tol`` of the grid
+    record in :mod:`nshess.sets`), so one cache serves estimates at every
+    scale. A request bitwise equal to an earlier one gets that request's
+    value whatever its own tolerance.
 
-    Distinct points are kept per dimension in a :class:`PointIndex`. A
-    request pays each check once: its byte key ``x.tobytes()`` is made
-    once and serves the index and the trace. A bitwise repeat is answered
-    from the index's memo with no further check, since its point was
-    checked when first seen. Any other request is checked for finite
-    coordinates by the projection its lookup makes anyway (a non-finite
-    point raises :class:`ValueError` before any state changes), and costs
-    a binary search plus a vectorized comparison with the few stored rows
-    near it. The oracle's value is checked once, when it is returned.
-    :meth:`evaluate_many` answers a whole ``(p, n)`` array of requests
-    under one lock acquisition and leaves exactly the state that calling
-    :meth:`evaluate` row by row would.
+    A cache holds the points of one dimension, fixed by the first point it
+    stores; a request in another dimension raises :class:`ValueError`
+    before any state changes, so the trace is one table. Distinct points
+    are kept in a :class:`PointIndex`. A request pays each check once: its
+    byte key ``x.tobytes()`` is made once and serves the index and the
+    trace. A bitwise repeat is answered from the index's memo with no
+    further check, since its point was checked when first seen. Any other
+    request is checked for finite coordinates by the projection its lookup
+    makes anyway (a non-finite point raises :class:`ValueError` before any
+    state changes), and costs a binary search plus a vectorized comparison
+    with the few stored rows near it. The oracle's value is checked once,
+    when it is returned. :meth:`evaluate_many` answers a whole ``(p, n)``
+    array of requests under one lock acquisition and leaves exactly the
+    state that calling :meth:`evaluate` row by row would.
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
     once per distinct point even under concurrent use.
     """
 
-    def __init__(self, oracle, tol: float = 0.0):
+    def __init__(self, oracle):
         if not callable(oracle):
             raise TypeError("oracle must be callable")
-        if not tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {tol}")
         self._oracle = oracle
-        self._tol = float(tol)
-        self._tables: dict[int, tuple[PointIndex, list[float]]] = {}
+        self._index: PointIndex | None = None  # made by the first point stored
+        self._values: list[float] = []  # the value of each stored point
         self._trace: list[tuple[bytes, float, str]] = []  # (x.tobytes(), value, status)
         self._lock = threading.RLock()
 
@@ -237,7 +237,7 @@ class EvaluationCache:
     def distinct_count(self) -> int:
         """Number of oracle calls made, i.e. distinct points evaluated."""
         with self._lock:
-            return sum(len(index) for index, _ in self._tables.values())
+            return len(self._values)
 
     @property
     def total_requests(self) -> int:
@@ -248,11 +248,6 @@ class EvaluationCache:
         """
         with self._lock:
             return len(self._trace)
-
-    @property
-    def tol(self) -> float:
-        """The constructor's tolerance, used by requests that give none."""
-        return self._tol
 
     def _call_oracle(self, x: np.ndarray) -> float:
         try:
@@ -265,8 +260,8 @@ class EvaluationCache:
             raise EvaluationError(x, f"oracle returned non-finite value {value}")
         return value
 
-    def evaluate(self, x, tol: float | None = None) -> float:
-        tol = self._tol if tol is None else float(tol)
+    def evaluate(self, x, tol: float = 0.0) -> float:
+        tol = float(tol)
         if not tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {tol}")
         x = np.asarray(x, dtype=float)
@@ -276,23 +271,27 @@ class EvaluationCache:
             )
         key = x.tobytes()
         with self._lock:
-            table = self._tables.get(x.shape[0])
-            if table is None:
-                table = self._tables[x.shape[0]] = (PointIndex(x.shape[0]), [])
-            index, stored = table
+            index = self._index
+            if index is None:
+                index = PointIndex(x.shape[0])
+            elif index.dim != x.shape[0]:
+                raise ValueError(
+                    f"this cache holds points in R^{index.dim}, got one in R^{x.shape[0]}"
+                )
             i, y = index.lookup(x, key, tol)
             if i >= 0:
-                value, status = stored[i], "hit"
+                value, status = self._values[i], "hit"
             else:
                 value, status = self._call_oracle(x), "miss"
                 index.insert(x, key, y)
-                stored.append(value)
+                self._index = index
+                self._values.append(value)
             self._trace.append((key, value, status))
             return value
 
     __call__ = evaluate
 
-    def evaluate_many(self, points, tol: float | None = None) -> np.ndarray:
+    def evaluate_many(self, points, tol: float = 0.0) -> np.ndarray:
         """Values at every row of a ``(p, n)`` array, in one call.
 
         The rows go through :meth:`evaluate` in order under one hold of the
@@ -300,7 +299,7 @@ class EvaluationCache:
         and which value wins inside the tolerance are exactly those of
         ``p`` separate calls with the same ``tol``.
         """
-        tol = self._tol if tol is None else float(tol)
+        tol = float(tol)
         if not tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {tol}")
         pts = np.asarray(points, dtype=float)

@@ -38,18 +38,12 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .approx import HessianResult, grid_tolerance, nested_set_hessian, simplex_gradient
+from .approx import HessianResult, _checked_grid, nested_set_hessian, simplex_gradient
 from .bounds import _gsg_constant, _nsh_constant, _require_nonnegative
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
 from .quadmodel import QuadraticModel, interpolate_general
-from .sets import (
-    DirectionSet,
-    PointSet,
-    _grid,
-    minimal_point_count,
-    nshc_points,
-)
+from .sets import DirectionSet, PointSet, minimal_point_count, nshc_points
 
 __all__ = [
     "CalcMode",
@@ -208,32 +202,25 @@ def quadratic_model_gradient(
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
-    be poised. Points are deduplicated at the tolerance of this geometry
-    (:func:`~nshess.approx.grid_tolerance`). ``values``, when given, is
+    be poised. Points are deduplicated at the tolerance of this geometry,
+    which the grid record held on S worked out. ``values``, when given, is
     the grid F of a nested Hessian estimate at ``x0`` on ``(S, T)`` and
     ``cache``, :attr:`~nshess.approx.HessianResult.values`; the model then
     reads each point's value from the grid cell it was kept from and asks
     the cache for nothing. Otherwise the values are read in one bulk lookup.
     """
     x0 = np.asarray(x0, dtype=float)
-    tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
-    pts = nshc_points(x0, s_set, t_set, tol)
+    grid = _checked_grid(x0, s_set, t_set)
+    pts = nshc_points(x0, s_set, t_set)  # the point set of ``grid``
     need = minimal_point_count(pts.dim)
     if len(pts) != need:
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
     if values is None:
-        point_values = cache.evaluate_many(pts.points, tol)
+        point_values = cache.evaluate_many(pts.points, grid.tol)
     else:
-        grid = _grid(x0, s_set, t_set, tol)  # the record nshc_points kept ``pts`` in
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.cls.shape:
-            raise ValueError(f"values must have shape {grid.cls.shape}, got {values.shape}")
-        # Every cell of a class holds its point's value, so any one will do.
-        grid_values = np.empty(len(grid.points))
-        grid_values[grid.cls.ravel()] = values.ravel()
-        point_values = grid_values[grid.kept]
+        point_values = grid.kept_values(values)
     model = interpolate_general(pts, point_values, center=x0)
     return model.gradient(x0), model, pts
 

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import RankDeficientError
-
 __all__ = [
     "pseudoinverse",
     "spectral_norm",
     "frobenius_norm",
     "rank",
-    "solve",
 ]
 
 
@@ -46,8 +43,8 @@ def pseudoinverse(a) -> np.ndarray:
 
     Singular values at or below ``max(rows, cols) * eps * sigma_max`` are
     treated as zero, as are those at or below ``tiny / eps``, whose
-    reciprocals would overflow. The cutoff is fixed; :func:`rank` takes
-    another one per call.
+    reciprocals would overflow. The cutoff is fixed, and :func:`rank`
+    counts with the same one.
     """
     m = _as_matrix(a)
     return _pinv_from_svd(*np.linalg.svd(m, full_matrices=False), m.shape)
@@ -80,31 +77,7 @@ def frobenius_norm(a) -> float:
     return float(np.linalg.norm(_as_matrix(a), "fro"))
 
 
-def rank(a, tol: float | None = None) -> int:
-    """Number of singular values above ``tol * sigma_max``.
-
-    ``tol=None`` uses the machine-precision default shared with
-    :func:`pseudoinverse`.
-    """
+def rank(a) -> int:
+    """Number of singular values above the cutoff :func:`pseudoinverse` uses."""
     m = _as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if tol is None:
-        return int(np.count_nonzero(_kept(s, m.shape)))
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return int(np.count_nonzero(s > tol * (s[0] if s.size else 0.0)))
-
-
-def solve(a, b, name: str = "matrix") -> np.ndarray:
-    """Solve ``a @ x = b`` for square ``a`` through a factorization.
-
-    Raises :class:`RankDeficientError` when ``a`` is singular under the
-    library rank tolerance, naming the offending matrix.
-    """
-    m = _as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square to solve, got shape {m.shape}")
-    r = rank(m)
-    if r < m.shape[0]:
-        raise RankDeficientError(name, r, m.shape[0])
-    return np.linalg.solve(m, np.asarray(b, dtype=float))
+    return int(np.count_nonzero(_kept(np.linalg.svd(m, compute_uv=False), m.shape)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import _grid_values, _require_full_row_rank, grid_tolerance, second_differences
+from .approx import _checked_grid, _require_full_row_rank, second_differences
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
 from .sets import (
@@ -150,9 +150,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     if s_set.count != n:
         raise ValueError(f"S must be square for the closed form, got {s_set.dim} x {s_set.count}")
     _require_full_row_rank(s_set, "S", transpose=True)
-    u_set = build_uk(s_set, k)
-    tol = grid_tolerance(cache, x0, S=s_set, T=u_set)
-    values = _grid_values(cache, x0, s_set, u_set, tol)
+    values = _checked_grid(x0, s_set, build_uk(s_set, k)).read(cache)
     d = second_differences(values)
     if k == 0:
         hhat = d
@@ -163,8 +161,8 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     # Symmetric in exact arithmetic; mirror the upper triangle.
     hhat = np.triu(hhat) + np.triu(hhat, 1).T
 
-    # The rank check above stands for linalg.solve's own, which would take
-    # a fresh SVD of S^T for each of these solves.
+    # The rank check above covers these solves with S^T, which would
+    # otherwise each need a fresh SVD to tell a singular S^T.
     st = s_set.matrix.T
     w = np.linalg.solve(st, hhat)
     hessian = np.linalg.solve(st, w.T).T

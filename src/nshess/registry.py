@@ -315,25 +315,37 @@ def _product_quadratics(dim, x0, radius, seed) -> TestFunction | CompositeFuncti
     )
 
 
-def _defaults(name: str, dim: int) -> np.ndarray:
-    if name in ("sum_of_cubes", "product_cubes_exp", "quotient_cubes_exp", "power_cubes_2"):
-        return np.ones(dim)
-    return np.zeros(dim)
+def _cubes_and_exp(name: str, rule: str, power: int | None = None):
+    """Factory of the ``rule`` composite of ``sum_of_cubes`` with ``exp_of_sum``,
+    or of ``sum_of_cubes`` alone raised to ``power``."""
+
+    def build(dim, x0, radius, seed) -> CompositeFunction:
+        return CompositeFunction(
+            name=name,
+            rule=rule,
+            f=_sum_of_cubes(dim, x0, radius, seed),
+            g=None if power else _exp_of_sum(dim, x0, radius, seed),
+            power=power,
+        )
+
+    return build
 
 
-_PLAIN = {
-    "quadratic": _random_quadratic,
-    "sum_of_cubes": _sum_of_cubes,
-    "exp_of_sum": _exp_of_sum,
-    "rosenbrock": _rosenbrock,
+# name -> (factory(dim, x0, ball_radius, seed), every coordinate of the default x0)
+_ENTRIES = {
+    "quadratic": (_random_quadratic, 0.0),
+    "sum_of_cubes": (_sum_of_cubes, 1.0),
+    "exp_of_sum": (_exp_of_sum, 0.0),
+    "rosenbrock": (_rosenbrock, 0.0),
+    "product_quadratics": (_product_quadratics, 0.0),
+    "product_cubes_exp": (_cubes_and_exp("product_cubes_exp", "product"), 1.0),
+    "quotient_cubes_exp": (_cubes_and_exp("quotient_cubes_exp", "quotient"), 1.0),
+    "power_cubes_2": (_cubes_and_exp("power_cubes_2", "power", 2), 1.0),
 }
 
 
 def registry_names() -> list[str]:
-    return sorted(
-        list(_PLAIN)
-        + ["product_quadratics", "product_cubes_exp", "quotient_cubes_exp", "power_cubes_2"]
-    )
+    return sorted(_ENTRIES)
 
 
 def make_function(
@@ -352,16 +364,17 @@ def make_function(
         raise ValueError(f"dim must be at least 1, got {dim}")
     if not 0 < ball_radius < math.inf:
         raise ValueError(f"ball_radius must be positive and finite, got {ball_radius}")
-    if x0 is None:
-        x0 = _defaults(name, dim)
-    x0 = np.asarray(x0, dtype=float)
+    if name not in _ENTRIES:
+        raise ValueError(f"unknown registry function {name!r}; available: {registry_names()}")
+    factory, default = _ENTRIES[name]
+    x0 = np.full(dim, default) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
 
     key = (name, dim, seed, x0.tobytes(), float(ball_radius))
     token = _SKIP_SELFCHECK.set(key in _PASSED)
     try:
-        fn = _build(name, dim, seed, x0, ball_radius)
+        fn = factory(dim, x0, ball_radius, seed)
     finally:
         _SKIP_SELFCHECK.reset(token)
     with _PASSED_LOCK:
@@ -369,32 +382,3 @@ def make_function(
         if len(_PASSED) > _PASSED_MAX:
             del _PASSED[next(iter(_PASSED))]
     return fn
-
-
-def _build(name: str, dim: int, seed: int, x0: np.ndarray, ball_radius: float):
-    if name in _PLAIN:
-        return _PLAIN[name](dim, x0, ball_radius, seed)
-    if name == "product_quadratics":
-        return _product_quadratics(dim, x0, ball_radius, seed)
-    if name == "product_cubes_exp":
-        return CompositeFunction(
-            name=name,
-            rule="product",
-            f=_sum_of_cubes(dim, x0, ball_radius, seed),
-            g=_exp_of_sum(dim, x0, ball_radius, seed),
-        )
-    if name == "quotient_cubes_exp":
-        return CompositeFunction(
-            name=name,
-            rule="quotient",
-            f=_sum_of_cubes(dim, x0, ball_radius, seed),
-            g=_exp_of_sum(dim, x0, ball_radius, seed),
-        )
-    if name == "power_cubes_2":
-        return CompositeFunction(
-            name=name,
-            rule="power",
-            f=_sum_of_cubes(dim, x0, ball_radius, seed),
-            power=2,
-        )
-    raise ValueError(f"unknown registry function {name!r}; available: {registry_names()}")

@@ -6,11 +6,12 @@ on the points ``x0 + s_i + t_j`` generated by an outer set S and an inner
 set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
 This module deduplicates that grid, greedily in first-seen order through
 the same :class:`~nshess.cache.PointIndex` coincidence test the evaluation
-cache uses, at the fixed relative tolerance of :func:`dedup_tolerance`
-unless the caller passes one. It also answers two structural questions
-about a candidate point set: is it poised for quadratic interpolation, and
-is it exactly the sample set of some nested Hessian estimate of minimal
-size.
+cache uses, at the fixed relative tolerance of :func:`dedup_tolerance`,
+which is the tolerance every estimate on the grid reads it at; only
+:func:`nshc_points` takes another. It also answers two structural
+questions about a candidate point set: is it poised for quadratic
+interpolation, and is it exactly the sample set of some nested Hessian
+estimate of minimal size.
 
 On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 (:func:`fold_index`), so only one point per class is looked up at all.
@@ -19,11 +20,12 @@ Sampling geometry is built once and then held. A :class:`DirectionSet`
 keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
 norms derived from them under the fixed cutoff of :mod:`nshess.linalg`;
 a set is immutable, so nothing it holds ever goes stale. An outer set S
-holds the last ``U_k`` built from it and one grid record: the points to
-look up and the class map of the last ``(x0, T, tol)`` it was sampled
-with, and the deduplicated :class:`PointSet` once one is asked for. So an
-estimate, the closed-form model after it and :func:`nshc_points` on the
-same geometry build the grid once. A :class:`PointSet` holds the singular
+holds the last ``U_k`` built from it and one grid record: the coincidence
+tolerance, the points to look up and the class map of the last
+``(x0, T)`` it was sampled with, and the deduplicated :class:`PointSet`
+once one is asked for. So an estimate, the closed-form model after it and
+:func:`nshc_points` on the same geometry build the grid and work out its
+tolerance once. A :class:`PointSet` holds the singular
 values of its quadratic basis for the last center asked for, which the
 poisedness checks and the model-gradient constant read.
 :func:`canonical_set` returns the same pair for a repeated
@@ -146,28 +148,25 @@ class DirectionSet:
             lambda: _read_only(linalg._pinv_from_svd(*self._factors(transpose), self.matrix.shape)),
         )
 
-    def pinv_norm(
-        self, transpose: bool = False, frobenius: bool = False, normalized: bool = False
-    ) -> float:
-        """Spectral (or Frobenius) norm of :meth:`pinv`, from the kept singular values.
+    def pinv_norm(self, transpose: bool = False, normalized: bool = False) -> float:
+        """Spectral norm of :meth:`pinv`, from the kept singular values.
 
         ``normalized=True`` gives the norm for the set divided by its
         radius: the singular values are divided by the radius before the
         cutoff, as :meth:`normalized` would give them.
         """
         return self._hold(
-            ("norm", transpose, frobenius, normalized),
-            lambda: self._pinv_norm(transpose, frobenius, normalized),
+            ("norm", transpose, normalized), lambda: self._pinv_norm(transpose, normalized)
         )
 
-    def _pinv_norm(self, transpose: bool, frobenius: bool, normalized: bool) -> float:
+    def _pinv_norm(self, transpose: bool, normalized: bool) -> float:
         s = self._factors(transpose)[1]
         if normalized:
             s = s / self._positive_radius()
         inv = 1.0 / s[linalg._kept(s, self.matrix.shape)]
         if not inv.size:
             return 0.0
-        return float(np.linalg.norm(inv) if frobenius else inv.max())
+        return float(inv.max())
 
     def column(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
@@ -427,16 +426,19 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
 class _Grid:
     """The points to look up for :func:`sample_grid`, and each cell's row among them.
 
-    ``grid[i, j]`` reads as ``points[cls[i, j]]``. When T is bitwise
-    ``build_uk(S, k)`` and every cell lies within ``tol`` of the first cell
-    of its :func:`fold_index` class, the points are those first cells, in
-    row-major order; otherwise they are every cell in row-major order and
-    ``cls`` is the identity, leaving all coincidences to the tolerance.
-    (Cells of one class differ by rounding alone, which a coincidence
-    tolerance of :func:`dedup_tolerance` exceeds.) ``point_set`` is the
-    deduplicated points and ``kept`` their rows in ``points``, both set by
-    the first :func:`nshc_points` that asks. ``points`` and ``cls`` are
-    read-only.
+    ``tol`` is the coincidence tolerance of the geometry, worked out once
+    when the record is built: :func:`dedup_tolerance` of ``x0``, S and T,
+    unless :func:`nshc_points` was given another. ``grid[i, j]`` reads as
+    ``points[cls[i, j]]``. When T is bitwise ``build_uk(S, k)`` and every
+    cell lies within ``tol`` of the first cell of its :func:`fold_index`
+    class, the points are those first cells, in row-major order; otherwise
+    they are every cell in row-major order and ``cls`` is the identity,
+    leaving all coincidences to the tolerance. (Cells of one class differ
+    by rounding alone, which a coincidence tolerance of
+    :func:`dedup_tolerance` exceeds.) The deduplicated :class:`PointSet`
+    and its rows ``kept`` in ``points`` are made by the first
+    :meth:`point_set` that asks. ``points`` and ``cls`` are read-only, and
+    only this module reads them.
     """
 
     t_set: DirectionSet
@@ -444,34 +446,64 @@ class _Grid:
     tol: float
     points: np.ndarray
     cls: np.ndarray
-    point_set: PointSet | None = None
     kept: np.ndarray | None = None
+    _point_set: PointSet | None = None
+
+    def read(self, cache) -> np.ndarray:
+        """``F[i, j]``: the values at ``points``, read from ``cache`` in one
+        lookup at ``tol``, spread over the cells."""
+        return cache.evaluate_many(self.points, self.tol)[self.cls]
+
+    def point_set(self) -> PointSet:
+        """The points deduplicated at ``tol``, greedily in row-major order."""
+        if self._point_set is None:
+            self.kept = PointIndex.distinct(self.points, self.tol)
+            self._point_set = PointSet._distinct(self.points[self.kept], self.tol)
+        return self._point_set
+
+    def kept_values(self, values) -> np.ndarray:
+        """The values at the rows of :meth:`point_set`, given the grid F of
+        values :meth:`read` returns."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.cls.shape:
+            raise ValueError(f"values must have shape {self.cls.shape}, got {values.shape}")
+        self.point_set()
+        # Every cell of a class holds its point's value, so any one will do.
+        point_values = np.empty(len(self.points))
+        point_values[self.cls.ravel()] = values.ravel()
+        return point_values[self.kept]
 
 
-def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float) -> _Grid:
-    """The grid record of ``(x0, S, T)`` at ``tol``.
+def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> _Grid:
+    """The grid record of ``(x0, S, T)``.
 
-    S holds one record, for the last ``(T, x0, tol)`` it served, so every
-    consumer of one geometry reads the same record and a sweep over ``x0``,
-    T or the tolerance keeps only the last. The key holds the shape of
-    ``x0`` with its bytes: only a shape :func:`sample_grid` accepted is
-    ever stored, so a malformed ``x0`` never hits and raises there.
+    S holds one record, for the last ``(T, x0)`` it served, so every
+    consumer of one geometry reads the same record, and a warm record
+    works out nothing; a sweep over ``x0`` or T keeps only the last. The
+    key holds the shape of ``x0`` with its bytes: only a shape
+    :func:`sample_grid` accepted is ever stored, so a malformed ``x0``
+    never hits and raises there. An explicit ``tol`` builds a record at
+    that tolerance and leaves the held one in place.
     """
     x0 = np.asarray(x0, dtype=float)
     key = x0.shape, x0.tobytes()
-    held = s_set._held.get("grid")
-    if held is not None and held.t_set is t_set and held.x0_key == key and held.tol == tol:
-        return held
+    if tol is None:
+        held = s_set._held.get("grid")
+        if held is not None and held.t_set is t_set and held.x0_key == key:
+            return held
     grid = sample_grid(x0, s_set, t_set)
+    record_tol = dedup_tolerance(x0, s_set, t_set) if tol is None else tol
     flat = grid.reshape(-1, grid.shape[2])
     points, cls = flat, np.arange(len(flat)).reshape(grid.shape[:2])
     k = _fold_k(s_set, t_set)
     if k is not None:
         fold_cls, first = fold_index(s_set.dim, k)
-        if np.abs(flat - flat[first[fold_cls.ravel()]]).max() <= tol:
+        if np.abs(flat - flat[first[fold_cls.ravel()]]).max() <= record_tol:
             points, cls = flat[first], fold_cls
-    held = s_set._held["grid"] = _Grid(t_set, key, tol, _read_only(points), _read_only(cls))
-    return held
+    record = _Grid(t_set, key, record_tol, _read_only(points), _read_only(cls))
+    if tol is None:
+        s_set._held["grid"] = record
+    return record
 
 
 def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
@@ -480,23 +512,18 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     The deduplicated :func:`sample_grid`, read row by row (``x0``, then
     ``x0 + t_j``, then ``x0 + s_i`` followed by ``x0 + s_i + t_j``), so the
     first-seen representative of each coincidence class is kept, exactly
-    as an evaluation cache with tolerance ``tol`` would keep it. On a
-    folded pair ``(S, U_k)`` only the first cell of each
+    as an evaluation cache answering requests at ``tol`` would keep it. On
+    a folded pair ``(S, U_k)`` only the first cell of each
     :func:`fold_index` class is read, and the points go through
-    :meth:`~nshess.cache.PointIndex.distinct`. ``tol`` defaults to
-    :func:`dedup_tolerance`. The result is held in the grid record on S,
-    so a repeated call on the same ``(x0, S, T, tol)`` returns the same set.
+    :meth:`~nshess.cache.PointIndex.distinct`. By default the set is the
+    one of the grid record held on S, at the tolerance of this geometry
+    that every estimate on it uses, so a repeated call on the same
+    ``(x0, S, T)`` returns the same set. Another ``tol`` gives the set at
+    that tolerance, built afresh, and leaves the held record in place.
     """
-    if tol is None:
-        tol = dedup_tolerance(x0, s_set, t_set)
-    elif not tol >= 0:
+    if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    grid = _grid(x0, s_set, t_set, tol)
-    point_set = grid.point_set
-    if point_set is None:
-        grid.kept = PointIndex.distinct(grid.points, tol)
-        point_set = grid.point_set = PointSet._distinct(grid.points[grid.kept], tol)
-    return point_set
+    return _grid(x0, s_set, t_set, tol).point_set()
 
 
 def count_distinct(x0, s_set: DirectionSet, t_set: DirectionSet) -> int:

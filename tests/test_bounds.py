@@ -142,18 +142,6 @@ class TestBoundInputsFactories:
         assert made.delta_u == 0.3
         assert made.delta_l == 0.1
 
-    def test_frobenius_option_is_no_tighter(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            mat = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
-            s = DirectionSet(0.2 * mat)
-            t = DirectionSet(0.2 * (rng.standard_normal((3, 3)) + 2.0 * np.eye(3)))
-            spec = BoundInputs.for_hessian(s, t, 1.0, 1.0)
-            frob = BoundInputs.for_hessian(s, t, 1.0, 1.0, frobenius=True)
-            assert frob.norm_s_pinv >= spec.norm_s_pinv - 1e-12
-            assert frob.norm_t_pinv >= spec.norm_t_pinv - 1e-12
-            assert error_bound_nsh(frob) >= error_bound_nsh(spec) - 1e-12
-
     def test_validation(self):
         with pytest.raises(ValueError):
             inputs(lipschitz_grad=-1.0)

@@ -50,9 +50,9 @@ class TestCounting:
         assert len(calls) == 1
 
     def test_tolerance_merges_nearby_points(self):
-        cache = EvaluationCache(sphere, tol=1e-9)
-        a = cache.evaluate(np.array([1.0, 0.0]))
-        b = cache.evaluate(np.array([1.0 + 1e-12, 0.0]))
+        cache = EvaluationCache(sphere)
+        a = cache.evaluate(np.array([1.0, 0.0]), tol=1e-9)
+        b = cache.evaluate(np.array([1.0 + 1e-12, 0.0]), tol=1e-9)
         assert a == b
         assert cache.distinct_count == 1
 
@@ -64,9 +64,9 @@ class TestCounting:
 
     def test_first_value_wins_inside_tolerance(self):
         values = iter([10.0, 20.0])
-        cache = EvaluationCache(lambda x: next(values), tol=1e-6)
-        assert cache.evaluate(np.array([0.0])) == 10.0
-        assert cache.evaluate(np.array([1e-9])) == 10.0
+        cache = EvaluationCache(lambda x: next(values))
+        assert cache.evaluate(np.array([0.0]), tol=1e-6) == 10.0
+        assert cache.evaluate(np.array([1e-9]), tol=1e-6) == 10.0
 
     def test_callable_protocol(self):
         cache = EvaluationCache(sphere)
@@ -81,7 +81,6 @@ class TestPerCallTolerance:
         assert cache.distinct_count == 1
         cache.evaluate(np.array([1.0 - 2e-9]))
         assert cache.distinct_count == 2
-        assert cache.tol == 0.0
 
 
 class TestNestedEstimateCounts:
@@ -109,9 +108,10 @@ class TestNestedEstimateCounts:
         # overcount.
         x0 = np.array([1e5, -1e5, 3e4])
         s, t = canonical_set(3, 2, 1e-3)
-        cache = EvaluationCache(sphere, tol=dedup_tolerance(x0, s, t))
+        cache = EvaluationCache(sphere)
         nested_set_hessian(x0, s, t, cache)
         assert cache.distinct_count == 10
+        assert s._held["grid"].tol == dedup_tolerance(x0, s, t)
 
 
 class TestFailures:
@@ -184,15 +184,15 @@ class TestFailures:
     def test_infinite_coordinate_raises_under_infinite_tolerance(self):
         # Under tol = inf every finite point matches the first stored row;
         # a point with an infinite coordinate must still be refused.
-        cache = EvaluationCache(counter(), tol=np.inf)
-        assert cache.evaluate(np.array([1.0, 2.0])) == 1.0
-        assert cache.evaluate(np.array([-5.0, 9.0])) == 1.0
+        cache = EvaluationCache(counter())
+        assert cache.evaluate(np.array([1.0, 2.0]), tol=np.inf) == 1.0
+        assert cache.evaluate(np.array([-5.0, 9.0]), tol=np.inf) == 1.0
         before = state(cache)
         for point in ([np.inf, 2.0], [1.0, -np.inf], [np.nan, 2.0]):
             with pytest.raises(ValueError, match="non-finite"):
-                cache.evaluate(np.array(point))
+                cache.evaluate(np.array(point), tol=np.inf)
             with pytest.raises(ValueError, match="non-finite"):
-                cache.evaluate_many(np.array([point]))
+                cache.evaluate_many(np.array([point]), tol=np.inf)
         assert state(cache) == before
 
     def test_rejects_matrix_input(self):
@@ -204,16 +204,15 @@ class TestFailures:
         with pytest.raises(TypeError):
             EvaluationCache(42)
 
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            EvaluationCache(sphere, tol=-1.0)
+    def test_constructor_takes_no_tolerance(self):
+        # The tolerance is the request's; an estimate reads at its geometry's.
+        for args, kwargs in (((sphere, 1e-9), {}), ((sphere,), {"tol": 1e-9})):
+            with pytest.raises(TypeError):
+                EvaluationCache(*args, **kwargs)
 
     def test_rejects_nan_tolerance(self):
         # A NaN tolerance used to pass the sign check and silently turn off
-        # folding: this estimate used 12 distinct points instead of 10.
-        s_set, t_set = canonical_set(3, 1, 1e-2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            nested_set_hessian(np.zeros(3), s_set, t_set, EvaluationCache(sphere, tol=float("nan")))
+        # folding.
         cache = EvaluationCache(sphere)
         with pytest.raises(ValueError, match="nonnegative"):
             cache.evaluate(np.array([1.0]), tol=float("nan"))
@@ -222,8 +221,9 @@ class TestFailures:
         assert cache.total_requests == 0
 
     def test_infinite_tolerance_is_accepted(self):
-        cache = EvaluationCache(sphere, tol=np.inf)
-        assert cache.evaluate(np.array([1.0])) == cache.evaluate(np.array([5.0])) == 1.0
+        cache = EvaluationCache(sphere)
+        one, five = np.array([1.0]), np.array([5.0])
+        assert cache.evaluate(one, tol=np.inf) == cache.evaluate(five, tol=np.inf) == 1.0
         assert cache.distinct_count == 1
 
     def test_rejects_negative_per_call_tolerance(self):
@@ -288,7 +288,7 @@ class TestEvaluateMany:
         calls = []
         original = EvaluationCache.evaluate
 
-        def counting(self, x, tol=None):
+        def counting(self, x, tol=0.0):
             calls.append(tol)
             return original(self, x, tol)
 
@@ -402,17 +402,30 @@ class TestTrace:
         assert lines[2] == "1.0,2.0,5.0,hit"
 
     def test_points_are_the_requests_bitwise_and_detached(self):
-        cache = EvaluationCache(sphere, tol=1e-6)
+        cache = EvaluationCache(sphere)
         requests = [np.array([0.1, -0.0]), np.array([0.1 + 1e-9, 0.0]), np.array([5e-324, 3.0])]
         for x in requests:
-            cache.evaluate(x)
+            cache.evaluate(x, tol=1e-6)
         for x in requests:
             x[:] = 7.0
-        cache.evaluate_many(np.array([[2.0, 1.0]]))
+        cache.evaluate_many(np.array([[2.0, 1.0]]), tol=1e-6)
         points = [point for point, _, _ in cache.trace_rows()]
         want = [[0.1, -0.0], [0.1 + 1e-9, 0.0], [5e-324, 3.0], [2.0, 1.0]]
         assert [p.tobytes() for p in points] == [np.array(w).tobytes() for w in want]
         assert [status for _, _, status in cache.trace_rows()] == ["miss", "hit", "miss", "miss"]
+
+    def test_csv_has_one_header_for_every_row(self):
+        # A 3-D request after a 2-D one used to be answered and traced, so
+        # the CSV's x1,x2 header stood over a row of three coordinates.
+        cache = EvaluationCache(sphere)
+        cache.evaluate(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="R\\^2"):
+            cache.evaluate(np.array([1.0, 2.0, 3.0]))
+        cache.evaluate(np.array([3.0, 4.0]))
+        buf = io.StringIO()
+        cache.write_trace_csv(buf)
+        lines = buf.getvalue().strip().split("\n")
+        assert lines == ["x1,x2,value,status", "1.0,2.0,5.0,miss", "3.0,4.0,25.0,miss"]
 
     def test_empty_trace_csv(self):
         buf = io.StringIO()

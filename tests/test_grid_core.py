@@ -67,14 +67,12 @@ class TestBulkLookup:
         )
         return rows[rng.permutation(len(rows))]
 
-    @pytest.mark.parametrize("per_call", [False, True], ids=["constructor_tol", "per_call_tol"])
-    def test_matches_row_by_row_evaluation(self, per_call):
+    def test_matches_row_by_row_evaluation(self):
         rows = self.requests()
-        cache_tol, call_tol = (0.0, self.TOL) if per_call else (self.TOL, None)
-        one = EvaluationCache(counter_oracle(), tol=cache_tol)
-        expected = [one.evaluate(x, call_tol) for x in rows]
-        bulk = EvaluationCache(counter_oracle(), tol=cache_tol)
-        got = bulk.evaluate_many(rows, call_tol)
+        one = EvaluationCache(counter_oracle())
+        expected = [one.evaluate(x, self.TOL) for x in rows]
+        bulk = EvaluationCache(counter_oracle())
+        got = bulk.evaluate_many(rows, self.TOL)
         np.testing.assert_array_equal(got, expected)
         assert cache_state(bulk) == cache_state(one)
         statuses = cache_state(bulk)[4]
@@ -82,33 +80,39 @@ class TestBulkLookup:
 
     def test_split_and_interleaved_calls_match(self):
         rows = self.requests()
-        one = EvaluationCache(counter_oracle(), tol=self.TOL)
-        expected = [one.evaluate(x) for x in rows]
-        mixed = EvaluationCache(counter_oracle(), tol=self.TOL)
-        got = list(mixed.evaluate_many(rows[:5]))
-        got.append(mixed.evaluate(rows[5]))
-        got.extend(mixed.evaluate_many(rows[6:]))
+        one = EvaluationCache(counter_oracle())
+        expected = [one.evaluate(x, self.TOL) for x in rows]
+        mixed = EvaluationCache(counter_oracle())
+        got = list(mixed.evaluate_many(rows[:5], self.TOL))
+        got.append(mixed.evaluate(rows[5], self.TOL))
+        got.extend(mixed.evaluate_many(rows[6:], self.TOL))
         assert got == expected
         assert cache_state(mixed) == cache_state(one)
 
     def test_first_value_wins_within_tolerance(self):
-        cache = EvaluationCache(counter_oracle(), tol=1e-6)
-        got = cache.evaluate_many([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]])
+        cache = EvaluationCache(counter_oracle())
+        got = cache.evaluate_many([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]], 1e-6)
         # 0.9e-6 is within tol of both stored points; the earlier one wins
         # although the later one is nearer.
         np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 0.0])
         assert cache.distinct_count == 2
 
-    def test_other_dimensions_never_match(self):
-        one = EvaluationCache(counter_oracle(), tol=1e-9)
-        bulk = EvaluationCache(counter_oracle(), tol=1e-9)
-        requests = [np.zeros(2), np.zeros(3), np.array([0.0, 0.0, 1e-12]), np.zeros(2)]
-        expected = [one.evaluate(x) for x in requests]
-        got = [bulk.evaluate_many(requests[0][None])[0]]
-        got.extend(bulk.evaluate_many(np.vstack(requests[1:3])))
-        got.append(bulk.evaluate(requests[3]))
-        assert got == expected == [0.0, 1.0, 1.0, 0.0]
-        assert cache_state(bulk) == cache_state(one)
+    def test_another_dimension_raises_before_any_state_changes(self):
+        cache = EvaluationCache(counter_oracle())
+        assert cache.evaluate_many(np.zeros((1, 2)), self.TOL)[0] == 0.0
+        before = cache_state(cache)
+        for other in (np.zeros(3), np.array([0.0, 0.0, 1e-12]), np.zeros(1)):
+            with pytest.raises(ValueError, match="R\\^2"):
+                cache.evaluate(other, self.TOL)
+            with pytest.raises(ValueError, match="R\\^2"):
+                cache.evaluate_many(np.vstack([other, other]), self.TOL)
+        assert cache_state(cache) == before
+        assert cache.evaluate(np.array([0.0, 1e-12]), self.TOL) == 0.0
+        # A first request that stores nothing fixes no dimension.
+        fresh = EvaluationCache(counter_oracle())
+        with pytest.raises(ValueError, match="non-finite"):
+            fresh.evaluate(np.array([np.nan, 0.0, 0.0]))
+        assert fresh.evaluate(np.zeros(2)) == 0.0
 
     def test_non_finite_row_raises_after_serving_earlier_rows(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0], [np.nan, 0.0], [5.0, 6.0]])
@@ -285,7 +289,6 @@ class TestCollapsedGrids:
             cache = EvaluationCache(cubic)
             nested_set_hessian(1e8 * np.ones(3), s_big, t_big, cache)
             assert np.array_equal(estimate(cache), estimate(EvaluationCache(cubic))), name
-            assert cache.tol == 0.0
 
     def test_every_estimator_refuses(self):
         s_set, t_set = canonical_set(2, 1, 1e-13)
@@ -492,7 +495,7 @@ class TestFoldMap:
     @staticmethod
     def close_columns(n):
         s = np.eye(n)
-        s[:, 1] = s[:, 0] + 4e-7 * np.linspace(1.0, 2.0, n)
+        s[:, 1] = s[:, 0] + 4e-13 * np.linspace(1.0, 2.0, n)
         return DirectionSet(s)
 
     def run_all(self, x0, s_set, k, cache, tol):
@@ -516,15 +519,14 @@ class TestFoldMap:
         # With s_1 and s_2 closer than tol, U_1 and U_2 have a collapsed
         # column and every estimator refuses them.
         for k in (0, 3, 4) if case == "close_columns" else range(n + 1):
-            cache_tol = 1e-6 if case == "close_columns" else 0.0
             if case == "close_columns":
                 s_set = self.close_columns(n)
             else:
                 s_set = canonical_set(n, k, 1e-2)[0]
-            tol = max(cache_tol, dedup_tolerance(x0, s_set, build_uk(s_set, k)))
+            tol = dedup_tolerance(x0, s_set, build_uk(s_set, k))
 
             def make_cache():
-                cache = EvaluationCache(smooth, tol=cache_tol)
+                cache = EvaluationCache(smooth)
                 if case == "prefilled":
                     # Another estimate, whose grid shares points with this one.
                     other = x0 + s_set.column(0)

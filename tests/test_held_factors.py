@@ -34,9 +34,8 @@ def _consumers(s_set, t_set):
     """Every call that reads a set's factors."""
     s_set.rank(), s_set.rank(transpose=True), t_set.rank(), t_set.rank(transpose=True)
     s_set.pinv(), s_set.pinv(transpose=True), t_set.pinv(), t_set.pinv(transpose=True)
-    for frobenius in (False, True):
-        BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0, frobenius=frobenius)
-        BoundInputs.for_gradient(t_set, 1.0, frobenius=frobenius)
+    BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0)
+    BoundInputs.for_gradient(t_set, 1.0)
     RuleGeometry.from_sets(s_set, t_set)
 
 
@@ -149,13 +148,12 @@ class TestBoundFactors:
         s_hat, t_hat = s_set.normalized().matrix, t_set.normalized().matrix
         tol_s = 4 * EPS * _kappa(s_set)
         tol_t = 4 * EPS * _kappa(t_set)
-        for frobenius in (False, True):
-            norm = linalg.frobenius_norm if frobenius else linalg.spectral_norm
-            hess = BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0, frobenius=frobenius)
-            grad = BoundInputs.for_gradient(t_set, 1.0, frobenius=frobenius)
-            assert hess.norm_s_pinv == pytest.approx(norm(linalg.pseudoinverse(s_hat.T)), rel=tol_s)
-            assert hess.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat)), rel=tol_t)
-            assert grad.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat.T)), rel=tol_t)
+        norm = linalg.spectral_norm
+        hess = BoundInputs.for_hessian(s_set, t_set, 1.0, 1.0)
+        grad = BoundInputs.for_gradient(t_set, 1.0)
+        assert hess.norm_s_pinv == pytest.approx(norm(linalg.pseudoinverse(s_hat.T)), rel=tol_s)
+        assert hess.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat)), rel=tol_t)
+        assert grad.norm_t_pinv == pytest.approx(norm(linalg.pseudoinverse(t_hat.T)), rel=tol_t)
         geometry = RuleGeometry.from_sets(s_set, t_set)
         spectral = linalg.spectral_norm
         assert geometry.norm_s_hat_pinv == pytest.approx(
@@ -237,13 +235,12 @@ class TestGeometryMemo:
             for d in (s_set, t_set):
                 for transpose in (False, True):
                     d.pinv(transpose)
-                    for frobenius in (False, True):
-                        for normalized in (False, True):
-                            d.pinv_norm(transpose, frobenius, normalized)
+                    for normalized in (False, True):
+                        d.pinv_norm(transpose, normalized)
 
         for _ in range(2):
             ask_everything()
-            assert (len(s_set._held), len(t_set._held)) == (11, 10)  # S also holds its U_k
+            assert (len(s_set._held), len(t_set._held)) == (7, 6)  # S also holds its U_k
 
     def test_build_uk_holds_one_set_per_outer_set(self):
         # The closed-form model reuses the estimate's T; a sweep over k on

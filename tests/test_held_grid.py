@@ -14,6 +14,7 @@ from nshess import (
     NotPoisedError,
     PointSet,
     StudyConfig,
+    approx,
     build_uk,
     canonical_set,
     dedup_tolerance,
@@ -28,7 +29,6 @@ from nshess import (
     run_study,
     sets,
 )
-from nshess.approx import grid_tolerance
 from nshess.cache import PointIndex
 from nshess.sets import _fold_k, fold_index, sample_grid
 
@@ -156,13 +156,45 @@ class TestGridRecord:
         estimate = nested_set_hessian(x0, s_set, t_set, cache)
         model = interpolate_minimal(x0, s_set, 2, cache)
         assert len(calls) == 1
-        tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
-        first = nshc_points(x0, s_set, t_set, tol)
+        first = nshc_points(x0, s_set, t_set)
         _, _, again = quadratic_model_gradient(cache, x0, s_set, t_set)
         assert again is first
         assert len(calls) == 1
         assert cache.distinct_count == minimal_point_count(4)
         np.testing.assert_allclose(model.hessian, estimate.hessian, atol=1e-6)
+
+    def test_an_estimate_and_its_model_work_out_the_tolerance_once(self, monkeypatch):
+        calls = []
+        real = sets.dedup_tolerance
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sets, "dedup_tolerance", counted)
+        monkeypatch.setattr(approx, "dedup_tolerance", counted)
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        s_set, t_set = canonical_set(4, 2, 0.05)
+        for want in (1, 0):  # cold, then warm
+            calls.clear()
+            cache = EvaluationCache(_cubic)
+            nested_set_hessian(x0, s_set, t_set, cache)
+            interpolate_minimal(x0, s_set, 2, cache)
+            assert len(calls) == want
+
+    def test_estimate_model_and_point_set_share_one_record(self):
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        s_set, t_set = canonical_set(4, 1, 0.05)
+        cache = EvaluationCache(_cubic)
+        estimate = nested_set_hessian(x0, s_set, t_set, cache)
+        record = s_set._held["grid"]
+        assert record.tol == dedup_tolerance(x0, s_set, t_set)
+        interpolate_minimal(x0, s_set, 1, cache)
+        pts = nshc_points(x0, s_set, t_set)
+        _, _, model_pts = quadratic_model_gradient(cache, x0, s_set, t_set, estimate.values)
+        assert s_set._held["grid"] is record
+        assert pts is model_pts is record.point_set()
+        assert pts.dedup_tol == record.tol
 
     def test_one_record_per_outer_set_across_an_x0_sweep(self):
         s_set, t_set = canonical_set(3, 1, 0.1)
@@ -172,10 +204,10 @@ class TestGridRecord:
             x0 = rng.uniform(-1.0, 1.0, 3)
             cache = EvaluationCache(_cubic)
             nested_set_hessian(x0, s_set, t_set, cache)
-            pts = nshc_points(x0, s_set, t_set, grid_tolerance(cache, x0, S=s_set, T=t_set))
+            pts = nshc_points(x0, s_set, t_set)
             grids = [v for v in s_set._held.values() if isinstance(v, sets._Grid)]
             assert len(grids) == 1
-            assert grids[0].x0_key == (x0.shape, x0.tobytes()) and grids[0].point_set is pts
+            assert grids[0].x0_key == (x0.shape, x0.tobytes()) and grids[0].point_set() is pts
             sizes.add(len(s_set._held))
         assert len(sizes) == 1
         other = DirectionSet(0.1 * np.eye(3))
@@ -188,23 +220,25 @@ class TestGridRecord:
         nshc_points(np.ones(2), s_set, t_set)
         record = s_set._held["grid"]
         for bad in (np.ones((1, 2)), np.ones(3), np.ones(1)):
-            with pytest.raises(ValueError, match="dimension"):
-                nshc_points(bad, s_set, t_set, record.tol)
+            for tol in (None, record.tol):
+                with pytest.raises(ValueError, match="dimension"):
+                    nshc_points(bad, s_set, t_set, tol)
         assert s_set._held["grid"] is record
 
-    def test_tolerance_change_rebuilds_the_record(self):
-        s_set, t_set = canonical_set(3, 2, 0.1)
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_an_explicit_tolerance_leaves_the_record(self, k):
+        s_set, t_set = canonical_set(3, k, 0.1)
         x0 = np.array([0.4, -0.3, 0.2])
         first = nshc_points(x0, s_set, t_set)
         record = s_set._held["grid"]
         assert nshc_points(x0, s_set, t_set) is first
         assert first.dedup_tol == record.tol == dedup_tolerance(x0, s_set, t_set)
-        wider = 1e3 * first.dedup_tol
-        second = nshc_points(x0, s_set, t_set, wider)
-        assert second is not first and s_set._held["grid"] is not record
-        assert second.dedup_tol == s_set._held["grid"].tol == wider
-        assert nshc_points(x0, s_set, t_set, wider) is second
-        assert second.points.tobytes() == first.points.tobytes()
+        for tol in (record.tol, 1e3 * record.tol, 0.0):
+            other = nshc_points(x0, s_set, t_set, tol)
+            assert other is not first and s_set._held["grid"] is record
+            assert other.dedup_tol == tol
+            assert other.points.tobytes() == _greedy_reference(x0, s_set, t_set, tol).tobytes()
+        assert nshc_points(x0, s_set, t_set) is first
 
     def test_held_arrays_are_read_only(self):
         s_set, t_set = canonical_set(3, 1, 0.1)

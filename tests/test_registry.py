@@ -60,6 +60,22 @@ class TestRegistryNames:
             assert fn.gradient(x).shape == (2,)
             assert fn.hessian(x).shape == (2, 2)
 
+    @pytest.mark.parametrize("name", registry_names())
+    def test_default_base_point_builds_what_an_explicit_one_does(self, name):
+        ones = {"sum_of_cubes", "product_cubes_exp", "quotient_cubes_exp", "power_cubes_2"}
+        fn = make_function(name, 3, seed=2)
+        want = np.ones(3) if name in ones else np.zeros(3)
+        assert fn.base_point.tobytes() == want.tobytes()
+        explicit = make_function(name, 3, seed=2, x0=want.copy())
+        x = want + np.array([0.05, -0.02, 0.01])
+        assert explicit.oracle(x) == fn.oracle(x)
+        assert explicit.hessian(x).tobytes() == fn.hessian(x).tobytes()
+        assert (explicit.lipschitz_grad, explicit.lipschitz_hess) == (
+            fn.lipschitz_grad, fn.lipschitz_hess
+        )
+        if isinstance(fn, CompositeFunction):
+            assert fn.name == name
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(ValueError, match="sum_of_cubes"):
             make_function("sine", 2)

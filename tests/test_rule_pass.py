@@ -20,11 +20,9 @@ from nshess import (
     RuleGeometry,
     StudyConfig,
     calculus_error_bound,
-    canonical_set,
     linalg,
     make_function,
     model_gradient_constant,
-    nested_set_hessian,
     power_hessian,
     product_hessian,
     quadratic_model_gradient,
@@ -153,27 +151,3 @@ class TestBitwiseEquality:
         assert (payload["error_spec"], payload["error_fro"]) == (
             ref["error_spec"], ref["error_fro"]
         )
-
-
-class TestDistinctCaches:
-    def test_each_factor_keeps_its_own_cache_tolerance(self):
-        fn = make_function("product_cubes_exp", 3, seed=1)
-        x0 = fn.base_point
-        s_set, t_set = canonical_set(3, 2, 1e-2)
-
-        def caches():
-            return EvaluationCache(fn.f.oracle, tol=1e-10), EvaluationCache(fn.g.oracle, tol=1e-6)
-
-        f_cache, g_cache = caches()
-        got = product_hessian(f_cache, g_cache, x0, s_set, t_set, "quadratic")
-        assert (f_cache.tol, g_cache.tol) == (1e-10, 1e-6)
-
-        ref_f, ref_g = caches()
-        hf = nested_set_hessian(x0, s_set, t_set, ref_f).hessian
-        hg = nested_set_hessian(x0, s_set, t_set, ref_g).hessian
-        f0, g0 = ref_f.evaluate(x0), ref_g.evaluate(x0)
-        gf = quadratic_model_gradient(ref_f, x0, s_set, t_set)[0]
-        gg = quadratic_model_gradient(ref_g, x0, s_set, t_set)[0]
-        want = hf * g0 + np.outer(gf, gg) + np.outer(gg, gf) + hg * f0
-        assert np.array_equal(got.hessian, want)
-        assert got.eval_count == ref_f.distinct_count + ref_g.distinct_count

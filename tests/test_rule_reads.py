@@ -15,6 +15,7 @@ from nshess import (
     StudyConfig,
     build_uk,
     canonical_set,
+    dedup_tolerance,
     make_function,
     minimal_point_count,
     nested_set_hessian,
@@ -25,7 +26,6 @@ from nshess import (
     quotient_hessian,
     simplex_gradient,
 )
-from nshess.approx import grid_tolerance
 from nshess.sets import sample_grid
 from nshess.study import approximate_once
 
@@ -83,7 +83,7 @@ class TestGridValues:
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
         assert values[0, 0] == cache.evaluate(x0)
-        tol = grid_tolerance(cache, x0, S=s_set, T=t_set)
+        tol = dedup_tolerance(x0, s_set, t_set)
         grid = sample_grid(x0, s_set, t_set)
         want = cache.evaluate_many(grid.reshape(-1, 4), tol).reshape(values.shape)
         assert np.array_equal(values, want)
@@ -136,7 +136,7 @@ class TestUnfoldedCoincidentGrid:
         x0 = fn.base_point
         cache = EvaluationCache(fn.oracle)
         res = nested_set_hessian(x0, s_set, t_set, cache)
-        pts = nshc_points(x0, s_set, t_set, grid_tolerance(cache, x0, S=s_set, T=t_set))
+        pts = nshc_points(x0, s_set, t_set)
         assert len(pts) == minimal_point_count(3) < res.values.size
         before = cache.total_requests
         got = quadratic_model_gradient(cache, x0, s_set, t_set, res.values)
