@@ -329,7 +329,11 @@ def _uk_matrix(s: np.ndarray, k: int) -> np.ndarray:
 
 
 def _fold_k(s_set: DirectionSet, t_set: DirectionSet) -> int | None:
-    """The ``k`` for which T is bitwise ``build_uk(S, k)``, or None."""
+    """The ``k`` for which T is bitwise ``build_uk(S, k)``, or None; read
+    from S's slot when T is the set held there, with no matrix rebuilt."""
+    held = s_set._held.get("uk")
+    if held is not None and held[1] is t_set:
+        return held[0]
     s, t = s_set.matrix, t_set.matrix
     if s.shape != t.shape or s.shape[0] != s.shape[1]:
         return None

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian
-from nshess.cache import _weights
+from nshess.cache import PointIndex, _weights
 from nshess.exceptions import EvaluationError
 
 
@@ -301,6 +301,29 @@ class TestEvaluateMany:
         assert cache.total_requests == 4
 
 
+class TestHugeCoordinates:
+    """Finite points whose ``x . x`` overflows, though their projection does not."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stored_without_a_warning(self):
+        # Above about 1.3e154 the squared norm overflows. The bound on the
+        # stored norms used it, so the request warned after the oracle ran,
+        # and under warnings-as-errors it raised and stored nothing.
+        cache = EvaluationCache(counter())
+        big = np.full(3, 1e200)
+        assert cache.evaluate(big) == 1.0
+        assert cache.distinct_count == cache.total_requests == 1
+        near = big.copy()
+        near[0] = np.nextafter(1e200, 0.0)
+        assert cache.evaluate(near, tol=1e190) == 1.0
+        above = big.copy()
+        above[1] = np.nextafter(1e200, np.inf)
+        assert cache.evaluate(above) == 2.0
+        assert cache.evaluate(-big) == 3.0
+        assert cache.evaluate(big.copy()) == 1.0
+        assert state(cache)[:2] == (5, 3)
+
+
 class TestOverflowingProjection:
     """Finite points whose projection ``x . w`` overflows still resolve."""
 
@@ -326,6 +349,61 @@ class TestOverflowingProjection:
             assert cache.evaluate(-a) == 5.0
             assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
         assert cache.distinct_count == 6
+
+
+class TestStorageAndHitPath:
+    """Stored rows are their byte keys; a bitwise repeat is answered from the memo."""
+
+    def test_points_are_the_stored_rows_bitwise_read_only_and_detached(self):
+        rows = np.array([[0.1, -0.0], [5e-324, 3.0], [-0.0, 0.1], [1e200, -1e-300]])
+        want = rows.tobytes()
+        index = PointIndex(2)
+        for x in rows:
+            index.add(x)
+        rows[:] = 7.0
+        points = index.points
+        assert points.shape == (4, 2)
+        assert points.tobytes() == want
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 1.0
+        assert PointIndex(3).points.shape == (0, 3)
+
+    def test_bitwise_repeat_makes_no_lookup(self, monkeypatch):
+        lookups = []
+        original = PointIndex.lookup
+
+        def counting(self, x, key, tol):
+            lookups.append(key)
+            return original(self, x, key, tol)
+
+        monkeypatch.setattr(PointIndex, "lookup", counting)
+        cache = EvaluationCache(counter())
+        a, near = np.array([1.0, 2.0]), np.array([1.0, 2.0 + 1e-12])
+        assert cache.evaluate(a) == 1.0
+        assert cache.evaluate(near, tol=1e-9) == 1.0
+        assert len(lookups) == 2
+        # Whatever their tolerance, repeats of a request or of a match.
+        for x, tol in ((a.copy(), 0.0), (near.copy(), 0.0), (a, 1.0)):
+            assert cache.evaluate(x, tol) == 1.0
+        assert cache.evaluate_many(np.array([a, near])).tolist() == [1.0, 1.0]
+        assert len(lookups) == 2
+        assert [status for _, _, status in cache.trace_rows()] == ["miss"] + ["hit"] * 6
+
+    def test_wrong_dimension_after_hits_raises_before_any_state_changes(self):
+        calls = []
+        cache = EvaluationCache(lambda x: calls.append(x) or float(len(calls)))
+        for x in ([1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [1.0, 2.0]):
+            cache.evaluate(np.array(x))
+        before = state(cache)
+        assert before[:2] == (4, 2)
+        for bad in ([1.0], [1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 2.0]):
+            with pytest.raises(ValueError, match="R\\^2"):
+                cache.evaluate(np.array(bad))
+            with pytest.raises(ValueError, match="R\\^2"):
+                cache.evaluate_many(np.array([bad]))
+        assert state(cache) == before
+        assert len(calls) == 2
 
 
 class TestAgainstLinearScan:

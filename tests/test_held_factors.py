@@ -279,6 +279,20 @@ class TestGeometryMemo:
         assert _fold_k(s_set, t_copy) == k
         assert _fold_k(s_copy, t_set) == k
 
+    def test_fold_k_reads_the_held_uk_without_rebuilding(self, monkeypatch):
+        # T built from S by build_uk names its k from S's slot; any other T,
+        # a bitwise copy included, is compared with the rebuilt U_k matrices.
+        s_set = DirectionSet(0.1 * np.eye(4))
+        t_set = build_uk(s_set, 2)
+        built = []
+        original = sets._uk_matrix
+        monkeypatch.setattr(sets, "_uk_matrix", lambda s, k: built.append(k) or original(s, k))
+        assert _fold_k(s_set, t_set) == 2
+        assert built == []
+        assert _fold_k(s_set, DirectionSet(t_set.matrix.copy())) == 2
+        assert built[-1] == 2
+        assert _fold_k(s_set, DirectionSet(t_set.matrix + 0.0)) is None
+
     def test_fold_k_none_for_a_pair_that_does_not_fold(self):
         s_set, t_set = canonical_set(3, 2, 0.1)
         assert _fold_k(s_set, DirectionSet(t_set.matrix.copy() * 1.5)) is None
