@@ -59,6 +59,8 @@ class HessianResult:
     :func:`nested_set_hessian` read, ``F[0, 0] = f(x0)`` and ``F[0, j] =
     f(x0 + t_j)``, so gradients and models on the same samples need not
     ask the cache again; it is ``None`` on estimates assembled otherwise.
+    The grid record held on S keeps the same array for its last cache, so
+    a repeated estimate on that cache and geometry returns it again.
     """
 
     hessian: np.ndarray
@@ -167,7 +169,9 @@ def nested_set_hessian(
     :func:`~nshess.sets.fold_index` class, ``(n+1)(n+2)/2`` requests in
     all, and every other cell reads its class's value; any other pair
     requests every cell and leaves coincidences to the cache lookup, at
-    the tolerance the grid record of this geometry holds.
+    the tolerance the grid record of this geometry holds. A repeated
+    estimate on the same cache and geometry reads the grid the record
+    holds from the last read and requests nothing.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
     is too short for the coincidence tolerance of this geometry.
     """
@@ -180,7 +184,6 @@ def nested_set_hessian(
     _require_full_row_rank(s_set, "S", transpose=True)
     _require_full_row_rank(t_set, "T", transpose=False)
     values = _checked_grid(x0, s_set, t_set).read(cache)
-    values.setflags(write=False)
     d = second_differences(values)
     h = s_set.pinv(transpose=True) @ d @ t_set.pinv()
     if symmetrize:

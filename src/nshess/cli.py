@@ -123,6 +123,11 @@ def _cmd_approx(args) -> int:
     )
     payload, caches = approximate_once(config, with_model=args.with_model)
     if args.trace is not None:
+        if len(caches) > 1:
+            raise ValueError(
+                f"--trace writes one cache's trace; the {args.estimator} estimator "
+                f"reads {len(caches)} caches"
+            )
         caches[0].write_trace_csv(args.trace)
         print(f"wrote evaluation trace to {args.trace}", file=sys.stderr)
     json.dump(payload, sys.stdout, indent=2)

@@ -132,13 +132,13 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
 def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache) -> QuadraticModel:
     """Closed-form model over the folded sample grid of ``(S, U_k)``.
 
-    Reads its grid values in one bulk cache lookup of the first cell of
-    each :func:`~nshess.sets.fold_index` class, the same ``(n+1)(n+2)/2``
+    Reads its grid values through the grid record of ``(x0, S, U_k)``
+    held on S, in one bulk cache lookup of the first cell of each
+    :func:`~nshess.sets.fold_index` class: the same ``(n+1)(n+2)/2``
     points, bitwise, that :func:`~nshess.approx.nested_set_hessian`
-    requests on ``(S, U_k)``; so a cache shared with that estimate answers
-    every request from its exact-repeat memo and calls the oracle for
-    nothing new, and the points and class map come from the grid record
-    the estimate left on S. The second differences ``D = S^T H U_k``
+    requests on ``(S, U_k)``. After that estimate on the same cache, the
+    record returns the grid F the estimate read, so the model makes no
+    request at all. The second differences ``D = S^T H U_k``
     of a quadratic give the curvature matrix ``S^T H S = D E_k``, where
     ``U_k = S E_k`` and ``E_k`` is its own inverse; two solves with ``S^T``
     then map it back.

@@ -22,21 +22,23 @@ norms derived from them under the fixed cutoff of :mod:`nshess.linalg`;
 a set is immutable, so nothing it holds ever goes stale. An outer set S
 holds the last ``U_k`` built from it and one grid record: the coincidence
 tolerance, the points to look up and the class map of the last
-``(x0, T)`` it was sampled with, and the deduplicated :class:`PointSet`
-once one is asked for. So an estimate, the closed-form model after it and
-:func:`nshc_points` on the same geometry build the grid and work out its
-tolerance once. A :class:`PointSet` holds the singular
-values of its quadratic basis for the last center asked for, which the
-poisedness checks and the model-gradient constant read.
-:func:`canonical_set` returns the same pair for a repeated
-``(n, k, beta)`` from a bounded memo, so an estimate on a geometry seen
-before factors nothing again.
+``(x0, T)`` it was sampled with, the deduplicated :class:`PointSet`
+once one is asked for, and the values it last read, held beside a weak
+reference to their cache. So an estimate, the closed-form model after it
+and :func:`nshc_points` on the same geometry build the grid and work out
+its tolerance once, and the model on the estimate's cache requests
+nothing. A :class:`PointSet` holds the singular values of its quadratic
+basis for the last center asked for, which the poisedness checks and the
+model-gradient constant read. :func:`canonical_set` returns the same pair
+for a repeated ``(n, k, beta)`` from a bounded memo, so an estimate on a
+geometry seen before factors nothing again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -442,7 +444,9 @@ class _Grid:
     :func:`dedup_tolerance` exceeds.) The deduplicated :class:`PointSet`
     and its rows ``kept`` in ``points`` are made by the first
     :meth:`point_set` that asks. ``points`` and ``cls`` are read-only, and
-    only this module reads them.
+    only this module reads them. The record also holds the F of its last
+    complete :meth:`read` beside a weak reference to that cache, so a held
+    geometry keeps no cache or oracle alive.
     """
 
     t_set: DirectionSet
@@ -452,11 +456,25 @@ class _Grid:
     cls: np.ndarray
     kept: np.ndarray | None = None
     _point_set: PointSet | None = None
+    _last_read: tuple | None = None  # (weak reference to the cache, its F)
 
     def read(self, cache) -> np.ndarray:
         """``F[i, j]``: the values at ``points``, read from ``cache`` in one
-        lookup at ``tol``, spread over the cells."""
-        return cache.evaluate_many(self.points, self.tol)[self.cls]
+        lookup at ``tol``, spread over the cells; read-only.
+
+        On the cache of the last read that completed, the F it returned,
+        with no request. A cache only ever adds points, and after a
+        complete read every key of ``points`` is in its exact-key memo, so
+        a second lookup would return these values row by row. Only a read
+        that returned in full is held, and the slot is replaced in one
+        assignment, so a concurrent reader sees the old pair or the new.
+        """
+        last = self._last_read
+        if last is not None and last[0]() is cache:
+            return last[1]
+        values = _read_only(cache.evaluate_many(self.points, self.tol)[self.cls])
+        self._last_read = weakref.ref(cache), values
+        return values
 
     def point_set(self) -> PointSet:
         """The points deduplicated at ``tol``, greedily in row-major order."""

@@ -1,7 +1,9 @@
 """One grid record per outer set, one distinctness proof per point set, one SVD per basis."""
 
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from nshess import (
     DirectionSet,
     EvaluationCache,
+    EvaluationError,
     NotPoisedError,
     PointSet,
     StudyConfig,
@@ -295,6 +298,110 @@ class TestHeldBasis:
         assert model_gradient_constant(1.0, pts, np.array([0.2, 0.1])) == first
 
 
+def _statuses(cache):
+    return [status for _, _, status in cache.trace_rows()]
+
+
+class TestHeldRead:
+    """The grid record holds the F of its last complete read, per cache."""
+
+    n, k = 4, 2
+    x0 = np.array([0.3, -0.2, 0.5, 0.1])
+
+    def _geometry(self):
+        # A fresh S, so no record from another test is held on it.
+        s_set = DirectionSet(0.05 * np.eye(self.n))
+        return s_set, build_uk(s_set, self.k)
+
+    def test_a_repeated_estimate_asks_the_cache_for_nothing(self):
+        s_set, t_set = self._geometry()
+        cache = EvaluationCache(_cubic)
+        first = nested_set_hessian(self.x0, s_set, t_set, cache)
+        requests = cache.total_requests
+        assert requests == minimal_point_count(self.n)
+        again = nested_set_hessian(self.x0, s_set, t_set, cache)
+        assert cache.total_requests == requests
+        assert again.values is first.values
+        assert not first.values.flags.writeable
+        assert again.hessian.tobytes() == first.hessian.tobytes()
+
+    def test_the_model_after_an_estimate_requests_nothing(self):
+        s_set, t_set = self._geometry()
+        need = minimal_point_count(self.n)
+        cache = EvaluationCache(_cubic)
+        nested_set_hessian(self.x0, s_set, t_set, cache)
+        model = interpolate_minimal(self.x0, s_set, self.k, cache)
+        assert cache.total_requests == cache.distinct_count == need
+        assert "hit" not in _statuses(cache)
+        fresh = interpolate_minimal(self.x0, s_set, self.k, EvaluationCache(_cubic))
+        assert model.alpha0 == fresh.alpha0
+        assert model.alpha.tobytes() == fresh.alpha.tobytes()
+        assert model.hessian.tobytes() == fresh.hessian.tobytes()
+
+    def test_a_read_on_another_cache_requests_again(self):
+        s_set, t_set = self._geometry()
+        need = minimal_point_count(self.n)
+        first = EvaluationCache(_cubic)
+        want = nested_set_hessian(self.x0, s_set, t_set, first).values
+        # Another oracle: a held F answering the wrong cache would show.
+        other = EvaluationCache(lambda x: 2.0 * _cubic(x))
+        got = nested_set_hessian(self.x0, s_set, t_set, other).values
+        assert other.total_requests == need
+        assert got.tobytes() == (2.0 * want).tobytes()
+        assert nested_set_hessian(self.x0, s_set, t_set, other).values is got
+        assert other.total_requests == need
+        # One slot: the first cache is asked again, and answers from its memo.
+        again = nested_set_hessian(self.x0, s_set, t_set, first).values
+        assert first.total_requests == 2 * need and first.distinct_count == need
+        assert again.tobytes() == want.tobytes()
+
+    def test_a_read_that_raises_holds_nothing(self):
+        s_set, t_set = self._geometry()
+        need = minimal_point_count(self.n)
+        calls = []
+
+        def flaky(x):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("oracle down")
+            return _cubic(x)
+
+        cache = EvaluationCache(flaky)
+        with pytest.raises(EvaluationError):
+            nested_set_hessian(self.x0, s_set, t_set, cache)
+        record = s_set._held["grid"]
+        assert record._last_read is None
+        answered = cache.total_requests
+        assert answered == 4
+        retry = nested_set_hessian(self.x0, s_set, t_set, cache)
+        assert cache.total_requests == answered + need
+        assert _statuses(cache)[answered:].count("hit") == 4
+        want = nested_set_hessian(self.x0, s_set, t_set, EvaluationCache(_cubic))
+        assert retry.values.tobytes() == want.values.tobytes()
+
+    def test_the_record_keeps_no_cache_or_oracle_alive(self):
+        s_set, t_set = self._geometry()
+
+        class Oracle:
+            def __call__(self, x):
+                return _cubic(x)
+
+        oracle = Oracle()
+        cache = EvaluationCache(oracle)
+        nested_set_hessian(self.x0, s_set, t_set, cache)
+        record = s_set._held["grid"]
+        assert record._last_read[0]() is cache
+        cache_ref, oracle_ref = weakref.ref(cache), weakref.ref(oracle)
+        del cache, oracle
+        gc.collect()
+        assert cache_ref() is None and oracle_ref() is None
+        assert record._last_read[0]() is None
+        # A new cache, whatever its id, is asked in full.
+        fresh = EvaluationCache(_cubic)
+        nested_set_hessian(self.x0, s_set, t_set, fresh)
+        assert fresh.total_requests == minimal_point_count(self.n)
+
+
 class TestSharedAcrossThreads:
     def test_threads_sharing_one_geometry_get_their_own_answers(self):
         # More threads than cores, switching often, each on its own x0 and
@@ -319,6 +426,39 @@ class TestSharedAcrossThreads:
                 h = nested_set_hessian(x0s[i], s_set, t_set, EvaluationCache(_cubic)).hessian
                 if (h.tobytes(), model_gradient_constant(1.0, shared, x0s[i])) != want[i]:
                     wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_threads_on_one_geometry_read_their_own_caches(self):
+        # One (x0, S, U_k) record, so one held slot, replaced by every
+        # thread in turn: F held for another thread's cache would show as
+        # another power of two, a lost slot as extra distinct points.
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        x0 = np.array([0.2, -0.1, 0.3])
+        need = minimal_point_count(3)
+        want = nested_set_hessian(x0, DirectionSet(s_set.matrix), DirectionSet(t_set.matrix),
+                                  EvaluationCache(_cubic)).values
+        wrong = []
+
+        def work(t):
+            scale = 2.0**t
+            cache = EvaluationCache(lambda x: scale * _cubic(x))
+            for _ in range(40):
+                got = nested_set_hessian(x0, s_set, t_set, cache).values
+                interpolate_minimal(x0, s_set, 2, cache)
+                if got.tobytes() != (scale * want).tobytes() or cache.distinct_count != need:
+                    wrong.append(t)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

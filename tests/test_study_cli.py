@@ -275,6 +275,36 @@ class TestCli:
         assert header == "x1,x2,value,status"
         assert first.endswith(("hit", "miss"))
 
+    @pytest.mark.parametrize(
+        "function, estimator",
+        [("product_cubes_exp", "product-qc"), ("quotient_cubes_exp", "quotient-sc")],
+    )
+    def test_approx_refuses_a_trace_of_two_caches(self, capsys, tmp_path, function, estimator):
+        # One CSV would hold f's requests and silently drop g's.
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "approx", "--function", function, "--dim", "3", "--estimator", estimator,
+            "--trace", str(trace),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--trace" in captured.err and captured.out == ""
+        assert not trace.exists()
+
+    @pytest.mark.parametrize(
+        "function, estimator", [("power_cubes_2", "power-qc"), ("sum_of_cubes", "nested-set")]
+    )
+    def test_approx_traces_a_single_cache_in_full(self, capsys, tmp_path, function, estimator):
+        trace = tmp_path / "trace.csv"
+        code = main([
+            "approx", "--function", function, "--dim", "3", "--estimator", estimator,
+            "--trace", str(trace),
+        ])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        rows = trace.read_text().strip().split("\n")[1:]
+        assert sum(row.endswith("miss") for row in rows) == payload["evals"]
+
     def test_approx_parses_x0(self, capsys):
         code = main([
             "approx", "--function", "sum_of_cubes", "--dim", "2",
