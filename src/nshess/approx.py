@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import EvaluationCache
-from .exceptions import CollapsedGridError, RankDeficientError
-from .sets import DirectionSet, _Grid, _grid, dedup_tolerance
+from .sets import DirectionSet, _checked_grid, _require_full_row_rank, _simplex_values
 
 __all__ = [
     "GradientResult",
@@ -57,10 +56,11 @@ class HessianResult:
     ``symmetrized`` records whether ``(H + H^T) / 2`` was applied.
     ``values`` is the read-only ``(m+1, k+1)`` grid F that
     :func:`nested_set_hessian` read, ``F[0, 0] = f(x0)`` and ``F[0, j] =
-    f(x0 + t_j)``, so gradients and models on the same samples need not
-    ask the cache again; it is ``None`` on estimates assembled otherwise.
-    The grid record held on S keeps the same array for its last cache, so
-    a repeated estimate on that cache and geometry returns it again.
+    f(x0 + t_j)``, so a simplex gradient on the same T need not ask the
+    cache again; it is ``None`` on estimates assembled otherwise. It is
+    the array the grid record held on S keeps for its last cache, so a
+    repeated estimate, or a model, on that cache and geometry reads it
+    again with no request.
     """
 
     hessian: np.ndarray
@@ -80,40 +80,9 @@ def _base_point(x0) -> np.ndarray:
     return x0
 
 
-def _require_spacing(tol: float, **sets: DirectionSet) -> None:
-    """Raise :class:`~nshess.exceptions.CollapsedGridError` when a column of
-    any named set has max-norm at or below the coincidence tolerance ``tol``
-    of its geometry: its points would merge with their base points and the
-    estimate would read as zero."""
-    for name, d in sets.items():
-        if d.spacing <= tol:
-            raise CollapsedGridError(name, d.spacing, tol)
-
-
-def _checked_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> _Grid:
-    """The held ``sets._grid`` record of ``(x0, S, T)``, once S and T clear its tolerance."""
-    grid = _grid(x0, s_set, t_set)
-    _require_spacing(grid.tol, S=s_set, T=t_set)
-    return grid
-
-
 def second_differences(values: np.ndarray) -> np.ndarray:
     """``D[i, j] = F[i, j] - F[i, 0] - F[0, j] + F[0, 0]`` for ``i, j >= 1``."""
     return values[1:, 1:] - values[1:, :1] - values[:1, 1:] + values[0, 0]
-
-
-def _differences(base: np.ndarray, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
-    tol = dedup_tolerance(base, t_set)
-    _require_spacing(tol, T=t_set)
-    values = cache.evaluate_many(np.vstack([base, base + t_set.matrix.T]), tol)
-    return values[1:] - values[0]
-
-
-def _require_full_row_rank(d: DirectionSet, name: str, transpose: bool) -> None:
-    """Rank check on the orientation whose pseudoinverse the estimator takes next."""
-    r = d.rank(transpose)
-    if r < d.dim:
-        raise RankDeficientError(name, r, d.dim)
 
 
 def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
@@ -121,7 +90,8 @@ def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
-    return _differences(x0, t_set, cache)
+    values = _simplex_values(x0, t_set, cache)
+    return values[1:] - values[0]
 
 
 def simplex_gradient(
@@ -133,20 +103,22 @@ def simplex_gradient(
     estimate is ``pinv(T^T) @ delta_f``, which reduces to the exact solve
     when T is square. ``values``, when given, are ``f(x0)`` and ``f(x0 +
     t_j)``, such as row 0 of :attr:`HessianResult.values` of an estimate
-    with this T, and are read instead of requested from ``cache``.
+    with this T, and are read instead of requested from ``cache``; like an
+    oracle's, they must be finite.
     """
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T", transpose=True)
     if values is None:
-        d = _differences(x0, t_set, cache)
+        values = _simplex_values(x0, t_set, cache)
     else:
         values = np.asarray(values, dtype=float)
         if values.shape != (t_set.count + 1,):
             raise ValueError(f"values must have shape ({t_set.count + 1},), got {values.shape}")
-        d = values[1:] - values[0]
-    g = t_set.pinv(transpose=True) @ d
+        if not np.isfinite(values).all():
+            raise ValueError("values contain non-finite entries")
+    g = t_set.pinv(transpose=True) @ (values[1:] - values[0])
     return GradientResult(g, t_set.radius, cache.distinct_count)
 
 

@@ -48,9 +48,10 @@ def _weights(dim: int) -> tuple[np.ndarray, float, float]:
 class PointIndex:
     """Distinct points of one dimension, each stored as its byte key.
 
-    :meth:`find` returns the lowest stored row whose coordinates all differ
-    from the query by at most ``tol``, or -1. A query bitwise equal to an
-    earlier matched or added one gets that row from the byte-key memo
+    :meth:`lookup` finds the lowest stored row whose coordinates all differ
+    from the query by at most ``tol``, or -1, and :meth:`insert` stores a
+    query that found none as the next row. A query bitwise equal to an
+    earlier matched or inserted one gets that row from the byte-key memo
     ``memo``. Otherwise only the rows near the query on a sorted projection
     ``y = x . w`` are tested, where ``w`` is fixed per dimension with
     distinct entries in ``[1, 2)``: rows within ``tol`` in max-norm have
@@ -140,16 +141,10 @@ class PointIndex:
         """The stored points, one per row, in insertion order (read-only)."""
         return np.frombuffer(b"".join(self._stored)).reshape(-1, self.dim)
 
-    def find(self, x: np.ndarray, tol: float) -> int:
-        return self.lookup(x, x.tobytes(), tol)[0]
-
-    def add(self, x: np.ndarray) -> None:
-        """Store ``x`` as the next row."""
-        self.insert(x, x.tobytes(), float(x.dot(self._w)))
-
     def lookup(self, x: np.ndarray, key: bytes, tol: float) -> tuple[int, float]:
-        """:meth:`find` given ``key = x.tobytes()``, and the projection of
-        ``x`` for :meth:`insert` (NaN for an exact repeat, which makes none).
+        """The lowest stored row within ``tol`` of ``x``, or -1, given ``key
+        = x.tobytes()``; and the projection of ``x`` for :meth:`insert` (NaN
+        for an exact repeat, which makes none).
 
         Raises :class:`ValueError`, with the index unchanged, when ``x``
         has a non-finite entry.
@@ -178,7 +173,7 @@ class PointIndex:
         return i, y
 
     def insert(self, x: np.ndarray, key: bytes, y: float) -> None:
-        """:meth:`add` given the key and projection :meth:`lookup` returned."""
+        """Store ``x`` as the next row, given the key and projection :meth:`lookup` returned."""
         row = len(self._stored)
         if math.isfinite(y):
             at = bisect_right(self._keys, y)

@@ -14,8 +14,9 @@ Each factor is visited once, and each of its sample values is read once.
 Its nested-set estimate reads the grid F from its cache, and the rest of
 its record comes from F with no further request: ``f(x0)`` is ``F[0, 0]``;
 the simplex gradient reads row 0 of F; the quadratic model reads the cells
-of F its point set kept. In quadratic mode the record also keeps the
-interpolation model and the point set the gradient came from. The rule assembles its estimate from
+of F its point set kept, which the grid record on S holds for that cache.
+In quadratic mode the record also keeps the interpolation model and the
+point set the gradient came from. The rule assembles its estimate from
 these records, and a caller certifying the estimate reads the same
 records, so the bound covers exactly the numbers the estimate used. In
 quadratic mode the factors share one geometry: the grid record on S gives
@@ -38,12 +39,12 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .approx import HessianResult, _checked_grid, nested_set_hessian, simplex_gradient
+from .approx import HessianResult, nested_set_hessian, simplex_gradient
 from .bounds import _gsg_constant, _nsh_constant, _require_nonnegative
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
 from .quadmodel import QuadraticModel, interpolate_general
-from .sets import DirectionSet, PointSet, minimal_point_count, nshc_points
+from .sets import DirectionSet, PointSet, _checked_grid, minimal_point_count, nshc_points
 
 __all__ = [
     "CalcMode",
@@ -197,17 +198,17 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
 
 
 def quadratic_model_gradient(
-    cache: EvaluationCache, x0, s_set: DirectionSet, t_set: DirectionSet, values=None
+    cache: EvaluationCache, x0, s_set: DirectionSet, t_set: DirectionSet
 ) -> tuple[np.ndarray, QuadraticModel, PointSet]:
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
     be poised. Points are deduplicated at the tolerance of this geometry,
-    which the grid record held on S worked out. ``values``, when given, is
-    the grid F of a nested Hessian estimate at ``x0`` on ``(S, T)`` and
-    ``cache``, :attr:`~nshess.approx.HessianResult.values`; the model then
-    reads each point's value from the grid cell it was kept from and asks
-    the cache for nothing. Otherwise the values are read in one bulk lookup.
+    which the grid record held on S worked out, and each point's value is
+    read from the cell it was kept from in the grid F that the record
+    reads from ``cache``: after a nested Hessian estimate at ``x0`` on
+    ``(S, T)`` and ``cache``, that is the F the estimate read, with no
+    request.
     """
     x0 = np.asarray(x0, dtype=float)
     grid = _checked_grid(x0, s_set, t_set)
@@ -217,11 +218,7 @@ def quadratic_model_gradient(
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    if values is None:
-        point_values = cache.evaluate_many(pts.points, grid.tol)
-    else:
-        point_values = grid.kept_values(values)
-    model = interpolate_general(pts, point_values, center=x0)
+    model = interpolate_general(pts, grid.kept_values(cache), center=x0)
     return model.gradient(x0), model, pts
 
 
@@ -279,8 +276,8 @@ def _rule_estimate(
         values = estimate.values
         if mode is CalcMode.SIMPLEX:
             mode_data = (simplex_gradient(x0, t_set, cache, values[0]).gradient,)
-        else:  # gradient, model and point set
-            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set, values)
+        else:  # gradient, model and point set, from the F the estimate read
+            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
         records.append(_FactorRecord(estimate, float(values[0, 0]), *mode_data))
     hf, f0, gf = records[0].estimate.hessian, records[0].value, records[0].gradient
     if rule == "power":
@@ -304,8 +301,8 @@ def _rule_estimate(
         hessian=h,
         s_set=s_set,
         t_set=t_set,
-        delta_u=max(s_set.radius, t_set.radius),
-        delta_l=min(s_set.radius, t_set.radius),
+        delta_u=records[0].estimate.delta_u,
+        delta_l=records[0].estimate.delta_l,
         eval_count=sum(c.distinct_count for c in caches),
         symmetrized=symmetrize,
     )

@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import _checked_grid, _require_full_row_rank, second_differences
+from .approx import second_differences
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
 from .sets import (
     DirectionSet,
     PointSet,
+    _checked_grid,
     _quadratic_terms,
+    _require_full_row_rank,
     build_uk,
     minimal_point_count,
     quadratic_basis_matrix,

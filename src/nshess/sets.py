@@ -20,18 +20,15 @@ Sampling geometry is built once and then held. A :class:`DirectionSet`
 keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
 norms derived from them under the fixed cutoff of :mod:`nshess.linalg`;
 a set is immutable, so nothing it holds ever goes stale. An outer set S
-holds the last ``U_k`` built from it and one grid record: the coincidence
-tolerance, the points to look up and the class map of the last
-``(x0, T)`` it was sampled with, the deduplicated :class:`PointSet`
-once one is asked for, and the values it last read, held beside a weak
-reference to their cache. So an estimate, the closed-form model after it
-and :func:`nshc_points` on the same geometry build the grid and work out
-its tolerance once, and the model on the estimate's cache requests
-nothing. A :class:`PointSet` holds the singular values of its quadratic
-basis for the last center asked for, which the poisedness checks and the
-model-gradient constant read. :func:`canonical_set` returns the same pair
-for a repeated ``(n, k, beta)`` from a bounded memo, so an estimate on a
-geometry seen before factors nothing again.
+also holds the last ``U_k`` built from it and the grid record of the
+last ``(x0, T)`` it was sampled with, which is every estimator's one path
+from a geometry and a cache to its values: the record checks the spacing,
+works out the tolerance, the points and the class map once, makes the
+:class:`PointSet`, and holds its last read F beside a weak reference to
+that cache, so the models after an estimate request nothing. A
+:class:`PointSet` holds the singular values of its quadratic basis for
+the last center asked for. :func:`canonical_set` returns the same pair
+for a repeated ``(n, k, beta)`` from a bounded memo.
 """
 
 from __future__ import annotations
@@ -46,6 +43,7 @@ import numpy as np
 
 from . import linalg
 from .cache import PointIndex, _write_text
+from .exceptions import CollapsedGridError, RankDeficientError
 
 __all__ = [
     "DirectionSet",
@@ -95,7 +93,9 @@ class DirectionSet:
             raise ValueError("direction matrix contains non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_held", {})
+        object.__setattr__(self, "_held", {})  # (method, *arguments) -> factor
+        object.__setattr__(self, "_uk", None)  # (k, build_uk(self, k)), the last built
+        object.__setattr__(self, "_record", None)  # the last _Grid built on self as S
 
     @classmethod
     def from_columns(cls, columns) -> "DirectionSet":
@@ -315,9 +315,10 @@ def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
         raise ValueError(f"S must be square (n x n) to build U_k, got {s_set.dim} x {s_set.count}")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    slot = s_set._held.get("uk")
+    slot = s_set._uk  # read once: another thread may replace it
     if slot is None or slot[0] != k:
-        slot = s_set._held["uk"] = (k, DirectionSet(_uk_matrix(s_set.matrix, k)))
+        slot = k, DirectionSet(_uk_matrix(s_set.matrix, k))
+        object.__setattr__(s_set, "_uk", slot)
     return slot[1]
 
 
@@ -333,7 +334,7 @@ def _uk_matrix(s: np.ndarray, k: int) -> np.ndarray:
 def _fold_k(s_set: DirectionSet, t_set: DirectionSet) -> int | None:
     """The ``k`` for which T is bitwise ``build_uk(S, k)``, or None; read
     from S's slot when T is the set held there, with no matrix rebuilt."""
-    held = s_set._held.get("uk")
+    held = s_set._uk
     if held is not None and held[1] is t_set:
         return held[0]
     s, t = s_set.matrix, t_set.matrix
@@ -483,16 +484,12 @@ class _Grid:
             self._point_set = PointSet._distinct(self.points[self.kept], self.tol)
         return self._point_set
 
-    def kept_values(self, values) -> np.ndarray:
-        """The values at the rows of :meth:`point_set`, given the grid F of
-        values :meth:`read` returns."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.cls.shape:
-            raise ValueError(f"values must have shape {self.cls.shape}, got {values.shape}")
-        self.point_set()
-        # Every cell of a class holds its point's value, so any one will do.
+    def kept_values(self, cache) -> np.ndarray:
+        """The values at the rows of :meth:`point_set`, from the F :meth:`read` returns."""
         point_values = np.empty(len(self.points))
-        point_values[self.cls.ravel()] = values.ravel()
+        # Every cell of a class holds its point's value, so any one will do.
+        point_values[self.cls.ravel()] = self.read(cache).ravel()
+        self.point_set()
         return point_values[self.kept]
 
 
@@ -510,7 +507,7 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
     x0 = np.asarray(x0, dtype=float)
     key = x0.shape, x0.tobytes()
     if tol is None:
-        held = s_set._held.get("grid")
+        held = s_set._record
         if held is not None and held.t_set is t_set and held.x0_key == key:
             return held
     grid = sample_grid(x0, s_set, t_set)
@@ -524,8 +521,40 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
             points, cls = flat[first], fold_cls
     record = _Grid(t_set, key, record_tol, _read_only(points), _read_only(cls))
     if tol is None:
-        s_set._held["grid"] = record
+        object.__setattr__(s_set, "_record", record)
     return record
+
+
+def _require_full_row_rank(d: DirectionSet, name: str, transpose: bool) -> None:
+    """Rank check on the orientation whose pseudoinverse the estimator takes next."""
+    r = d.rank(transpose)
+    if r < d.dim:
+        raise RankDeficientError(name, r, d.dim)
+
+
+def _require_spacing(tol: float, **sets: DirectionSet) -> None:
+    """Raise :class:`~nshess.exceptions.CollapsedGridError` when a column of
+    any named set has max-norm at or below the coincidence tolerance ``tol``
+    of its geometry: its points would merge with their base points and the
+    estimate would read as zero."""
+    for name, d in sets.items():
+        if d.spacing <= tol:
+            raise CollapsedGridError(name, d.spacing, tol)
+
+
+def _checked_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> _Grid:
+    """The held grid record of ``(x0, S, T)``, once S and T clear its tolerance."""
+    grid = _grid(x0, s_set, t_set)
+    _require_spacing(grid.tol, S=s_set, T=t_set)
+    return grid
+
+
+def _simplex_values(x0: np.ndarray, t_set: DirectionSet, cache) -> np.ndarray:
+    """``f(x0)`` and ``f(x0 + t_j)`` from ``cache``, once T clears the
+    tolerance :func:`dedup_tolerance` of ``x0`` and T, which the read uses."""
+    tol = dedup_tolerance(x0, t_set)
+    _require_spacing(tol, T=t_set)
+    return cache.evaluate_many(np.vstack([x0, x0 + t_set.matrix.T]), tol)
 
 
 def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:

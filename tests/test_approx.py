@@ -104,6 +104,19 @@ class TestSimplexGradient:
         with pytest.raises(RankDeficientError):
             simplex_gradient(np.zeros(2), t, EvaluationCache(sphere))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # An oracle may not return a non-finite value, and neither may the
+        # values handed in for one; a NaN used to give a NaN gradient.
+        t = DirectionSet(0.1 * np.eye(2))
+        cache = EvaluationCache(sphere)
+        for i in range(3):
+            values = np.array([0.0, 0.01, 0.01])
+            values[i] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                simplex_gradient(np.zeros(2), t, cache, values)
+        assert cache.total_requests == 0
+
     def test_reports_radius_and_eval_count(self):
         t = DirectionSet(0.5 * np.eye(2))
         cache = EvaluationCache(sphere)

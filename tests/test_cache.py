@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian
+from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian, nshc_points
 from nshess.cache import PointIndex, _weights
 from nshess.exceptions import EvaluationError
 
@@ -111,7 +111,7 @@ class TestNestedEstimateCounts:
         cache = EvaluationCache(sphere)
         nested_set_hessian(x0, s, t, cache)
         assert cache.distinct_count == 10
-        assert s._held["grid"].tol == dedup_tolerance(x0, s, t)
+        assert nshc_points(x0, s, t).dedup_tol == dedup_tolerance(x0, s, t)
 
 
 class TestFailures:
@@ -359,7 +359,8 @@ class TestStorageAndHitPath:
         want = rows.tobytes()
         index = PointIndex(2)
         for x in rows:
-            index.add(x)
+            key = x.tobytes()
+            index.insert(x, key, index.lookup(x, key, 0.0)[1])
         rows[:] = 7.0
         points = index.points
         assert points.shape == (4, 2)

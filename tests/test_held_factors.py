@@ -1,6 +1,8 @@
 """Direction sets hold their factors, canonical_set its pairs; every consumer reads them."""
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -226,32 +228,39 @@ class TestGeometryMemo:
                 canonical_set(*args)
         assert sets._canonical_pair.cache_info().currsize == 1
 
-    def test_held_factors_stay_bounded(self):
-        # One slot per pseudoinverse or norm, so asking again cannot grow a
-        # memoized set.
+    def test_held_factors_stay_bounded(self, svd_calls):
+        # One slot per pseudoinverse or norm: asking again factors nothing
+        # and hands back the held pseudoinverse itself.
         s_set, t_set = canonical_set(5, 1, 0.1)
 
         def ask_everything():
-            for d in (s_set, t_set):
-                for transpose in (False, True):
-                    d.pinv(transpose)
-                    for normalized in (False, True):
-                        d.pinv_norm(transpose, normalized)
+            return [
+                (d.pinv(transpose), d.pinv_norm(transpose, normalized))
+                for d in (s_set, t_set)
+                for transpose in (False, True)
+                for normalized in (False, True)
+            ]
 
-        for _ in range(2):
-            ask_everything()
-            assert (len(s_set._held), len(t_set._held)) == (7, 6)  # S also holds its U_k
+        first = ask_everything()
+        assert len(svd_calls) == 4
+        again = ask_everything()
+        assert len(svd_calls) == 4
+        assert all(p is q and a == b for (p, a), (q, b) in zip(first, again))
 
     def test_build_uk_holds_one_set_per_outer_set(self):
         # The closed-form model reuses the estimate's T; a sweep over k on
         # one S keeps only the last U_k alive.
         s_set, t_set = canonical_set(4, 2, 0.1)
         assert build_uk(s_set, 2) is t_set
+        built = []
         for k in (0, 1, 3, 4, 1):
             u_set = build_uk(s_set, k)
             assert build_uk(s_set, k) is u_set
             assert u_set.matrix.tobytes() == _uk_matrix(s_set.matrix, k).tobytes()
-            assert len(s_set._held) == 1
+            built.append(weakref.ref(u_set))
+            del u_set
+            gc.collect()
+            assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
         assert _fold_k(s_set, t_set) == 2
 
     def test_warm_geometry_takes_no_svd(self, svd_calls):

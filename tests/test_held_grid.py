@@ -17,7 +17,6 @@ from nshess import (
     NotPoisedError,
     PointSet,
     StudyConfig,
-    approx,
     build_uk,
     canonical_set,
     dedup_tolerance,
@@ -50,8 +49,10 @@ def _greedy_reference(x0, s_set, t_set, tol):
             flat = flat[first]
     index = PointIndex(flat.shape[1])
     for x in flat:
-        if index.find(x, tol) < 0:
-            index.add(x)
+        key = x.tobytes()
+        row, y = index.lookup(x, key, tol)
+        if row < 0:
+            index.insert(x, key, y)
     return index.points
 
 
@@ -175,7 +176,6 @@ class TestGridRecord:
             return real(*args)
 
         monkeypatch.setattr(sets, "dedup_tolerance", counted)
-        monkeypatch.setattr(approx, "dedup_tolerance", counted)
         x0 = np.array([0.3, -0.2, 0.5, 0.1])
         s_set, t_set = canonical_set(4, 2, 0.05)
         for want in (1, 0):  # cold, then warm
@@ -186,59 +186,61 @@ class TestGridRecord:
             assert len(calls) == want
 
     def test_estimate_model_and_point_set_share_one_record(self):
+        # One record: both models read the F the estimate read, and every
+        # consumer gets the one point set, at the geometry's tolerance.
         x0 = np.array([0.3, -0.2, 0.5, 0.1])
         s_set, t_set = canonical_set(4, 1, 0.05)
         cache = EvaluationCache(_cubic)
-        estimate = nested_set_hessian(x0, s_set, t_set, cache)
-        record = s_set._held["grid"]
-        assert record.tol == dedup_tolerance(x0, s_set, t_set)
-        interpolate_minimal(x0, s_set, 1, cache)
+        nested_set_hessian(x0, s_set, t_set, cache)
+        requests = cache.total_requests
         pts = nshc_points(x0, s_set, t_set)
-        _, _, model_pts = quadratic_model_gradient(cache, x0, s_set, t_set, estimate.values)
-        assert s_set._held["grid"] is record
-        assert pts is model_pts is record.point_set()
-        assert pts.dedup_tol == record.tol
+        interpolate_minimal(x0, s_set, 1, cache)
+        _, _, model_pts = quadratic_model_gradient(cache, x0, s_set, t_set)
+        assert cache.total_requests == requests
+        assert pts is model_pts is nshc_points(x0, s_set, t_set)
+        assert pts.dedup_tol == dedup_tolerance(x0, s_set, t_set)
 
     def test_one_record_per_outer_set_across_an_x0_sweep(self):
+        # The point set lives as long as its record: each new x0, or a new
+        # T, replaces the one record S holds, so only the last stays alive.
         s_set, t_set = canonical_set(3, 1, 0.1)
         rng = np.random.default_rng(3)
-        sizes = set()
+        held = []
         for _ in range(6):
             x0 = rng.uniform(-1.0, 1.0, 3)
             cache = EvaluationCache(_cubic)
             nested_set_hessian(x0, s_set, t_set, cache)
             pts = nshc_points(x0, s_set, t_set)
-            grids = [v for v in s_set._held.values() if isinstance(v, sets._Grid)]
-            assert len(grids) == 1
-            assert grids[0].x0_key == (x0.shape, x0.tobytes()) and grids[0].point_set() is pts
-            sizes.add(len(s_set._held))
-        assert len(sizes) == 1
+            assert nshc_points(x0.copy(), s_set, t_set) is pts
+            held.append(weakref.ref(pts))
+            del pts
+            gc.collect()
+            assert [ref() is not None for ref in held] == [False] * (len(held) - 1) + [True]
         other = DirectionSet(0.1 * np.eye(3))
-        nshc_points(x0, s_set, other)
-        assert s_set._held["grid"].t_set is other
-        assert len(s_set._held) in sizes
+        swapped = nshc_points(x0, s_set, other)
+        gc.collect()
+        assert held[-1]() is None
+        assert nshc_points(x0, s_set, other) is swapped
 
     def test_a_bad_x0_raises_before_it_becomes_a_key(self):
         s_set, t_set = canonical_set(2, 1, 0.1)
-        nshc_points(np.ones(2), s_set, t_set)
-        record = s_set._held["grid"]
+        pts = nshc_points(np.ones(2), s_set, t_set)
         for bad in (np.ones((1, 2)), np.ones(3), np.ones(1)):
-            for tol in (None, record.tol):
+            for tol in (None, pts.dedup_tol):
                 with pytest.raises(ValueError, match="dimension"):
                     nshc_points(bad, s_set, t_set, tol)
-        assert s_set._held["grid"] is record
+        assert nshc_points(np.ones(2), s_set, t_set) is pts
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_an_explicit_tolerance_leaves_the_record(self, k):
         s_set, t_set = canonical_set(3, k, 0.1)
         x0 = np.array([0.4, -0.3, 0.2])
         first = nshc_points(x0, s_set, t_set)
-        record = s_set._held["grid"]
         assert nshc_points(x0, s_set, t_set) is first
-        assert first.dedup_tol == record.tol == dedup_tolerance(x0, s_set, t_set)
-        for tol in (record.tol, 1e3 * record.tol, 0.0):
+        assert first.dedup_tol == dedup_tolerance(x0, s_set, t_set)
+        for tol in (first.dedup_tol, 1e3 * first.dedup_tol, 0.0):
             other = nshc_points(x0, s_set, t_set, tol)
-            assert other is not first and s_set._held["grid"] is record
+            assert other is not first and nshc_points(x0, s_set, t_set) is first
             assert other.dedup_tol == tol
             assert other.points.tobytes() == _greedy_reference(x0, s_set, t_set, tol).tobytes()
         assert nshc_points(x0, s_set, t_set) is first
@@ -247,14 +249,15 @@ class TestGridRecord:
         s_set, t_set = canonical_set(3, 1, 0.1)
         x0 = np.array([0.1, 0.2, 0.3])
         pts = nshc_points(x0, s_set, t_set)
-        model_gradient_constant(1.0, pts, x0)
-        record = s_set._held["grid"]
+        record = sets._grid(x0, s_set, t_set)
         other = DirectionSet(0.1 * np.eye(3) + 0.01)
-        nshc_points(x0, other, DirectionSet(0.2 * np.eye(3)))
-        unfolded = other._held["grid"]
+        other_t = DirectionSet(0.2 * np.eye(3))
+        nshc_points(x0, other, other_t)
+        unfolded = sets._grid(x0, other, other_t)
         _, center, _ = quadratic_basis_matrix(pts.points, x0)
+        values = nested_set_hessian(x0, s_set, t_set, EvaluationCache(_cubic)).values
         held = [record.points, record.cls, unfolded.points, unfolded.cls, pts.points,
-                pts._svd[1], center, *sets._quadratic_terms(3)]
+                pts._singular_values(x0), center, values, *sets._quadratic_terms(3)]
         for a in held:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -284,18 +287,23 @@ class TestHeldBasis:
             assert model_gradient_constant(1.0, pts, center.copy()) == first
             interpolate_general(pts, np.arange(10.0), center=center)
             assert len(svd_calls) == before + 1
-            assert pts._svd[0] == center.tobytes()
+        # The centroid is a center like any other, and only the last is held.
+        before = len(svd_calls)
         interpolate_general(pts, np.arange(10.0))
-        assert pts._svd[0] == pts.points.mean(axis=0).tobytes()
+        interpolate_general(pts, np.arange(10.0), center=pts.points.mean(axis=0))
+        assert len(svd_calls) == before + 1
+        model_gradient_constant(1.0, pts, center)
+        assert len(svd_calls) == before + 2
 
-    def test_a_caller_writing_its_center_leaves_the_held_key(self):
+    def test_a_caller_writing_its_center_leaves_the_held_key(self, svd_calls):
         s_set, t_set = canonical_set(2, 1, 0.1)
         x0 = np.array([0.2, 0.1])
         pts = nshc_points(x0, s_set, t_set)
         first = model_gradient_constant(1.0, pts, x0)
+        before = len(svd_calls)
         x0[0] = 5.0
-        assert pts._svd[0] == np.array([0.2, 0.1]).tobytes()
         assert model_gradient_constant(1.0, pts, np.array([0.2, 0.1])) == first
+        assert len(svd_calls) == before
 
 
 def _statuses(cache):
@@ -369,8 +377,6 @@ class TestHeldRead:
         cache = EvaluationCache(flaky)
         with pytest.raises(EvaluationError):
             nested_set_hessian(self.x0, s_set, t_set, cache)
-        record = s_set._held["grid"]
-        assert record._last_read is None
         answered = cache.total_requests
         assert answered == 4
         retry = nested_set_hessian(self.x0, s_set, t_set, cache)
@@ -389,13 +395,12 @@ class TestHeldRead:
         oracle = Oracle()
         cache = EvaluationCache(oracle)
         nested_set_hessian(self.x0, s_set, t_set, cache)
-        record = s_set._held["grid"]
-        assert record._last_read[0]() is cache
+        nested_set_hessian(self.x0, s_set, t_set, cache)
+        assert cache.total_requests == minimal_point_count(self.n)  # the read is held
         cache_ref, oracle_ref = weakref.ref(cache), weakref.ref(oracle)
         del cache, oracle
         gc.collect()
         assert cache_ref() is None and oracle_ref() is None
-        assert record._last_read[0]() is None
         # A new cache, whatever its id, is asked in full.
         fresh = EvaluationCache(_cubic)
         nested_set_hessian(self.x0, s_set, t_set, fresh)
@@ -521,15 +526,16 @@ class TestQuadraticBasis:
         assert got == 1.0
         assert basis.tobytes() == quadratic_basis_matrix(points, np.zeros(2), 1.0)[0].tobytes()
 
-    def test_a_bad_center_raises_before_it_becomes_a_key(self):
+    def test_a_bad_center_raises_before_it_becomes_a_key(self, svd_calls):
         s_set, t_set = canonical_set(2, 1, 0.1)
         pts = nshc_points(np.zeros(2), s_set, t_set)
-        model_gradient_constant(1.0, pts, np.zeros(2))
-        held = pts._svd
+        first = model_gradient_constant(1.0, pts, np.zeros(2))
+        before = len(svd_calls)
         for bad in (np.zeros(1), 0.0, np.zeros((1, 2))):
             with pytest.raises(ValueError, match="center"):
                 interpolate_general(pts, np.ones(6), center=bad)
-        assert pts._svd is held
+        assert model_gradient_constant(1.0, pts, np.zeros(2)) == first
+        assert len(svd_calls) == before
 
 
 class TestModelGradientConstantInputs:

@@ -106,18 +106,32 @@ class TestGridValues:
         fn = make_function("sum_of_cubes", 4, seed=3)
         s_set, t_set = canonical_set(4, 3, 0.05)
         cache = EvaluationCache(fn.oracle)
-        res = nested_set_hessian(fn.base_point, s_set, t_set, cache)
+        nested_set_hessian(fn.base_point, s_set, t_set, cache)
         before = cache.total_requests
-        grad, model, pts = quadratic_model_gradient(
-            cache, fn.base_point, s_set, t_set, res.values
-        )
+        grad, model, pts = quadratic_model_gradient(cache, fn.base_point, s_set, t_set)
         assert cache.total_requests == before
-        want = quadratic_model_gradient(cache, fn.base_point, s_set, t_set)
-        assert cache.total_requests == before + len(pts)
+        fresh = EvaluationCache(fn.oracle)
+        want = quadratic_model_gradient(fresh, fn.base_point, s_set, t_set)
+        assert fresh.total_requests == len(pts)
         assert np.array_equal(grad, want[0]) and want[2] is pts
         assert np.array_equal(model.hessian, want[1].hessian)
-        with pytest.raises(ValueError, match="shape"):
-            quadratic_model_gradient(cache, fn.base_point, s_set, t_set, res.values[1:])
+
+    def test_the_model_at_another_x0_reads_its_own_grid(self):
+        # The model reaches F only through the grid record of its own x0,
+        # so a read held for an estimate at another x0 cannot stand in.
+        fn = make_function("sum_of_cubes", 3, seed=3)
+        s_set, t_set = canonical_set(3, 2, 0.05)
+        x0_a, x0_b = fn.base_point, fn.base_point + 0.5
+        cache = EvaluationCache(fn.oracle)
+        nested_set_hessian(x0_a, s_set, t_set, cache)
+        grad, _, _ = quadratic_model_gradient(cache, x0_b, s_set, t_set)
+        assert cache.distinct_count == 2 * minimal_point_count(3)
+        want = quadratic_model_gradient(EvaluationCache(fn.oracle), x0_b, s_set, t_set)[0]
+        assert grad.tobytes() == want.tobytes()
+        np.testing.assert_allclose(grad, fn.gradient(x0_b), atol=1e-2)
+        # No second hand-off: F read at x0_a cannot be passed in for x0_b.
+        with pytest.raises(TypeError):
+            quadratic_model_gradient(cache, x0_b, s_set, t_set, want)
 
 
 class TestUnfoldedCoincidentGrid:
@@ -139,14 +153,13 @@ class TestUnfoldedCoincidentGrid:
         pts = nshc_points(x0, s_set, t_set)
         assert len(pts) == minimal_point_count(3) < res.values.size
         before = cache.total_requests
-        got = quadratic_model_gradient(cache, x0, s_set, t_set, res.values)
+        got = quadratic_model_gradient(cache, x0, s_set, t_set)
         assert cache.total_requests == before
-        want = quadratic_model_gradient(cache, x0, s_set, t_set)
-        assert cache.total_requests == before + len(pts)
+        fresh = EvaluationCache(fn.oracle)
+        want = quadratic_model_gradient(fresh, x0, s_set, t_set)
+        assert fresh.distinct_count == len(pts)
         assert np.array_equal(got[0], want[0]) and want[2] is pts
         assert np.array_equal(got[1].hessian, want[1].hessian)
-        with pytest.raises(ValueError, match="shape"):
-            quadratic_model_gradient(cache, x0, s_set, t_set, res.values[:, 1:])
 
     def test_product_rule_matches_the_requesting_reference(self):
         fn = make_function("product_cubes_exp", 3, seed=1)
