@@ -94,32 +94,26 @@ def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
     return values[1:] - values[0]
 
 
-def simplex_gradient(
-    x0, t_set: DirectionSet, cache: EvaluationCache, values=None
-) -> GradientResult:
+def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> GradientResult:
     """Least-squares gradient estimate from forward differences over T.
 
     T must have full row rank (at least n columns spanning R^n); the
     estimate is ``pinv(T^T) @ delta_f``, which reduces to the exact solve
-    when T is square. ``values``, when given, are ``f(x0)`` and ``f(x0 +
-    t_j)``, such as row 0 of :attr:`HessianResult.values` of an estimate
-    with this T, and are read instead of requested from ``cache``; like an
-    oracle's, they must be finite.
+    when T is square. ``f(x0)`` and ``f(x0 + t_j)`` are read from
+    ``cache``; a rule row in simplex mode takes them from row 0 of the F
+    its own estimate read instead.
     """
     x0 = _base_point(x0)
     if x0.shape[0] != t_set.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T", transpose=True)
-    if values is None:
-        values = _simplex_values(x0, t_set, cache)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (t_set.count + 1,):
-            raise ValueError(f"values must have shape ({t_set.count + 1},), got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("values contain non-finite entries")
-    g = t_set.pinv(transpose=True) @ (values[1:] - values[0])
+    g = _row_gradient(t_set, _simplex_values(x0, t_set, cache))
     return GradientResult(g, t_set.radius, cache.distinct_count)
+
+
+def _row_gradient(t_set: DirectionSet, values: np.ndarray) -> np.ndarray:
+    """``pinv(T^T) @ delta_f`` from ``values = [f(x0), f(x0 + t_1), ...]``."""
+    return t_set.pinv(transpose=True) @ (values[1:] - values[0])
 
 
 def nested_set_hessian(

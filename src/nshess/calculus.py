@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .approx import HessianResult, nested_set_hessian, simplex_gradient
+from .approx import HessianResult, _row_gradient, nested_set_hessian
 from .bounds import _gsg_constant, _nsh_constant, _require_nonnegative
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
@@ -275,7 +275,7 @@ def _rule_estimate(
         estimate = nested_set_hessian(x0, s_set, t_set, cache, symmetrize)
         values = estimate.values
         if mode is CalcMode.SIMPLEX:
-            mode_data = (simplex_gradient(x0, t_set, cache, values[0]).gradient,)
+            mode_data = (_row_gradient(t_set, values[0]),)
         else:  # gradient, model and point set, from the F the estimate read
             mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
         records.append(_FactorRecord(estimate, float(values[0, 0]), *mode_data))

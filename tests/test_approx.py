@@ -12,7 +12,7 @@ from nshess import (
     nested_set_hessian,
     simplex_gradient,
 )
-from nshess.exceptions import RankDeficientError
+from nshess.exceptions import EvaluationError, RankDeficientError
 
 
 def sphere(x):
@@ -106,16 +106,19 @@ class TestSimplexGradient:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
-        # An oracle may not return a non-finite value, and neither may the
-        # values handed in for one; a NaN used to give a NaN gradient.
+        # A non-finite value at any of the points raises, and no answer is
+        # counted from that point on; a NaN used to give a NaN gradient.
         t = DirectionSet(0.1 * np.eye(2))
-        cache = EvaluationCache(sphere)
+        points = np.vstack([np.zeros(2), t.matrix.T])
         for i in range(3):
-            values = np.array([0.0, 0.01, 0.01])
-            values[i] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                simplex_gradient(np.zeros(2), t, cache, values)
-        assert cache.total_requests == 0
+
+            def oracle(x, at=points[i]):
+                return bad if np.array_equal(x, at) else sphere(x)
+
+            cache = EvaluationCache(oracle)
+            with pytest.raises(EvaluationError, match="non-finite"):
+                simplex_gradient(np.zeros(2), t, cache)
+            assert cache.total_requests == cache.distinct_count == i
 
     def test_reports_radius_and_eval_count(self):
         t = DirectionSet(0.5 * np.eye(2))

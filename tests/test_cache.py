@@ -301,6 +301,167 @@ class TestEvaluateMany:
         assert cache.total_requests == 4
 
 
+class TestBlockEquivalence:
+    """A block leaves exactly the state of its rows requested one by one."""
+
+    @staticmethod
+    def oracle(plan, cell):
+        """Numbers its calls, fails on call ``plan["fail"]``, and on call
+        ``plan["reenter"]`` first asks its own cache ``cell[0]`` for a block."""
+        calls = itertools.count(1)
+
+        def f(x):
+            c = next(calls)
+            if c == plan["fail"]:
+                raise RuntimeError("planned failure")
+            if c == plan["reenter"]:
+                inner, tol, many = plan["inner"]
+                try:
+                    if many:
+                        cell[0].evaluate_many(inner, tol)
+                    else:
+                        cell[0].evaluate(inner[0], tol)
+                except (ValueError, EvaluationError):
+                    pass
+            return float(c)
+
+        return f
+
+    @staticmethod
+    def rows(data, rng, centers, p):
+        rows = centers[rng.integers(len(centers), size=p)]
+        rows = rows + rng.choice([0.0, 1e-13, 1e-9, 1e-3], size=rows.shape) * rng.choice(
+            [-1.0, 1.0], size=rows.shape
+        )
+        rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        if p and data.draw(st.booleans()) and rng.random() < 0.2:
+            rows[rng.integers(p), rng.integers(rows.shape[1])] = rng.choice([np.nan, np.inf])
+        return rows
+
+    @staticmethod
+    def stored(cache):
+        return None if cache._index is None else cache._index.points.tobytes()
+
+    @given(data=st.data())
+    def test_same_values_state_and_later_answers(self, data):
+        dim = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        centers = rng.integers(-3, 4, size=(5, dim)) * 0.5
+        tols = st.sampled_from([0.0, 1e-12, 1e-9, 2e-3, 1.0, np.inf])
+        blocks = [
+            (self.rows(data, rng, centers, data.draw(st.integers(0, 10))), data.draw(tols))
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        plan = {
+            "fail": data.draw(st.integers(0, 25)),
+            "reenter": data.draw(st.integers(0, 25)),
+            "inner": (self.rows(data, rng, centers, 3), data.draw(tols), data.draw(st.booleans())),
+        }
+        many_cell, single_cell = [], []
+        many = EvaluationCache(self.oracle(plan, many_cell))
+        single = EvaluationCache(self.oracle(plan, single_cell))
+        many_cell.append(many)
+        single_cell.append(single)
+        errors = (ValueError, EvaluationError)
+        for rows, tol in blocks:
+            try:
+                got = many.evaluate_many(rows, tol).tolist()
+            except errors as exc:
+                got = type(exc)
+            want = []
+            try:
+                for x in rows:
+                    want.append(single.evaluate(x, tol))
+            except errors as exc:
+                want = type(exc)
+            assert got == want
+            assert state(many) == state(single)
+            assert self.stored(many) == self.stored(single)
+        for x in np.vstack([centers, centers + 1e-9]):
+            for tol in (0.0, 1e-6):
+                answers = []
+                for cache in (many, single):
+                    try:
+                        answers.append(cache.evaluate(x, tol))
+                    except errors as exc:
+                        answers.append(type(exc))
+                assert answers[0] == answers[1]
+        assert state(many) == state(single)
+        assert self.stored(many) == self.stored(single)
+
+    def test_failed_first_block_fixes_no_dimension(self, monkeypatch):
+        reserved = []
+        original = PointIndex.reserve
+
+        def recording(self, block, keys, tol):
+            reserved.append(original(self, block, keys, tol))
+            return reserved[-1]
+
+        monkeypatch.setattr(PointIndex, "reserve", recording)
+        calls = []
+
+        def oracle(x):
+            calls.append(x)
+            if len(calls) == 1:
+                raise RuntimeError("not yet")
+            return sphere(x)
+
+        cache = EvaluationCache(oracle)
+        with pytest.raises(EvaluationError, match="not yet"):
+            cache.evaluate_many(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert reserved == [True]
+        assert state(cache) == (0, 0, [])
+        assert cache.evaluate(np.array([1.0, 2.0, 3.0])) == 14.0
+        assert cache.evaluate_many(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])).tolist() == [
+            14.0,
+            1.0,
+        ]
+        assert state(cache)[:2] == (3, 2)
+
+    def test_reentrant_request_on_an_empty_cache_is_kept(self):
+        # The outer request used to store its point in an index of its own,
+        # dropping the point its oracle had asked for: a repeat of the outer
+        # point then read the inner point's value.
+        cell = []
+        calls = itertools.count(1)
+
+        def oracle(x):
+            c = next(calls)
+            if c == 1:
+                cell[0].evaluate(np.array([5.0]))
+            return float(c)
+
+        cache = EvaluationCache(oracle)
+        cell.append(cache)
+        assert cache.evaluate(np.array([1.0])) == 1.0
+        assert cache.evaluate(np.array([1.0])) == 1.0
+        assert cache.evaluate(np.array([5.0])) == 2.0
+        assert state(cache)[:2] == (4, 2)
+
+    def test_reentrant_oracle_sees_only_the_rows_before_its_own(self):
+        block = np.array([[0.0], [1.0], [2.0], [3.0]])
+
+        def make():
+            cell = []
+            calls = itertools.count(1)
+
+            def oracle(x):
+                c = next(calls)
+                if c == 2:  # the oracle of row 1 asks for row 2 first
+                    cell[0].evaluate(block[2])
+                return float(c)
+
+            cell.append(EvaluationCache(oracle))
+            return cell[0]
+
+        many, single = make(), make()
+        assert many.evaluate_many(block).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert [single.evaluate(x) for x in block] == [1.0, 2.0, 3.0, 4.0]
+        assert state(many) == state(single)
+        assert [status for _, _, status in many.trace_rows()] == ["miss"] * 3 + ["hit", "miss"]
+        assert many._index.points.ravel().tolist() == [0.0, 2.0, 1.0, 3.0]
+
+
 class TestHugeCoordinates:
     """Finite points whose ``x . x`` overflows, though their projection does not."""
 
@@ -349,6 +510,17 @@ class TestOverflowingProjection:
             assert cache.evaluate(-a) == 5.0
             assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
         assert cache.distinct_count == 6
+
+
+    def test_a_block_is_tested_against_the_overflowed_rows(self):
+        # An overflowed row has no sorted projection, so no window of a
+        # block can clear it: the block takes the lookup of each row.
+        cache = EvaluationCache(counter())
+        with np.errstate(over="ignore"):
+            assert cache.evaluate(np.full(3, 1e308)) == 1.0
+        assert cache.evaluate_many(np.zeros((1, 3)), tol=np.inf).tolist() == [1.0]
+        assert cache.evaluate_many(np.ones((2, 3))).tolist() == [2.0, 2.0]
+        assert state(cache)[:2] == (4, 2)
 
 
 class TestStorageAndHitPath:

@@ -126,7 +126,7 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("estimator", ["product-sc", "quotient-sc", "power-sc"])
     def test_simplex_mode_takes_one_gradient_per_factor(self, monkeypatch, estimator):
-        simplex = _count(monkeypatch, "simplex_gradient")
+        simplex = _count(monkeypatch, "_row_gradient")
         model = _count(monkeypatch, "quadratic_model_gradient")
         factors = 1 if estimator.startswith("power") else 2
         approximate_once(_config(estimator, 4, 2))

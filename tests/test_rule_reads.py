@@ -26,6 +26,7 @@ from nshess import (
     quotient_hessian,
     simplex_gradient,
 )
+from nshess.calculus import _rule_estimate
 from nshess.sets import sample_grid
 from nshess.study import approximate_once
 
@@ -89,18 +90,16 @@ class TestGridValues:
         assert np.array_equal(values, want)
 
     def test_simplex_gradient_from_row_zero_is_bitwise_the_requested_one(self):
+        # A simplex-mode rule row takes f(x0) and its gradient from row 0 of
+        # the F its estimate read, with no request of its own.
         fn = make_function("sum_of_cubes", 4, seed=3)
         s_set, t_set = canonical_set(4, 1, 0.05)
         cache = EvaluationCache(fn.oracle)
-        res = nested_set_hessian(fn.base_point, s_set, t_set, cache)
-        before = cache.total_requests
-        got = simplex_gradient(fn.base_point, t_set, cache, res.values[0])
-        assert cache.total_requests == before
+        _, (record,) = _rule_estimate("power", [cache], fn.base_point, s_set, t_set, power=2)
+        assert cache.total_requests == cache.distinct_count == minimal_point_count(4)
         want = simplex_gradient(fn.base_point, t_set, cache)
-        assert np.array_equal(got.gradient, want.gradient)
-        assert got.eval_count == want.eval_count
-        with pytest.raises(ValueError, match="shape"):
-            simplex_gradient(fn.base_point, t_set, cache, res.values[0, 1:])
+        assert record.gradient.tobytes() == want.gradient.tobytes()
+        assert record.value == cache.evaluate(fn.base_point)
 
     def test_folded_model_from_the_grid_is_bitwise_the_requested_one(self):
         fn = make_function("sum_of_cubes", 4, seed=3)
@@ -132,6 +131,23 @@ class TestGridValues:
         # No second hand-off: F read at x0_a cannot be passed in for x0_b.
         with pytest.raises(TypeError):
             quadratic_model_gradient(cache, x0_b, s_set, t_set, want)
+
+    def test_the_simplex_gradient_at_another_x0_reads_its_own_values(self):
+        # Row 0 of F read at x0 used to be accepted for x0 + 0.5 and gave
+        # about [3.15, 2.85, 3.15] with no request, where the truth is 6.75.
+        fn = make_function("sum_of_cubes", 3)
+        s_set, t_set = canonical_set(3, 2, 0.05)
+        x0_b = fn.base_point + 0.5
+        cache = EvaluationCache(fn.oracle)
+        res = nested_set_hessian(fn.base_point, s_set, t_set, cache)
+        with pytest.raises(TypeError):
+            simplex_gradient(x0_b, t_set, cache, res.values[0])
+        before = cache.total_requests
+        got = simplex_gradient(x0_b, t_set, cache).gradient
+        assert cache.total_requests == before + t_set.count + 1
+        want = simplex_gradient(x0_b, t_set, EvaluationCache(fn.oracle)).gradient
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, 3 * x0_b**2, atol=0.5)
 
 
 class TestUnfoldedCoincidentGrid:
