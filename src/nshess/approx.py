@@ -56,11 +56,11 @@ class HessianResult:
     ``symmetrized`` records whether ``(H + H^T) / 2`` was applied.
     ``values`` is the read-only ``(m+1, k+1)`` grid F that
     :func:`nested_set_hessian` read, ``F[0, 0] = f(x0)`` and ``F[0, j] =
-    f(x0 + t_j)``, so a simplex gradient on the same T need not ask the
-    cache again; it is ``None`` on estimates assembled otherwise. It is
-    the array the grid record held on S keeps for its last cache, so a
-    repeated estimate, or a model, on that cache and geometry reads it
-    again with no request.
+    f(x0 + t_j)``, so a rule row's simplex gradient on the same T reads
+    row 0 and asks the cache nothing; it is ``None`` on estimates assembled
+    otherwise. It is the array the grid record held on S keeps for its
+    last cache, so a repeated estimate, or a model, on that cache and
+    geometry reads it again with no request.
     """
 
     hessian: np.ndarray

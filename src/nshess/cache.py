@@ -35,6 +35,8 @@ def _write_text(target, text: str) -> None:
 
 _EPS = float(np.finfo(float).eps)
 _FLOAT = np.dtype(float)
+_FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
+_REENTRY = "a cache's oracle may not make a request of the same cache"
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +81,7 @@ class PointIndex:
     the projection doubles as the finiteness check of a query. A finite
     row whose projection overflows is kept out of the sorted keys and
     tested on every lookup; a finite query whose projection overflows is
-    tested against every row.
+    tested against every row, with no overflow warning.
     """
 
     def __init__(self, dim: int):
@@ -138,6 +140,7 @@ class PointIndex:
         """The stored points, one per row, in insertion order (read-only)."""
         return np.frombuffer(b"".join(self._stored)).reshape(-1, self.dim)
 
+    @np.errstate(over="ignore")  # a finite x near the largest double may overflow
     def lookup(self, x: np.ndarray, key: bytes, tol: float) -> tuple[int, float]:
         """The lowest stored row within ``tol`` of ``x``, or -1, given ``key
         = x.tobytes()``; and the projection of ``x`` for :meth:`insert` (NaN
@@ -193,8 +196,8 @@ class PointIndex:
         earlier row holds is an exact repeat and is left to the memo. The
         proof: the windows of :meth:`separated`, with ``M`` over the stored
         rows and the block, are pairwise disjoint and hold no stored
-        projection, and no stored projection overflowed. Otherwise nothing
-        changes and the answer is ``False``.
+        projection, and no stored projection or window end overflowed.
+        Otherwise nothing changes and the answer is ``False``.
         """
         if self._wide or not keys:
             return False
@@ -214,6 +217,8 @@ class PointIndex:
         base = len(self._stored)
         ys, ids = y.tolist(), [base + b for b in order]
         if self._keys:
+            if not reach < _FAR:  # no window end may overflow
+                return False
             stored = np.array(self._keys)
             lo, hi = np.searchsorted(stored, y - reach), np.searchsorted(stored, y + reach, "right")
             if (lo != hi).any():
@@ -229,15 +234,14 @@ class PointIndex:
         return True
 
     def release(self, row: int) -> None:
-        """Forget the rows from ``row`` on, which :meth:`reserve` stored and
-        no request has matched, leaving the index as before they came."""
+        """Undo :meth:`reserve`: forget the rows from ``row`` on, which no
+        request has matched, leaving the index as before they came."""
         for key in self._stored[row:]:
             del self.memo[key]
         del self._stored[row:]
         kept = [(y, r) for y, r in zip(self._keys, self._rows) if r < row]
         self._keys = [y for y, _ in kept]
         self._rows = [r for _, r in kept]
-        self._wide = [r for r in self._wide if r < row]
         self._norm = float(np.abs(self.points).max()) if self._stored else 0.0
 
 
@@ -249,21 +253,24 @@ def _windows(points: np.ndarray, tol: float, norm: float):
     ``order`` the rows in that order, ``M`` the larger of ``norm`` and the
     exact max-norm of ``points``, and ``reach = tol * |w|_1 + 2 * gamma *
     |w|_1 * (M + tol)`` the window half-width, which every gap must
-    exceed. A non-finite projection makes their sum non-finite and gives
-    ``None``; finite ones imply finite coordinates, so ``M`` is finite.
-    Python's ``sorted`` orders the rows: about 20 µs slower than numpy's
-    sort on 231 rows, but it maps in no numpy sort kernel, which would
-    raise the peak memory of a process that sorts nothing else.
+    exceed. ``M * |w|_1`` bounds a projection: unless it is below ``_FAR``
+    the answer is ``None`` before anything is projected, so no projection
+    or gap overflows; so is a non-finite sum of the projections. Python's
+    ``sorted`` orders the rows: about 20 µs slower than numpy's sort on
+    231 rows, but it maps in no numpy sort kernel, which would raise the
+    peak memory of a process that sorts nothing else.
     """
     w, w1, slack = _weights(points.shape[1])
+    m = float(np.abs(points).max(initial=norm))
+    if not m * w1 < _FAR:
+        return None
+    reach = w1 * (tol + slack * (m + tol))
     y = points @ w
     proj = y.tolist()
     if not math.isfinite(sum(proj)):
         return None
     order = sorted(range(len(proj)), key=proj.__getitem__)
     y = y[order]
-    m = max(norm, float(np.abs(points).max()))
-    reach = w1 * (tol + slack * (m + tol))
     if not (y[1:] - y[:-1] > reach).all():
         return None
     return y, order, reach, m
@@ -294,7 +301,7 @@ class EvaluationCache:
     changes), and costs a binary search, plus a comparison with the stored
     rows near it if any. The oracle's value is checked once, when it is
     returned. At n = 20, outside a trivial oracle, a hit costs about 1.1 µs
-    and a miss by lookup about 4.6 µs.
+    and a miss by lookup about 5.4 µs.
 
     :meth:`evaluate_many` resolves a ``(p, n)`` block in bulk and then
     answers it row by row: one vectorized proof reserves every new row of
@@ -307,7 +314,10 @@ class EvaluationCache:
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
-    once per distinct point even under concurrent use.
+    once per distinct point even under concurrent use. A request from
+    inside the oracle raises :class:`RuntimeError` before any state
+    changes, so the request whose oracle made it fails as
+    :class:`~nshess.exceptions.EvaluationError`.
     """
 
     def __init__(self, oracle):
@@ -349,8 +359,8 @@ class EvaluationCache:
             )
         key = x.tobytes()
         with self._lock:
-            if self._calling:  # asked from inside the oracle: drop a block's reservation
-                self._release()
+            if self._calling:
+                raise RuntimeError(_REENTRY)
             index = self._index
             i = self._memo.get(key)
             if i is None:
@@ -377,14 +387,7 @@ class EvaluationCache:
                 if not math.isfinite(value):
                     raise EvaluationError(x, f"oracle returned non-finite value {value}")
                 status = "miss"
-                if i < 0 or len(values) != i or self._memo.get(key) != i:
-                    # A new point, or a reserved one that a request from
-                    # inside the oracle released; that request may also
-                    # have made the index.
-                    if self._index is not None:
-                        index = self._index
-                    if i >= 0:
-                        y = float(x.dot(index._w))
+                if i < 0:
                     index.insert(x, key, y)
                     self._index, self._memo = index, index.memo
                 values.append(value)
@@ -399,12 +402,10 @@ class EvaluationCache:
         Under one hold of the lock, so no other caller interleaves, the
         block's new rows are reserved in bulk when :meth:`PointIndex.reserve`
         proves them new; then every row goes through :meth:`evaluate` in
-        order. The reserved rows with no value yet are released when a row
-        raises, or when the oracle asks this cache, before that request is
-        answered; the rest of the block then takes the lookup of each row.
-        So counts, the trace, errors and which value wins inside the
-        tolerance are exactly those of ``p`` separate calls with the same
-        ``tol``.
+        order. When a row raises, the reserved rows with no value yet are
+        released. So counts, the trace, errors and which value wins inside
+        the tolerance are exactly those of ``p`` separate calls with the
+        same ``tol``.
         """
         tol = float(tol)
         if not tol >= 0:
@@ -415,7 +416,8 @@ class EvaluationCache:
                 f"evaluation points must be the nonempty rows of a 2-D array, got shape {pts.shape}"
             )
         with self._lock:
-            self._release()  # asked from inside the oracle during a block
+            if self._calling:
+                raise RuntimeError(_REENTRY)
             index = self._index
             if index is None:
                 index = PointIndex(pts.shape[1])
@@ -427,16 +429,13 @@ class EvaluationCache:
             try:
                 return np.array([self.evaluate(x, tol) for x in pts])
             finally:
-                self._release()
-
-    def _release(self) -> None:
-        """Release the reserved rows that have no value yet; an index left
-        with no row goes, so a failed first block fixes no dimension."""
-        index, valued = self._index, len(self._values)
-        if index is not None and len(index) > valued:
-            index.release(valued)
-            if not valued:
-                self._index, self._memo = None, {}
+                # Release the reserved rows with no value; an index left empty
+                # goes, so a failed first block fixes no dimension.
+                index, valued = self._index, len(self._values)
+                if index is not None and len(index) > valued:
+                    index.release(valued)
+                    if not valued:
+                        self._index, self._memo = None, {}
 
     def trace_rows(self) -> list[tuple[np.ndarray, float, str]]:
         """Chronological (point, value, hit|miss) records.

@@ -15,6 +15,8 @@ Its nested-set estimate reads the grid F from its cache, and the rest of
 its record comes from F with no further request: ``f(x0)`` is ``F[0, 0]``;
 the simplex gradient reads row 0 of F; the quadratic model reads the cells
 of F its point set kept, which the grid record on S holds for that cache.
+So a rule makes no request of its own: the quotient rule checks that
+``g(x0)``, ``F[0, 0]`` of g's grid, is not zero once both grids are read.
 In quadratic mode the record also keeps the interpolation model and the
 point set the gradient came from. The rule assembles its estimate from
 these records, and a caller certifying the estimate reads the same
@@ -263,13 +265,6 @@ def _rule_estimate(
     mode = CalcMode.coerce(mode)
     if rule == "power":
         _require_exponent(power)
-    x0 = np.asarray(x0, dtype=float)
-    if rule == "quotient":
-        g0 = caches[1].evaluate(x0)
-        if g0 == 0.0:
-            raise ZeroDivisionError(
-                f"quotient rule: g(x0) = {g0!r} is zero at the point of interest"
-            )
     records = []
     for cache in caches:
         estimate = nested_set_hessian(x0, s_set, t_set, cache, symmetrize)
@@ -279,6 +274,10 @@ def _rule_estimate(
         else:  # gradient, model and point set, from the F the estimate read
             mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
         records.append(_FactorRecord(estimate, float(values[0, 0]), *mode_data))
+    if rule == "quotient" and records[1].value == 0.0:
+        raise ZeroDivisionError(
+            f"quotient rule: g(x0) = {records[1].value!r} is zero at the point of interest"
+        )
     hf, f0, gf = records[0].estimate.hessian, records[0].value, records[0].gradient
     if rule == "power":
         lead = f0 ** (power - 1)
@@ -333,8 +332,8 @@ def quotient_hessian(
 ) -> HessianResult:
     """Hessian estimate of ``f / g`` assembled by the quotient rule.
 
-    Raises ``ZeroDivisionError`` when ``g(x0)`` is exactly zero at the
-    point of interest.
+    Raises ``ZeroDivisionError`` when ``g(x0)``, read from g's grid, is
+    exactly zero, once both factors' grids are read.
     """
     return _rule_estimate("quotient", [f_cache, g_cache], x0, s_set, t_set, mode, symmetrize)[0]
 

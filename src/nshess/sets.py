@@ -589,26 +589,24 @@ def minimal_point_count(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def quadratic_basis_matrix(points: np.ndarray, center=None, scale: float | None = None):
+def quadratic_basis_matrix(points: np.ndarray, center=None):
     """Interpolation matrix of the natural quadratic basis on shifted points.
 
     Rows are ``[1, z, z_i*z_j (i<j), z_i^2/2]`` evaluated at
     ``z = (y - center) / scale``, the quadratic columns in row-major order
     of the upper triangle. Returns ``(matrix, center, scale)``, the center
-    a read-only copy. Default center is the centroid and default scale the
-    largest distance from it, which keeps the matrix well scaled for rank
-    tests and solves. ``center`` must be a finite point of the points'
-    dimension and ``scale`` finite; a scale at or below zero means 1.
+    a read-only copy. Default center is the centroid; the scale is the
+    largest distance of a point from the center, which keeps the matrix
+    well scaled for rank tests and solves. ``center`` must be a finite
+    point of the points' dimension. A zero scale means 1; a non-finite one
+    raises :class:`ValueError`.
     """
     pts = np.asarray(points, dtype=float)
     p, n = pts.shape
     center = _basis_center(pts, center)
-    if scale is None:
-        scale = float(np.max(np.linalg.norm(pts - center, axis=1)))
+    scale = float(np.max(np.linalg.norm(pts - center, axis=1))) or 1.0
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    if scale <= 0.0:
-        scale = 1.0
     z = (pts - center) / scale
     rows, cols, weights = _quadratic_terms(n)
     basis = np.empty((p, n + 1 + rows.size))

@@ -22,6 +22,9 @@ def counter():
     return lambda x: float(next(calls))
 
 
+REFUSAL = "a cache's oracle may not make a request of the same cache"
+
+
 def state(cache):
     """Counts and trace, with each traced point as bytes."""
     trace = [(point.tobytes(), value, status) for point, value, status in cache.trace_rows()]
@@ -307,7 +310,8 @@ class TestBlockEquivalence:
     @staticmethod
     def oracle(plan, cell):
         """Numbers its calls, fails on call ``plan["fail"]``, and on call
-        ``plan["reenter"]`` first asks its own cache ``cell[0]`` for a block."""
+        ``plan["reenter"]`` first asks its own cache ``cell[0]`` for a block,
+        which refuses; it swallows the refusal, so the block runs on."""
         calls = itertools.count(1)
 
         def f(x):
@@ -316,13 +320,11 @@ class TestBlockEquivalence:
                 raise RuntimeError("planned failure")
             if c == plan["reenter"]:
                 inner, tol, many = plan["inner"]
-                try:
+                with pytest.raises(RuntimeError, match=REFUSAL):
                     if many:
                         cell[0].evaluate_many(inner, tol)
                     else:
                         cell[0].evaluate(inner[0], tol)
-                except (ValueError, EvaluationError):
-                    pass
             return float(c)
 
         return f
@@ -418,48 +420,77 @@ class TestBlockEquivalence:
         ]
         assert state(cache)[:2] == (3, 2)
 
-    def test_reentrant_request_on_an_empty_cache_is_kept(self):
-        # The outer request used to store its point in an index of its own,
-        # dropping the point its oracle had asked for: a repeat of the outer
-        # point then read the inner point's value.
+
+class TestRefusedReentry:
+    """An oracle may not make a request of its own cache.
+
+    The request raises ``RuntimeError`` before any state changes, and the
+    oracle's own request then fails as any oracle exception does.
+    """
+
+    @staticmethod
+    def reentrant(inner, on_call, swallow=False):
+        """A cache whose oracle numbers its calls and, on call ``on_call``,
+        first asks the cache for ``inner``: a point, or a block when 2-D."""
         cell = []
         calls = itertools.count(1)
 
         def oracle(x):
             c = next(calls)
-            if c == 1:
-                cell[0].evaluate(np.array([5.0]))
+            if c == on_call:
+                ask = cell[0].evaluate_many if np.ndim(inner) == 2 else cell[0].evaluate
+                try:
+                    ask(inner)
+                except RuntimeError:
+                    if not swallow:
+                        raise
             return float(c)
 
-        cache = EvaluationCache(oracle)
-        cell.append(cache)
-        assert cache.evaluate(np.array([1.0])) == 1.0
-        assert cache.evaluate(np.array([1.0])) == 1.0
-        assert cache.evaluate(np.array([5.0])) == 2.0
-        assert state(cache)[:2] == (4, 2)
+        cell.append(EvaluationCache(oracle))
+        return cell[0]
 
-    def test_reentrant_oracle_sees_only_the_rows_before_its_own(self):
+    @pytest.mark.parametrize("inner", [[5.0], [[5.0]], [5.0, 6.0], [[5.0, 6.0]]])
+    def test_reentrant_request_on_an_empty_cache_is_refused(self, inner):
+        # An inner request in R^2 used to be stored beside its outer one in
+        # R^1: the cache held two dimensions, and its points could not be
+        # read. Now no dimension is fixed, so either may come first.
+        cache = self.reentrant(np.array(inner), 1)
+        with pytest.raises(EvaluationError, match=f"RuntimeError: {REFUSAL}"):
+            cache.evaluate(np.array([1.0]))
+        assert state(cache) == (0, 0, []) and cache._index is None
+        point = np.ravel(inner)
+        assert cache.evaluate(point) == 2.0
+        assert cache._index.points.tobytes() == point.tobytes()
+
+    @pytest.mark.parametrize("inner", [[5.0, 6.0], [[5.0, 6.0]]])
+    def test_a_swallowed_refusal_stores_the_outer_point(self, inner):
+        # The outer request then fixes the dimension, as it would alone.
+        cache = self.reentrant(np.array(inner), 1, swallow=True)
+        assert cache.evaluate(np.array([1.0])) == 1.0
+        assert state(cache) == (1, 1, [(np.array([1.0]).tobytes(), 1.0, "miss")])
+        assert cache._index.points.tolist() == [[1.0]]
+        with pytest.raises(ValueError, match="R\\^1"):
+            cache.evaluate(np.array([5.0, 6.0]))
+
+    @pytest.mark.parametrize("inner", [[2.0], [[2.0], [4.0]]])
+    def test_reentrant_oracle_mid_block_leaves_the_rows_before_its_own(self, inner):
+        # The oracle of row 1 asks for row 2 first (or for a block), and is
+        # refused: the block fails at row 1, with the state of row-by-row
+        # calls up to the refused row.
         block = np.array([[0.0], [1.0], [2.0], [3.0]])
-
-        def make():
-            cell = []
-            calls = itertools.count(1)
-
-            def oracle(x):
-                c = next(calls)
-                if c == 2:  # the oracle of row 1 asks for row 2 first
-                    cell[0].evaluate(block[2])
-                return float(c)
-
-            cell.append(EvaluationCache(oracle))
-            return cell[0]
-
-        many, single = make(), make()
-        assert many.evaluate_many(block).tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert [single.evaluate(x) for x in block] == [1.0, 2.0, 3.0, 4.0]
+        many, single = (self.reentrant(np.array(inner), 2) for _ in range(2))
+        with pytest.raises(EvaluationError, match=REFUSAL):
+            many.evaluate_many(block)
+        want = [single.evaluate(block[0])]
+        with pytest.raises(EvaluationError, match=REFUSAL):
+            single.evaluate(block[1])
+        assert want == [1.0]
+        assert state(many) == state(single) == (1, 1, [(block[0].tobytes(), 1.0, "miss")])
+        assert many._index.points.ravel().tolist() == [0.0]
+        assert many.evaluate_many(block).tolist() == [1.0, 3.0, 4.0, 5.0]
+        assert [single.evaluate(x) for x in block] == [1.0, 3.0, 4.0, 5.0]
         assert state(many) == state(single)
-        assert [status for _, _, status in many.trace_rows()] == ["miss"] * 3 + ["hit", "miss"]
-        assert many._index.points.ravel().tolist() == [0.0, 2.0, 1.0, 3.0]
+        assert many._index.points.tobytes() == single._index.points.tobytes()
 
 
 class TestHugeCoordinates:
@@ -485,8 +516,10 @@ class TestHugeCoordinates:
         assert state(cache)[:2] == (5, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingProjection:
-    """Finite points whose projection ``x . w`` overflows still resolve."""
+    """Finite points whose projection ``x . w`` overflows still resolve,
+    and no request of them warns."""
 
     def test_matches_and_misses_near_the_largest_double(self):
         a = np.full(3, 1e308)
@@ -497,30 +530,56 @@ class TestOverflowingProjection:
         near[0] = np.nextafter(near[0], 0.0)  # one ulp, about 2e292, below
         far = np.array([1e308, 1e308, 9e307])
         cache = EvaluationCache(counter())
-        with np.errstate(over="ignore"):
-            assert cache.evaluate(a) == 1.0
-            assert cache.evaluate(near, tol=1e300) == 1.0
-            assert cache.evaluate(near.copy(), tol=0.0) == 1.0  # exact repeat
-            assert cache.evaluate(np.array([1e308, 1e308, np.nextafter(1e308, 2e308)])) == 2.0
-            assert cache.evaluate(far, tol=1e300) == 3.0
-            assert cache.evaluate(far + [0.0, 0.0, 1e299], tol=1e300) == 3.0
-            # A finite projection is tested against the overflowed rows too.
-            assert cache.evaluate(np.zeros(3), tol=np.inf) == 1.0
-            assert cache.evaluate(np.ones(3)) == 4.0
-            assert cache.evaluate(-a) == 5.0
-            assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
+        assert cache.evaluate(a) == 1.0
+        assert cache.evaluate(near, tol=1e300) == 1.0
+        assert cache.evaluate(near.copy(), tol=0.0) == 1.0  # exact repeat
+        assert cache.evaluate(np.array([1e308, 1e308, np.nextafter(1e308, 2e308)])) == 2.0
+        assert cache.evaluate(far, tol=1e300) == 3.0
+        assert cache.evaluate(far + [0.0, 0.0, 1e299], tol=1e300) == 3.0
+        # A finite projection is tested against the overflowed rows too.
+        assert cache.evaluate(np.zeros(3), tol=np.inf) == 1.0
+        assert cache.evaluate(np.ones(3)) == 4.0
+        assert cache.evaluate(-a) == 5.0
+        assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
         assert cache.distinct_count == 6
-
 
     def test_a_block_is_tested_against_the_overflowed_rows(self):
         # An overflowed row has no sorted projection, so no window of a
         # block can clear it: the block takes the lookup of each row.
         cache = EvaluationCache(counter())
-        with np.errstate(over="ignore"):
-            assert cache.evaluate(np.full(3, 1e308)) == 1.0
+        assert cache.evaluate(np.full(3, 1e308)) == 1.0
         assert cache.evaluate_many(np.zeros((1, 3)), tol=np.inf).tolist() == [1.0]
         assert cache.evaluate_many(np.ones((2, 3))).tolist() == [2.0, 2.0]
         assert state(cache)[:2] == (4, 2)
+
+    def test_a_block_near_the_largest_double_takes_the_lookup_of_each_row(self):
+        # Its projections could overflow, so the proof declines it before
+        # projecting anything.
+        block = np.array([[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308]])
+        assert not PointIndex.separated(block[:2], 0.0)
+        cache = EvaluationCache(counter())
+        assert cache.evaluate_many(block).tolist() == [1.0, 2.0, 1.0]
+        assert cache.evaluate_many(np.zeros((1, 3))).tolist() == [3.0]
+        assert state(cache)[:2] == (4, 3)
+
+    def test_a_window_too_wide_for_its_ends_is_not_reserved(self, monkeypatch):
+        reserved = []
+        original = PointIndex.reserve
+
+        def recording(self, block, keys, tol):
+            reserved.append(original(self, block, keys, tol))
+            return reserved[-1]
+
+        monkeypatch.setattr(PointIndex, "reserve", recording)
+        big = float(np.finfo(float).max)
+        w1 = _weights(1)[1]
+        cache = EvaluationCache(counter())
+        assert cache.evaluate_many(np.zeros((1, 1))).tolist() == [1.0]
+        # The row lies within tol of row 0, but its window ends overflow.
+        x = np.array([[0.2 * big / w1]])
+        assert cache.evaluate_many(x, tol=0.9 * big / w1).tolist() == [1.0]
+        assert reserved == [True, False]
+        assert state(cache)[:2] == (2, 1)
 
 
 class TestStorageAndHitPath:

@@ -12,6 +12,7 @@ from nshess import (
     canonical_set,
     gradient_constant,
     hessian_constant,
+    minimal_point_count,
     model_gradient_constant,
     nshc_points,
     power_hessian,
@@ -20,7 +21,7 @@ from nshess import (
     quotient_hessian,
 )
 from nshess.bounds import BoundInputs, _gsg_constant, error_bound_gsg, error_bound_nsh
-from nshess.exceptions import NotPoisedError
+from nshess.exceptions import CollapsedGridError, NotPoisedError, RankDeficientError
 
 
 def geometry(m=4, k=4, du=0.1, dl=0.1, ns=1.0, nt=1.0, nt_raw=1.0):
@@ -328,6 +329,27 @@ class TestQuotientRule:
         s, t = canonical_set(1, 0, 0.1)
         with pytest.raises(ZeroDivisionError):
             quotient_hessian(EvaluationCache(f), EvaluationCache(g), np.zeros(1), s, t)
+
+    @pytest.mark.parametrize("mode", ["simplex", "quadratic"])
+    def test_vanishing_denominator_raises_once_both_grids_are_read(self, mode):
+        # g(x0) is F[0, 0] of g's grid: the rule makes no request to check it.
+        s, t = canonical_set(2, 1, 0.1)
+        f_cache = EvaluationCache(lambda x: float(x[0] + 1.0))
+        g_cache = EvaluationCache(lambda x: float(x[0] * x[1]))
+        with pytest.raises(ZeroDivisionError, match=r"g\(x0\) = 0\.0"):
+            quotient_hessian(f_cache, g_cache, np.zeros(2), s, t, mode)
+        for cache in (f_cache, g_cache):
+            assert cache.total_requests == cache.distinct_count == minimal_point_count(2)
+
+    def test_geometry_errors_come_before_the_zero_check(self):
+        zero = lambda x: 0.0  # noqa: E731
+        flat = DirectionSet(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        t = canonical_set(2, 1, 0.1)[1]
+        with pytest.raises(RankDeficientError):
+            quotient_hessian(EvaluationCache(zero), EvaluationCache(zero), np.zeros(2), flat, t)
+        s, t = canonical_set(2, 1, 1e-7)
+        with pytest.raises(CollapsedGridError):
+            quotient_hessian(EvaluationCache(zero), EvaluationCache(zero), 1e6 * np.ones(2), s, t)
 
 
 class TestPowerRule:

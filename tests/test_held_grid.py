@@ -502,8 +502,10 @@ class TestQuadraticBasis:
             assert got_scale == scale and got_center.tobytes() == center.tobytes()
             assert basis.tobytes() == _loop_basis(points, center, scale).tobytes()
             x0 = rng.standard_normal(n)
-            basis, _, _ = quadratic_basis_matrix(points, x0, 0.25)
-            assert basis.tobytes() == _loop_basis(points, x0, 0.25).tobytes()
+            scale = float(np.max(np.linalg.norm(points - x0, axis=1)))
+            basis, _, got_scale = quadratic_basis_matrix(points, x0)
+            assert got_scale == scale
+            assert basis.tobytes() == _loop_basis(points, x0, scale).tobytes()
 
     @pytest.mark.parametrize("center", [np.zeros(1), 0.0, np.zeros(3), np.zeros((1, 2)),
                                         np.array([np.nan, 0.0]), np.array([0.0, np.inf])])
@@ -513,18 +515,21 @@ class TestQuadraticBasis:
         with pytest.raises(ValueError, match="center"):
             quadratic_basis_matrix(points, center)
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
-    def test_rejects_a_non_finite_scale(self, scale):
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    @pytest.mark.parametrize("coord", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_scale(self, coord):
+        # The scale is the largest distance from the center, so a
+        # non-finite point makes it non-finite.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, coord]])
         with pytest.raises(ValueError, match="scale"):
-            quadratic_basis_matrix(points, None, scale)
+            quadratic_basis_matrix(points, np.zeros(2))
 
-    @pytest.mark.parametrize("scale", [0.0, -2.0])
-    def test_a_scale_at_or_below_zero_means_one(self, scale):
-        points = np.array([[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        basis, _, got = quadratic_basis_matrix(points, np.zeros(2), scale)
+    @pytest.mark.parametrize("center", [None, np.array([0.5, -0.0])])
+    def test_a_zero_scale_means_one(self, center):
+        # Every point at the center: the largest distance from it is 0.
+        points = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, -0.0]])
+        basis, got_center, got = quadratic_basis_matrix(points, center)
         assert got == 1.0
-        assert basis.tobytes() == quadratic_basis_matrix(points, np.zeros(2), 1.0)[0].tobytes()
+        assert basis.tobytes() == _loop_basis(points, got_center, 1.0).tobytes()
 
     def test_a_bad_center_raises_before_it_becomes_a_key(self, svd_calls):
         s_set, t_set = canonical_set(2, 1, 0.1)
