@@ -11,6 +11,11 @@ finite differences before it is handed out. :func:`make_function` runs the
 check once per ``(name, dim, seed, x0, ball_radius)``: the verdict depends
 on nothing else, and a bounded memo keeps the keys that passed. A failing
 check is never remembered, so it raises every time.
+
+The oracles, gradients and Hessians call numpy's C paths directly
+(``a.dot(b)``, ``np.add.reduce``, constants held per function) and return
+the bytes of the plain expressions they stand for, which
+``tests/test_registry.py`` keeps and compares.
 """
 
 from __future__ import annotations
@@ -53,17 +58,14 @@ def _central_gradient(oracle, x, h):
     return g
 
 
+@np.errstate(all="ignore")  # a probe that overflows raises ValueError in _agree instead
 def _selfcheck(name, oracle, gradient, hessian, x0, radius, rng):
     h = (np.finfo(float).eps) ** (1.0 / 3.0) * (1.0 + float(np.max(np.abs(x0))))
     for _ in range(3):
         u = rng.standard_normal(x0.shape[0])
         u /= np.linalg.norm(u)
         x = x0 + 0.3 * radius * u
-        g_fd = _central_gradient(oracle, x, h)
-        g_an = gradient(x)
-        scale = 1.0 + float(np.max(np.abs(g_an)))
-        if np.max(np.abs(g_fd - g_an)) > _SELFCHECK_RTOL * scale:
-            raise ValueError(f"{name}: analytic gradient disagrees with finite differences")
+        _agree(name, "gradient", _central_gradient(oracle, x, h), gradient(x))
         h_fd = np.column_stack(
             [
                 (gradient(x + _unit(x.shape[0], i, h)) - gradient(x - _unit(x.shape[0], i, h)))
@@ -71,10 +73,18 @@ def _selfcheck(name, oracle, gradient, hessian, x0, radius, rng):
                 for i in range(x.shape[0])
             ]
         )
-        h_an = hessian(x)
-        scale = 1.0 + float(np.max(np.abs(h_an)))
-        if np.max(np.abs(h_fd - h_an)) > _SELFCHECK_RTOL * scale:
-            raise ValueError(f"{name}: analytic Hessian disagrees with finite differences")
+        _agree(name, "Hessian", h_fd, hessian(x))
+
+
+def _agree(name, what, fd, an):
+    """Raise unless the finite differences ``fd`` match the analytic ``an``.
+    A comparison with NaN would pass, so a probe that is not finite raises
+    first."""
+    if not (np.isfinite(fd).all() and np.isfinite(an).all()):
+        raise ValueError(f"{name}: the {what} self-check is not finite at a probe near x0")
+    scale = 1.0 + float(np.max(np.abs(an)))
+    if not np.max(np.abs(fd - an)) <= _SELFCHECK_RTOL * scale:
+        raise ValueError(f"{name}: analytic {what} disagrees with finite differences")
 
 
 def _unit(n, i, h):
@@ -173,14 +183,14 @@ class CompositeFunction:
         if self.rule == "power":
             p = self.power
             cross = 1.0 if p == 2 else f0 ** (p - 2)
-            return p * f0 ** (p - 1) * hf + p * (p - 1) * cross * np.outer(gf, gf)
+            return p * f0 ** (p - 1) * hf + p * (p - 1) * cross * (gf[:, None] * gf)
         g0, gg, hg = self.g.oracle(x), self.g.gradient(x), self.g.hessian(x)
         if self.rule == "product":
-            return g0 * hf + f0 * hg + np.outer(gf, gg) + np.outer(gg, gf)
+            return g0 * hf + f0 * hg + (gf[:, None] * gg) + (gg[:, None] * gf)
         return (
             g0 * g0 * (hf - f0 / g0 * hg)
-            + 2.0 * f0 * np.outer(gg, gg)
-            - g0 * (np.outer(gf, gg) + np.outer(gg, gf))
+            + 2.0 * f0 * (gg[:, None] * gg)
+            - g0 * ((gf[:, None] * gg) + (gg[:, None] * gf))
         ) / g0**3
 
 
@@ -190,12 +200,13 @@ def _random_quadratic(dim, x0, radius, seed) -> TestFunction:
     h = 0.5 * (a + a.T)
     b = rng.uniform(-5.0, 5.0, size=dim)
     c = float(rng.uniform(-5.0, 5.0))
+    half = 0.5 * h  # exact, so x . half == (0.5 * x) . h but for subnormals the sum drops
     # Gradient Lipschitz constant of a quadratic is |H| everywhere.
     return TestFunction(
         name=f"quadratic(seed={seed})",
         dim=dim,
-        oracle=lambda x: float(0.5 * x @ h @ x + b @ x + c),
-        gradient=lambda x: h @ x + b,
+        oracle=lambda x: float(x.dot(half).dot(x) + b.dot(x) + c),
+        gradient=lambda x: h.dot(x) + b,
         hessian=lambda x: h.copy(),
         lipschitz_grad=linalg.spectral_norm(h),
         lipschitz_hess=0.0,
@@ -212,7 +223,7 @@ def _sum_of_cubes(dim, x0, radius, seed) -> TestFunction:
     return TestFunction(
         name="sum_of_cubes",
         dim=dim,
-        oracle=lambda x: float(np.sum(x**3)),
+        oracle=lambda x: float(np.add.reduce(x**3)),
         gradient=lambda x: 3.0 * x**2,
         hessian=lambda x: np.diag(6.0 * x),
         lipschitz_grad=6.0 * reach,
@@ -228,12 +239,14 @@ def _exp_of_sum(dim, x0, radius, seed) -> TestFunction:
     # Hessian is n^(3/2) F Lipschitz.
     n = dim
     f_max = math.exp(float(np.sum(x0)) + math.sqrt(n) * radius)
+    ones, ones2 = np.ones(n), np.ones((n, n))
+    # np.add.reduce is what np.sum calls; it also takes a list or a tuple.
     return TestFunction(
         name="exp_of_sum",
         dim=dim,
-        oracle=lambda x: float(np.exp(np.sum(x))),
-        gradient=lambda x: np.exp(np.sum(x)) * np.ones(n),
-        hessian=lambda x: np.exp(np.sum(x)) * np.ones((n, n)),
+        oracle=lambda x: float(np.exp(np.add.reduce(x))),
+        gradient=lambda x: np.exp(np.add.reduce(x)) * ones,
+        hessian=lambda x: np.exp(np.add.reduce(x)) * ones2,
         lipschitz_grad=n * f_max,
         lipschitz_hess=n**1.5 * f_max,
         base_point=x0,
@@ -242,25 +255,38 @@ def _exp_of_sum(dim, x0, radius, seed) -> TestFunction:
 
 
 def _rosenbrock_value(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    a = x[:-1]
+    d = x[1:] - a * a
+    e = 1.0 - a
+    return float(np.add.reduce(100.0 * (d * d) + e * e))
 
 
 def _rosenbrock_gradient(x):
-    n = x.shape[0]
-    g = np.zeros(n)
-    g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
-    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    a = x[:-1]
+    d = x[1:] - a * a
+    g = np.zeros(x.shape[0])
+    g[:-1] += -400.0 * a * d - 2.0 * (1.0 - a)
+    g[1:] += 200.0 * d
     return g
 
 
 def _rosenbrock_hessian(x):
+    # Link i adds 1200 x_i^2 - 400 x_{i+1} + 2 to H[i, i], 200 to H[i+1, i+1]
+    # and -400 x_i to H[i, i+1] and H[i+1, i], each onto a zero entry but
+    # H[i, i], which link i-1's 200 reaches first. Adding 0.0 makes a -0.0
+    # cross term +0.0, as adding it onto a zero does. np.float_power takes
+    # the C pow that a scalar's ``x[i] ** 2`` takes; an array's ``** 2``
+    # squares, which can differ in the last bit.
     n = x.shape[0]
+    a = x[:-1]
     h = np.zeros((n, n))
-    for i in range(n - 1):
-        h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
-        h[i + 1, i + 1] += 200.0
-        h[i, i + 1] += -400.0 * x[i]
-        h[i + 1, i] += -400.0 * x[i]
+    flat = h.reshape(-1)
+    flat[n + 1 :: n + 1] = 200.0
+    flat[: -1 : n + 1] += 1200.0 * np.float_power(a, 2.0) - 400.0 * x[1:] + 2.0
+    cross = -400.0 * a
+    cross += 0.0
+    flat[1 :: n + 1] = cross
+    flat[n :: n + 1] = cross
     return h
 
 
@@ -358,7 +384,8 @@ def make_function(
     """Instantiate a registry entry with certificates on ``B(x0, ball_radius)``.
 
     ``x0`` defaults to the entry's natural base point. Unknown names raise
-    ValueError listing what is available.
+    ValueError listing what is available; so does a self-check that is not
+    finite at its probes, or a certificate that overflows.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -374,9 +401,20 @@ def make_function(
     key = (name, dim, seed, x0.tobytes(), float(ball_radius))
     token = _SKIP_SELFCHECK.set(key in _PASSED)
     try:
-        fn = factory(dim, x0, ball_radius, seed)
+        # An overflow leaves a certificate infinite, or raises from Python
+        # float arithmetic; either is refused below, with no warning first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fn = factory(dim, x0, ball_radius, seed)
+        certificates = (fn.lipschitz_grad, fn.lipschitz_hess)
+    except OverflowError:
+        certificates = (math.inf,)
     finally:
         _SKIP_SELFCHECK.reset(token)
+    if not all(c is None or math.isfinite(c) for c in certificates):
+        raise ValueError(
+            f"{name}: a Lipschitz certificate is not finite on the ball of radius "
+            f"{ball_radius:g} around x0"
+        )
     with _PASSED_LOCK:
         _PASSED[key] = None
         if len(_PASSED) > _PASSED_MAX:

@@ -184,6 +184,22 @@ class TestFailures:
             cache.evaluate(np.array([bad, bad]), tol=1.0)
         assert state(cache) == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_raise_without_a_warning(self):
+        # Their projection is inf - inf: numpy warned "invalid value
+        # encountered in dot" before the ValueError, or raised that warning
+        # under -W error.
+        cache = EvaluationCache(counter())
+        for stored in (False, True):
+            for point in ([np.inf, -np.inf], [-np.inf, np.inf], [np.inf, np.nan]):
+                with pytest.raises(ValueError, match="non-finite"):
+                    cache.evaluate(np.array(point))
+                with pytest.raises(ValueError, match="non-finite"):
+                    cache.evaluate_many(np.array([point]))
+            if not stored:
+                assert cache.evaluate(np.array([1.0, 2.0])) == 1.0
+        assert state(cache)[:2] == (1, 1)
+
     def test_infinite_coordinate_raises_under_infinite_tolerance(self):
         # Under tol = inf every finite point matches the first stored row;
         # a point with an infinite coordinate must still be refused.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nshess
 from nshess import registry
@@ -149,6 +152,71 @@ class TestSelfCheck:
         spec["hessian"] = lambda x: np.eye(2)
         with pytest.raises(ValueError, match="Hessian disagrees"):
             TestFunction(name="bad-hess", **spec)
+
+
+class TestNonFiniteProbes:
+    """A self-check that overflows or meets NaN refuses the function; a
+    comparison with NaN used to pass it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["sum_of_cubes", "quadratic", "power_cubes_2"])
+    def test_overflowing_probes_raise_a_value_error(self, name):
+        # At 1e200 the cubes and the quadratic overflow: the oracle was inf at
+        # the base point, and make_function handed the function out.
+        with pytest.raises(ValueError, match="not finite at a probe near x0"):
+            make_function(name, 3, x0=[1e200] * 3)
+
+    def test_a_nan_gradient_fails_the_check(self):
+        spec = TestSelfCheck().base_quadratic()
+        spec["gradient"] = lambda x: np.full(2, np.nan)
+        with pytest.raises(ValueError, match="nan-grad: the gradient self-check is not finite"):
+            TestFunction(name="nan-grad", **spec)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_hessian_fails_the_check(self):
+        spec = TestSelfCheck().base_quadratic()
+        spec["hessian"] = lambda x: np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="nan-hess: the Hessian self-check is not finite"):
+            TestFunction(name="nan-hess", **spec)
+
+    def test_a_refused_key_is_not_remembered(self, monkeypatch):
+        monkeypatch.setattr(registry, "_PASSED", {})
+        with pytest.raises(ValueError):
+            make_function("sum_of_cubes", 2, x0=[1e200, 1.0])
+        assert registry._PASSED == {}
+
+
+class TestOverflowingCertificates:
+    """A certificate that overflows raises ValueError naming the entry, not
+    OverflowError, and leaves no RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, x0",
+        [
+            ("exp_of_sum", 300.0),  # math.exp raised OverflowError
+            ("rosenbrock", 1e160),  # reach**2 raised OverflowError (34, ...)
+            ("product_cubes_exp", 300.0),
+            ("quotient_cubes_exp", 300.0),
+        ],
+    )
+    def test_raises_a_value_error_naming_the_entry(self, name, x0):
+        with pytest.raises(ValueError, match=f"{name}: a Lipschitz certificate is not finite"):
+            make_function(name, 3, x0=[x0] * 3)
+
+    def test_an_infinite_certificate_from_any_factory_is_refused(self, monkeypatch):
+        def infinite(dim, x0, radius, seed):
+            fn = registry._sum_of_cubes(dim, x0, radius, seed)
+            fn.lipschitz_hess = math.inf
+            return fn
+
+        monkeypatch.setitem(registry._ENTRIES, "sum_of_cubes", (infinite, 1.0))
+        with pytest.raises(ValueError, match="sum_of_cubes: a Lipschitz certificate"):
+            make_function("sum_of_cubes", 2, seed=77)
+
+    def test_a_large_finite_base_point_still_builds(self):
+        fn = make_function("rosenbrock", 3, x0=[1e30] * 3)
+        assert math.isfinite(fn.lipschitz_grad) and math.isfinite(fn.lipschitz_hess)
 
 
 class TestSelfCheckMemo:
@@ -371,3 +439,188 @@ def test_self_check_probes_do_not_depend_on_the_string_hash_seed():
     first = _self_check_probes("1")
     assert len(first) == 3
     assert first == _self_check_probes("2")
+
+
+# The oracle, gradient and Hessian expressions of every registry entry as
+# they were first written, kept verbatim: the registry's own forms must
+# return the same bytes.
+
+
+def _ref_quadratic(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-5.0, 5.0, size=(dim, dim))
+    h = 0.5 * (a + a.T)
+    b = rng.uniform(-5.0, 5.0, size=dim)
+    c = float(rng.uniform(-5.0, 5.0))
+    return (
+        lambda x: float(0.5 * x @ h @ x + b @ x + c),
+        lambda x: h @ x + b,
+        lambda x: h.copy(),
+    )
+
+
+def _ref_sum_of_cubes(dim):
+    return (
+        lambda x: float(np.sum(x**3)),
+        lambda x: 3.0 * x**2,
+        lambda x: np.diag(6.0 * x),
+    )
+
+
+def _ref_exp_of_sum(dim):
+    n = dim
+    return (
+        lambda x: float(np.exp(np.sum(x))),
+        lambda x: np.exp(np.sum(x)) * np.ones(n),
+        lambda x: np.exp(np.sum(x)) * np.ones((n, n)),
+    )
+
+
+def _ref_rosenbrock_value(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _ref_rosenbrock_gradient(x):
+    n = x.shape[0]
+    g = np.zeros(n)
+    g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return g
+
+
+def _ref_rosenbrock_hessian(x):
+    n = x.shape[0]
+    h = np.zeros((n, n))
+    for i in range(n - 1):
+        h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
+        h[i + 1, i + 1] += 200.0
+        h[i, i + 1] += -400.0 * x[i]
+        h[i + 1, i] += -400.0 * x[i]
+    return h
+
+
+def _ref_composite(rule, f, g=None, power=None):
+    (fo, fg, fh), (go, gg_, gh) = f, g or (None, None, None)
+
+    def oracle(x):
+        if rule == "product":
+            return fo(x) * go(x)
+        if rule == "quotient":
+            return fo(x) / go(x)
+        return fo(x) ** power
+
+    def gradient(x):
+        f0, gf = fo(x), fg(x)
+        if rule == "power":
+            return power * f0 ** (power - 1) * gf
+        g0, gg = go(x), gg_(x)
+        if rule == "product":
+            return g0 * gf + f0 * gg
+        return (g0 * gf - f0 * gg) / g0**2
+
+    def hessian(x):
+        f0, gf, hf = fo(x), fg(x), fh(x)
+        if rule == "power":
+            p = power
+            cross = 1.0 if p == 2 else f0 ** (p - 2)
+            return p * f0 ** (p - 1) * hf + p * (p - 1) * cross * np.outer(gf, gf)
+        g0, gg, hg = go(x), gg_(x), gh(x)
+        if rule == "product":
+            return g0 * hf + f0 * hg + np.outer(gf, gg) + np.outer(gg, gf)
+        return (
+            g0 * g0 * (hf - f0 / g0 * hg)
+            + 2.0 * f0 * np.outer(gg, gg)
+            - g0 * (np.outer(gf, gg) + np.outer(gg, gf))
+        ) / g0**3
+
+    return oracle, gradient, hessian
+
+
+def _reference(name, dim, seed):
+    """The first-written (oracle, gradient, hessian) of a registry entry."""
+    if name == "quadratic":
+        return _ref_quadratic(dim, seed)
+    if name == "sum_of_cubes":
+        return _ref_sum_of_cubes(dim)
+    if name == "exp_of_sum":
+        return _ref_exp_of_sum(dim)
+    if name == "rosenbrock":
+        return _ref_rosenbrock_value, _ref_rosenbrock_gradient, _ref_rosenbrock_hessian
+    if name == "product_quadratics":
+        return _ref_composite(
+            "product", _ref_quadratic(dim, seed), _ref_quadratic(dim, seed + 1)
+        )
+    cubes, exp = _ref_sum_of_cubes(dim), _ref_exp_of_sum(dim)
+    if name == "power_cubes_2":
+        return _ref_composite("power", cubes, power=2)
+    return _ref_composite(name.split("_", 1)[0], cubes, exp)
+
+
+def _bytes(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(fn, x):
+    """The bytes ``fn`` returns at a copy of ``x``, or the type of what it raised
+    (a quotient whose denominator underflows divides Python floats by zero)."""
+    try:
+        return _bytes(fn(x.copy()))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_MAGNITUDE = st.floats(min_value=1e-300, max_value=1e150)
+_COORD = st.one_of(
+    _MAGNITUDE,
+    _MAGNITUDE.map(lambda v: -v),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+
+
+@st.composite
+def _entry_and_point(draw):
+    name = draw(st.sampled_from(registry_names()))
+    dims = [2, 3, 4, 5, 6, 20] if name == "rosenbrock" else [1, 2, 3, 4, 5, 6, 20]
+    dim = draw(st.sampled_from(dims))
+    seed = draw(st.integers(0, 2**31 - 1))
+    # Half the points lie where the entries are well scaled.
+    coord = draw(st.sampled_from([_COORD, st.floats(-3.0, 3.0)]))
+    x = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    return name, dim, seed, x
+
+
+class TestBitwiseReference:
+    """Every entry returns the bytes of its first-written expressions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entry_and_point())
+    def test_oracle_gradient_and_hessian_are_bitwise_the_reference(self, case):
+        name, dim, seed, x = case
+        fn = make_function(name, dim, seed=seed)
+        ref = _reference(name, dim, seed)
+        with np.errstate(all="ignore"):
+            for got, want in zip((fn.oracle, fn.gradient, fn.hessian), ref):
+                assert _outcome(got, x) == _outcome(want, x), (got, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20])
+    def test_rosenbrock_forms_match_the_link_loop_at_every_length(self, n):
+        # Includes n = 1, which make_function refuses: no link, a zero Hessian.
+        rng = np.random.default_rng(n)
+        for x in (rng.uniform(-2.0, 2.0, n), rng.standard_normal(n) * 1e5, np.zeros(n)):
+            with np.errstate(all="ignore"):
+                assert _bytes(registry._rosenbrock_value(x)) == _bytes(_ref_rosenbrock_value(x))
+                assert _bytes(registry._rosenbrock_gradient(x)) == _bytes(
+                    _ref_rosenbrock_gradient(x)
+                )
+                assert _bytes(registry._rosenbrock_hessian(x)) == _bytes(
+                    _ref_rosenbrock_hessian(x)
+                )
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_exp_of_sum_takes_a_list_or_a_tuple(self, kind):
+        fn = make_function("exp_of_sum", 3)
+        ref = _ref_exp_of_sum(3)
+        x = kind([0.25, -0.5, 1.0])
+        for got, want in zip((fn.oracle, fn.gradient, fn.hessian), ref):
+            assert _bytes(got(x)) == _bytes(want(x))

@@ -326,6 +326,21 @@ class TestCli:
         assert code == 2
         assert "unknown registry function" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "function, x0",
+        [
+            ("exp_of_sum", "300,300,300"),  # an OverflowError traceback, exit 1
+            ("rosenbrock", "1e160,1e160,1e160"),
+            ("sum_of_cubes", "1e200,1e200,1e200"),  # inf at its own base point
+            ("quadratic", "1e200,1e200,1e200"),
+        ],
+    )
+    def test_an_overflowing_function_is_a_usage_error(self, capsys, function, x0):
+        code = main(["approx", "--function", function, "--dim", "3", "--x0", x0])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {function}") and "not finite" in err
+
     def test_mismatched_estimator_is_a_usage_error(self, capsys):
         code = main([
             "study", "--function", "sum_of_cubes", "--dim", "2",
