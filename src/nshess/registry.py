@@ -87,6 +87,19 @@ def _agree(name, what, fd, an):
         raise ValueError(f"{name}: analytic {what} disagrees with finite differences")
 
 
+@np.errstate(all="ignore")  # what overflows is refused below, with no warning
+def _check_base_point(name, fn, x0):
+    """Raise unless ``fn``'s oracle, gradient and Hessian are finite at
+    ``x0``. A composite's parts pass their own checks, yet their product,
+    quotient or power may overflow, or divide Python floats by zero."""
+    try:
+        values = (fn.oracle(x0), fn.gradient(x0), fn.hessian(x0))
+    except ArithmeticError:
+        values = (math.nan,)
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{name}: the oracle or a derivative is not finite at x0")
+
+
 def _unit(n, i, h):
     e = np.zeros(n)
     e[i] = h
@@ -271,22 +284,13 @@ def _rosenbrock_gradient(x):
 
 
 def _rosenbrock_hessian(x):
-    # Link i adds 1200 x_i^2 - 400 x_{i+1} + 2 to H[i, i], 200 to H[i+1, i+1]
-    # and -400 x_i to H[i, i+1] and H[i+1, i], each onto a zero entry but
-    # H[i, i], which link i-1's 200 reaches first. Adding 0.0 makes a -0.0
-    # cross term +0.0, as adding it onto a zero does. np.float_power takes
-    # the C pow that a scalar's ``x[i] ** 2`` takes; an array's ``** 2``
-    # squares, which can differ in the last bit.
     n = x.shape[0]
-    a = x[:-1]
     h = np.zeros((n, n))
-    flat = h.reshape(-1)
-    flat[n + 1 :: n + 1] = 200.0
-    flat[: -1 : n + 1] += 1200.0 * np.float_power(a, 2.0) - 400.0 * x[1:] + 2.0
-    cross = -400.0 * a
-    cross += 0.0
-    flat[1 :: n + 1] = cross
-    flat[n :: n + 1] = cross
+    for i in range(n - 1):
+        h[i, i] += 1200.0 * x[i] ** 2 - 400.0 * x[i + 1] + 2.0
+        h[i + 1, i + 1] += 200.0
+        h[i, i + 1] += -400.0 * x[i]
+        h[i + 1, i] += -400.0 * x[i]
     return h
 
 
@@ -385,7 +389,8 @@ def make_function(
 
     ``x0`` defaults to the entry's natural base point. Unknown names raise
     ValueError listing what is available; so does a self-check that is not
-    finite at its probes, or a certificate that overflows.
+    finite at its probes, an oracle, gradient or Hessian that is not finite
+    at ``x0``, or a certificate that overflows.
     """
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -399,7 +404,8 @@ def make_function(
         raise ValueError(f"x0 must have shape ({dim},), got {x0.shape}")
 
     key = (name, dim, seed, x0.tobytes(), float(ball_radius))
-    token = _SKIP_SELFCHECK.set(key in _PASSED)
+    passed = key in _PASSED
+    token = _SKIP_SELFCHECK.set(passed)
     try:
         # An overflow leaves a certificate infinite, or raises from Python
         # float arithmetic; either is refused below, with no warning first.
@@ -408,6 +414,10 @@ def make_function(
         certificates = (fn.lipschitz_grad, fn.lipschitz_hess)
     except OverflowError:
         certificates = (math.inf,)
+    except ValueError as exc:
+        if str(exc).startswith(name):
+            raise
+        raise ValueError(f"{name}: {exc}") from exc  # a composite's part failed its check
     finally:
         _SKIP_SELFCHECK.reset(token)
     if not all(c is None or math.isfinite(c) for c in certificates):
@@ -415,6 +425,8 @@ def make_function(
             f"{name}: a Lipschitz certificate is not finite on the ball of radius "
             f"{ball_radius:g} around x0"
         )
+    if not passed:
+        _check_base_point(name, fn, x0)
     with _PASSED_LOCK:
         _PASSED[key] = None
         if len(_PASSED) > _PASSED_MAX:

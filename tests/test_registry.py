@@ -163,7 +163,8 @@ class TestNonFiniteProbes:
     def test_overflowing_probes_raise_a_value_error(self, name):
         # At 1e200 the cubes and the quadratic overflow: the oracle was inf at
         # the base point, and make_function handed the function out.
-        with pytest.raises(ValueError, match="not finite at a probe near x0"):
+        # The composite's message names the entry, then the part that failed.
+        with pytest.raises(ValueError, match=f"^{name}.*not finite at a probe near x0"):
             make_function(name, 3, x0=[1e200] * 3)
 
     def test_a_nan_gradient_fails_the_check(self):
@@ -179,11 +180,34 @@ class TestNonFiniteProbes:
         with pytest.raises(ValueError, match="nan-hess: the Hessian self-check is not finite"):
             TestFunction(name="nan-hess", **spec)
 
-    def test_a_refused_key_is_not_remembered(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, x0", [("sum_of_cubes", [1e200, 1.0]), ("power_cubes_2", [1e60, 1.0])]
+    )
+    def test_a_refused_key_is_not_remembered(self, monkeypatch, name, x0):
+        # power_cubes_2 passes its parts' probes and fails at x0 itself.
         monkeypatch.setattr(registry, "_PASSED", {})
-        with pytest.raises(ValueError):
-            make_function("sum_of_cubes", 2, x0=[1e200, 1.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                make_function(name, 2, x0=x0)
         assert registry._PASSED == {}
+
+
+class TestNonFiniteAtTheBasePoint:
+    """A composite whose parts pass their checks but which is not finite at
+    its own base point is refused; make_function used to hand it out."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, x0",
+        [
+            ("product_cubes_exp", 233.0),  # e^699 times 3 * 233^3: the product is inf
+            ("power_cubes_2", 1e60),  # every oracle call raised OverflowError from f0**2
+            ("quotient_cubes_exp", -300.0),  # e^-900 is 0.0: ZeroDivisionError
+        ],
+    )
+    def test_raises_a_value_error_naming_the_entry(self, name, x0):
+        with pytest.raises(ValueError, match=f"^{name}: the oracle or a derivative is not finite"):
+            make_function(name, 3, x0=[x0] * 3)
 
 
 class TestOverflowingCertificates:
@@ -602,20 +626,6 @@ class TestBitwiseReference:
         with np.errstate(all="ignore"):
             for got, want in zip((fn.oracle, fn.gradient, fn.hessian), ref):
                 assert _outcome(got, x) == _outcome(want, x), (got, x)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20])
-    def test_rosenbrock_forms_match_the_link_loop_at_every_length(self, n):
-        # Includes n = 1, which make_function refuses: no link, a zero Hessian.
-        rng = np.random.default_rng(n)
-        for x in (rng.uniform(-2.0, 2.0, n), rng.standard_normal(n) * 1e5, np.zeros(n)):
-            with np.errstate(all="ignore"):
-                assert _bytes(registry._rosenbrock_value(x)) == _bytes(_ref_rosenbrock_value(x))
-                assert _bytes(registry._rosenbrock_gradient(x)) == _bytes(
-                    _ref_rosenbrock_gradient(x)
-                )
-                assert _bytes(registry._rosenbrock_hessian(x)) == _bytes(
-                    _ref_rosenbrock_hessian(x)
-                )
 
     @pytest.mark.parametrize("kind", [list, tuple])
     def test_exp_of_sum_takes_a_list_or_a_tuple(self, kind):

@@ -333,6 +333,8 @@ class TestCli:
             ("rosenbrock", "1e160,1e160,1e160"),
             ("sum_of_cubes", "1e200,1e200,1e200"),  # inf at its own base point
             ("quadratic", "1e200,1e200,1e200"),
+            ("product_cubes_exp", "233,233,233"),  # inf at x0, though each part is finite
+            ("power_cubes_2", "1e60,1e60,1e60"),  # OverflowError from every oracle call
         ],
     )
     def test_an_overflowing_function_is_a_usage_error(self, capsys, function, x0):
