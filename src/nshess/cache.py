@@ -199,10 +199,14 @@ class PointIndex:
         proof: the windows of :meth:`separated`, with ``M`` over the stored
         rows and the block, are pairwise disjoint and hold no stored
         projection, and no stored projection or window end overflowed.
-        Otherwise nothing changes and the answer is ``False``.
+        On an empty index that is :func:`_proof` of the block, which
+        :meth:`_take` stores. Otherwise nothing changes and the answer is
+        ``False``.
         """
         if self._wide or not keys:
             return False
+        if not self._stored:
+            return self._take(keys, _proof(block, keys, tol))
         first = dict(zip(keys, range(len(keys))))  # each key, in first-seen order
         memo = self.memo
         if len(first) == len(keys) and memo.keys().isdisjoint(first):
@@ -216,22 +220,35 @@ class PointIndex:
         if proof is None:
             return False
         y, order, reach, norm = proof
+        if not reach < _FAR:  # no window end may overflow
+            return False
+        stored = np.array(self._keys)
+        lo, hi = np.searchsorted(stored, y - reach), np.searchsorted(stored, y + reach, "right")
+        if (lo != hi).any():
+            return False
+        # Merge two sorted runs; the windows are empty, so there are no ties.
         base = len(self._stored)
-        ys, ids = y.tolist(), [base + b for b in order]
-        if self._keys:
-            if not reach < _FAR:  # no window end may overflow
-                return False
-            stored = np.array(self._keys)
-            lo, hi = np.searchsorted(stored, y - reach), np.searchsorted(stored, y + reach, "right")
-            if (lo != hi).any():
-                return False
-            # Merge two sorted runs; the windows are empty, so there are no ties.
-            ys, ids = self._keys + ys, self._rows + ids
-            merge = sorted(range(len(ys)), key=ys.__getitem__)
-            ys, ids = [ys[j] for j in merge], [ids[j] for j in merge]
-        self._keys, self._rows = ys, ids
+        ys, ids = self._keys + y.tolist(), self._rows + (order + base).tolist()
+        merge = sorted(range(len(ys)), key=ys.__getitem__)
+        self._keys, self._rows = [ys[j] for j in merge], [ids[j] for j in merge]
         memo.update(zip(new_keys, range(base, base + len(new_keys))))
         self._stored += new_keys
+        self._norm = norm
+        return True
+
+    def _take(self, keys: list[bytes], proof: tuple) -> bool:
+        """Store on this empty index the block whose rows have the byte keys
+        ``keys``, given :func:`_proof` of it, exactly as :meth:`reserve`
+        stores it; ``False``, with nothing stored, when that proved nothing.
+        """
+        if not proof:
+            return False
+        firsts, y, order, norm = proof
+        if firsts is not None:
+            keys = [keys[b] for b in firsts]
+        self._keys, self._rows = y.tolist(), order.tolist()
+        self.memo.update(zip(keys, range(len(keys))))
+        self._stored += keys
         self._norm = norm
         return True
 
@@ -252,15 +269,15 @@ def _windows(points: np.ndarray, tol: float, norm: float):
     are pairwise disjoint, else ``None``.
 
     ``y`` holds the projections ``points @ w`` in ascending order,
-    ``order`` the rows in that order, ``M`` the larger of ``norm`` and the
-    exact max-norm of ``points``, and ``reach = tol * |w|_1 + 2 * gamma *
-    |w|_1 * (M + tol)`` the window half-width, which every gap must
-    exceed. ``M * |w|_1`` bounds a projection: unless it is below ``_FAR``
-    the answer is ``None`` before anything is projected, so no projection
-    or gap overflows; so is a non-finite sum of the projections. Python's
-    ``sorted`` orders the rows: about 20 µs slower than numpy's sort on
-    231 rows, but it maps in no numpy sort kernel, which would raise the
-    peak memory of a process that sorts nothing else.
+    ``order`` the rows in that order (an ``intp`` array), ``M`` the larger
+    of ``norm`` and the exact max-norm of ``points``, and ``reach = tol *
+    |w|_1 + 2 * gamma * |w|_1 * (M + tol)`` the window half-width, which
+    every gap must exceed. ``M * |w|_1`` bounds a projection: unless it is
+    below ``_FAR`` the answer is ``None`` before anything is projected, so
+    no projection or gap overflows; so is a non-finite sum of the
+    projections. Python's ``sorted`` orders the rows: about 20 µs slower
+    than numpy's sort on 231 rows, but it maps in no numpy sort kernel,
+    which would raise the peak memory of a process that sorts nothing else.
     """
     w, w1, slack = _weights(points.shape[1])
     m = float(np.abs(points).max(initial=norm))
@@ -271,11 +288,31 @@ def _windows(points: np.ndarray, tol: float, norm: float):
     proj = y.tolist()
     if not math.isfinite(sum(proj)):
         return None
-    order = sorted(range(len(proj)), key=proj.__getitem__)
+    order = np.fromiter(sorted(range(len(proj)), key=proj.__getitem__), np.intp, len(proj))
     y = y[order]
     if not (y[1:] - y[:-1] > reach).all():
         return None
     return y, order, reach, m
+
+
+def _proof(block: np.ndarray, keys: list[bytes], tol: float) -> tuple:
+    """What :meth:`PointIndex.reserve` proves of ``block`` on an empty index,
+    given its rows' byte keys: ``(firsts, y, order, M)`` as :func:`_windows`
+    gives them for the rows with distinct keys, or ``()`` when it proves
+    nothing. ``firsts`` lists those rows, a row per key in first-seen
+    order, or is ``None`` when no two keys are equal. The proof depends on
+    the rows and ``tol`` alone, so a holder of a fixed block may keep it.
+    """
+    first = dict(zip(keys, range(len(keys))))  # each key, in first-seen order
+    firsts = None
+    if len(first) < len(keys):
+        firsts = list(first.values())
+        block = block[firsts]
+    proof = _windows(block, tol, 0.0)
+    if proof is None:
+        return ()
+    y, order, _, norm = proof
+    return firsts, y, order, norm
 
 
 class EvaluationCache:
@@ -313,6 +350,10 @@ class EvaluationCache:
     value yet, so its request calls the oracle and stores only the value;
     at n = 20 such a row costs about 1.8 µs, its share of the proof
     included. The state after a block is exactly that of row-by-row calls.
+    The proof that a block's rows are apart depends on the rows and the
+    tolerance alone, so a grid record of :mod:`nshess.sets` keeps the one
+    it made and hands it to a cache that stores no point, which then
+    stores the block with no proof made.
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
@@ -417,16 +458,33 @@ class EvaluationCache:
             raise ValueError(
                 f"evaluation points must be the nonempty rows of a 2-D array, got shape {pts.shape}"
             )
+        return self._read(pts, tol)
+
+    def _read(self, pts: np.ndarray, tol: float, prove=None) -> np.ndarray:
+        """:meth:`evaluate_many` of a checked float block ``pts`` at ``tol``.
+
+        ``prove``, when given, maps the rows' byte keys to
+        :func:`_proof` of ``pts`` at ``tol``, which a grid record makes
+        once and keeps. A cache that stores no point then takes the block
+        from that proof, with no proof made or checked, into the state
+        :meth:`PointIndex.reserve` would leave; any other cache reserves
+        the block as :meth:`evaluate_many` does.
+        """
         with self._lock:
             if self._calling:
                 raise RuntimeError(_REENTRY)
             index = self._index
-            if index is None:
+            empty = index is None
+            if empty:
                 index = PointIndex(pts.shape[1])
             if len(pts) and index.dim == pts.shape[1]:
                 raw, step = pts.tobytes(), pts.shape[1] * pts.itemsize
                 keys = [raw[a : a + step] for a in range(0, len(raw), step)]
-                if index.reserve(pts, keys, tol):
+                if prove is not None and empty:
+                    reserved = index._take(keys, prove(keys))
+                else:
+                    reserved = index.reserve(pts, keys, tol)
+                if reserved:
                     self._index, self._memo = index, index.memo
             try:
                 return np.array([self.evaluate(x, tol) for x in pts])

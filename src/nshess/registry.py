@@ -91,7 +91,7 @@ def _agree(name, what, fd, an):
 def _check_base_point(name, fn, x0):
     """Raise unless ``fn``'s oracle, gradient and Hessian are finite at
     ``x0``. A composite's parts pass their own checks, yet their product,
-    quotient or power may overflow, or divide Python floats by zero."""
+    quotient or power may overflow, or a quotient divide by zero."""
     try:
         values = (fn.oracle(x0), fn.gradient(x0), fn.hessian(x0))
     except ArithmeticError:
@@ -138,6 +138,14 @@ class TestFunction:
         )
 
 
+def _divide(a: float, b: float) -> float:
+    """``a / b`` for the floats the parts' oracles return, divided as numpy
+    divides: ``±inf`` or NaN where ``b`` is zero (with numpy's warning),
+    where Python's float division raises ``ZeroDivisionError``. Bitwise
+    ``a / b`` for every other ``b``."""
+    return a / b if b else float(np.divide(a, b))
+
+
 @dataclass(eq=False)
 class CompositeFunction:
     """A product, quotient or power of registry functions.
@@ -179,7 +187,7 @@ class CompositeFunction:
         if self.rule == "product":
             return self.f.oracle(x) * self.g.oracle(x)
         if self.rule == "quotient":
-            return self.f.oracle(x) / self.g.oracle(x)
+            return _divide(self.f.oracle(x), self.g.oracle(x))
         return self.f.oracle(x) ** self.power
 
     def gradient(self, x) -> np.ndarray:
@@ -201,7 +209,7 @@ class CompositeFunction:
         if self.rule == "product":
             return g0 * hf + f0 * hg + (gf[:, None] * gg) + (gg[:, None] * gf)
         return (
-            g0 * g0 * (hf - f0 / g0 * hg)
+            g0 * g0 * (hf - _divide(f0, g0) * hg)
             + 2.0 * f0 * (gg[:, None] * gg)
             - g0 * ((gf[:, None] * gg) + (gg[:, None] * gf))
         ) / g0**3

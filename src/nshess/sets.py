@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .cache import PointIndex, _write_text
+from .cache import PointIndex, _proof, _write_text
 from .exceptions import CollapsedGridError, RankDeficientError
 
 __all__ = [
@@ -447,7 +447,10 @@ class _Grid:
     :meth:`point_set` that asks. ``points`` and ``cls`` are read-only, and
     only this module reads them. The record also holds the F of its last
     complete :meth:`read` beside a weak reference to that cache, so a held
-    geometry keeps no cache or oracle alive.
+    geometry keeps no cache or oracle alive, and the proof that its points
+    are pairwise apart at ``tol`` (sorted projections, their row order and
+    ``M``, not the byte keys), made by the first read from a cache that
+    stores no point.
     """
 
     t_set: DirectionSet
@@ -458,6 +461,7 @@ class _Grid:
     kept: np.ndarray | None = None
     _point_set: PointSet | None = None
     _last_read: tuple | None = None  # (weak reference to the cache, its F)
+    _proof: tuple | None = None  # cache._proof of points at tol, once made
 
     def read(self, cache) -> np.ndarray:
         """``F[i, j]``: the values at ``points``, read from ``cache`` in one
@@ -469,13 +473,25 @@ class _Grid:
         a second lookup would return these values row by row. Only a read
         that returned in full is held, and the slot is replaced in one
         assignment, so a concurrent reader sees the old pair or the new.
+        A cache that stores no point takes the block from the held proof,
+        which the first such read makes; any other cache proves the block
+        against its own points. Either way the state and the values are
+        those of ``cache.evaluate_many(points, tol)``.
         """
         last = self._last_read
         if last is not None and last[0]() is cache:
             return last[1]
-        values = _read_only(cache.evaluate_many(self.points, self.tol)[self.cls])
+        values = _read_only(cache._read(self.points, self.tol, self._proved)[self.cls])
         self._last_read = weakref.ref(cache), values
         return values
+
+    def _proved(self, keys: list[bytes]) -> tuple:
+        """The held proof of ``points`` at ``tol``, made now if there is none;
+        ``keys`` are the points' byte keys."""
+        proof = self._proof
+        if proof is None:
+            proof = self._proof = _proof(self.points, keys, self.tol)
+        return proof
 
     def point_set(self) -> PointSet:
         """The points deduplicated at ``tol``, greedily in row-major order."""

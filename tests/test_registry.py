@@ -14,6 +14,8 @@ import nshess
 from nshess import registry
 from nshess import (
     CompositeFunction,
+    EvaluationCache,
+    EvaluationError,
     TestFunction,
     make_function,
     registry_names,
@@ -202,7 +204,7 @@ class TestNonFiniteAtTheBasePoint:
         [
             ("product_cubes_exp", 233.0),  # e^699 times 3 * 233^3: the product is inf
             ("power_cubes_2", 1e60),  # every oracle call raised OverflowError from f0**2
-            ("quotient_cubes_exp", -300.0),  # e^-900 is 0.0: ZeroDivisionError
+            ("quotient_cubes_exp", -300.0),  # e^-900 is 0.0: the quotient is -inf
         ],
     )
     def test_raises_a_value_error_naming_the_entry(self, name, x0):
@@ -393,6 +395,20 @@ class TestCompositeStructure:
         expected = (x[0] ** 3 - 6.0 * x[0] ** 2 + 6.0 * x[0]) * np.exp(-x[0])
         np.testing.assert_allclose(fn.hessian(x), [[expected]], rtol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_quotient_divides_like_its_numpy_parts_where_g_is_zero(self):
+        # e^-2238 underflows to 0.0 while f = 3 * (-746)^3 does not: IEEE
+        # division gives -inf for the value and NaN where 0 * inf meets.
+        fn = make_function("quotient_cubes_exp", 3)
+        x = np.full(3, -746.0)
+        assert fn.g.oracle(x) == 0.0
+        assert fn.oracle(x) == -math.inf
+        assert np.isnan(fn.gradient(x)).all()
+        assert np.isnan(fn.hessian(x)).all()
+        with pytest.raises(EvaluationError, match="oracle returned non-finite value -inf"):
+            EvaluationCache(fn.oracle).evaluate(x)
+
     def test_power_hessian_at_zero_base_value(self):
         fn = make_function("power_cubes_2", 1, x0=np.zeros(1))
         h = fn.hessian(np.zeros(1))
@@ -523,6 +539,14 @@ def _ref_rosenbrock_hessian(x):
     return h
 
 
+def _ieee_divide(a, b):
+    """``a / b`` as IEEE division. The first-written quotient divided Python
+    floats, which raised ZeroDivisionError where the denominator
+    underflowed to 0; the quotient now divides as numpy does, so the
+    reference does too. Every other denominator gives ``a / b``'s bytes."""
+    return float(np.divide(a, b))
+
+
 def _ref_composite(rule, f, g=None, power=None):
     (fo, fg, fh), (go, gg_, gh) = f, g or (None, None, None)
 
@@ -530,7 +554,7 @@ def _ref_composite(rule, f, g=None, power=None):
         if rule == "product":
             return fo(x) * go(x)
         if rule == "quotient":
-            return fo(x) / go(x)
+            return _ieee_divide(fo(x), go(x))
         return fo(x) ** power
 
     def gradient(x):
@@ -552,7 +576,7 @@ def _ref_composite(rule, f, g=None, power=None):
         if rule == "product":
             return g0 * hf + f0 * hg + np.outer(gf, gg) + np.outer(gg, gf)
         return (
-            g0 * g0 * (hf - f0 / g0 * hg)
+            g0 * g0 * (hf - _ieee_divide(f0, g0) * hg)
             + 2.0 * f0 * np.outer(gg, gg)
             - g0 * (np.outer(gf, gg) + np.outer(gg, gf))
         ) / g0**3
@@ -586,7 +610,7 @@ def _bytes(value):
 
 def _outcome(fn, x):
     """The bytes ``fn`` returns at a copy of ``x``, or the type of what it raised
-    (a quotient whose denominator underflows divides Python floats by zero)."""
+    (a power of a Python float that overflows raises OverflowError)."""
     try:
         return _bytes(fn(x.copy()))
     except ArithmeticError as exc:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,6 +146,101 @@ class TestRunStudy:
                           beta_steps=2)
         with pytest.raises(StudyError, match=r"beta=0\.1.*backend offline"):
             run_study(cfg)
+
+
+def _overdetermined(n, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        DirectionSet(rng.standard_normal((n, n + 2))),
+        DirectionSet(rng.standard_normal((n, n + 1))),
+    )
+
+
+class TestStudyNorms:
+    """A study takes every row's spectral norm from one batched SVD and each
+    Frobenius norm as sqrt(v . v): bitwise linalg's norms of H - H_true."""
+
+    CASES = [
+        ("quadratic", "nested-set"),
+        ("sum_of_cubes", "nested-set"),
+        ("exp_of_sum", "nested-set"),
+        ("rosenbrock", "nested-set"),
+        ("product_cubes_exp", "product-sc"),
+        ("product_cubes_exp", "product-qc"),
+        ("quotient_cubes_exp", "quotient-sc"),
+        ("quotient_cubes_exp", "quotient-qc"),
+        ("power_cubes_2", "power-sc"),
+        ("power_cubes_2", "power-qc"),
+    ]
+
+    @staticmethod
+    def _rows_and_errors(monkeypatch, cfg):
+        import nshess.study as study_mod
+
+        estimates = []
+        real = study_mod._estimate
+
+        def recorded(*args):
+            estimates.append(real(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(study_mod, "_estimate", recorded)
+        rep = run_study(cfg)
+        fn = nshess.make_function(cfg.function, cfg.dim, seed=cfg.seed, x0=cfg.x0)
+        h_true = fn.hessian(np.asarray(fn.base_point, dtype=float))
+        return rep.rows, [res.hessian - h_true for res, _, _ in estimates]
+
+    def _assert_bitwise(self, rows, errors):
+        assert len(rows) == len(errors)
+        for row, diff in zip(rows, errors):
+            for got, want in (
+                (row.error_spec, nshess.linalg.spectral_norm(diff)),
+                (row.error_fro, nshess.linalg.frobenius_norm(diff)),
+            ):
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("function,estimator", CASES)
+    def test_every_estimator(self, monkeypatch, function, estimator, symmetrize):
+        dim = 3 if estimator == "nested-set" else 2
+        cfg = StudyConfig(function=function, dim=dim, k=1, estimator=estimator,
+                          beta_steps=5, symmetrize=symmetrize, seed=3)
+        self._assert_bitwise(*self._rows_and_errors(monkeypatch, cfg))
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("function", ["quadratic", "sum_of_cubes", "rosenbrock"])
+    def test_explicit_overdetermined_sets(self, monkeypatch, function, symmetrize):
+        s_base, t_base = _overdetermined(3, 17)
+        cfg = StudyConfig(function=function, dim=3, estimator="nested-set", beta_steps=6,
+                          beta_start=0.3, symmetrize=symmetrize, s_base=s_base,
+                          t_base=t_base, seed=4)
+        self._assert_bitwise(*self._rows_and_errors(monkeypatch, cfg))
+
+    def test_one_row(self, monkeypatch):
+        cfg = StudyConfig(function="sum_of_cubes", dim=4, k=2, beta_steps=1)
+        self._assert_bitwise(*self._rows_and_errors(monkeypatch, cfg))
+
+    def test_a_non_finite_error_raises_at_its_own_row(self, monkeypatch):
+        import nshess.study as study_mod
+
+        calls = []
+        real = study_mod._estimate
+
+        def poisoned(*args):
+            res, bound, caches = real(*args)
+            calls.append(res)
+            if len(calls) == 2:
+                hessian = res.hessian.copy()
+                hessian[0, 1] = np.inf
+                res = SimpleNamespace(hessian=hessian)
+            return res, bound, caches
+
+        monkeypatch.setattr(study_mod, "_estimate", poisoned)
+        cfg = StudyConfig(function="sum_of_cubes", dim=2, beta_steps=4)
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            run_study(cfg)
+        assert len(calls) == 2  # no later row was estimated
 
 
 class TestReportCsv:
