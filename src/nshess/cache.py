@@ -295,18 +295,26 @@ def _windows(points: np.ndarray, tol: float, norm: float):
     return y, order, reach, m
 
 
+def _row_keys(block: np.ndarray) -> list[bytes]:
+    """The byte key ``x.tobytes()`` of each row of a float ``block``, from one copy."""
+    raw, step = block.tobytes(), block.shape[1] * block.itemsize
+    return [raw[a : a + step] for a in range(0, len(raw), step)]
+
+
 def _proof(block: np.ndarray, keys: list[bytes], tol: float) -> tuple:
     """What :meth:`PointIndex.reserve` proves of ``block`` on an empty index,
     given its rows' byte keys: ``(firsts, y, order, M)`` as :func:`_windows`
     gives them for the rows with distinct keys, or ``()`` when it proves
-    nothing. ``firsts`` lists those rows, a row per key in first-seen
-    order, or is ``None`` when no two keys are equal. The proof depends on
-    the rows and ``tol`` alone, so a holder of a fixed block may keep it.
+    nothing. ``firsts`` lists those rows, the first row of each key in
+    row order, or is ``None`` when no two keys are equal. The proof
+    depends on the rows and ``tol`` alone, so a holder of a fixed block
+    may keep it.
     """
-    first = dict(zip(keys, range(len(keys))))  # each key, in first-seen order
     firsts = None
-    if len(first) < len(keys):
-        firsts = list(first.values())
+    if len(set(keys)) < len(keys):
+        # Fed last row first, the dict keeps each key's first row.
+        last = len(keys) - 1
+        firsts = sorted(dict(zip(reversed(keys), range(last, -1, -1))).values())
         block = block[firsts]
     proof = _windows(block, tol, 0.0)
     if proof is None:
@@ -349,7 +357,10 @@ class EvaluationCache:
     counts one request per call. A reserved row is a memo hit with no
     value yet, so its request calls the oracle and stores only the value;
     at n = 20 such a row costs about 1.8 µs, its share of the proof
-    included. The state after a block is exactly that of row-by-row calls.
+    included. After a block, the values, the counts, the trace, the stored
+    rows, their order and ``M`` are exactly those of row-by-row calls; the
+    stored projections may differ in rounding, since a block projects its
+    rows in one matrix product and a lone request with its own dot product.
     The proof that a block's rows are apart depends on the rows and the
     tolerance alone, so a grid record of :mod:`nshess.sets` keeps the one
     it made and hands it to a cache that stores no point, which then
@@ -478,8 +489,7 @@ class EvaluationCache:
             if empty:
                 index = PointIndex(pts.shape[1])
             if len(pts) and index.dim == pts.shape[1]:
-                raw, step = pts.tobytes(), pts.shape[1] * pts.itemsize
-                keys = [raw[a : a + step] for a in range(0, len(raw), step)]
+                keys = _row_keys(pts)
                 if prove is not None and empty:
                     reserved = index._take(keys, prove(keys))
                 else:

@@ -7,6 +7,8 @@ so rank-deficient input is handled without special cases.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -72,9 +74,29 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(_as_matrix(a), compute_uv=False)[0])
 
 
+def spectral_norms(stack) -> list[float]:
+    """The largest singular value of each matrix of a ``(p, m, n)`` stack.
+
+    One batched SVD: each matrix gets the LAPACK call :func:`spectral_norm`
+    makes, so every norm is bitwise its. The stack is checked as a whole,
+    like one matrix.
+    """
+    s = np.asarray(stack, dtype=float)
+    if s.ndim != 3 or s.size == 0:
+        raise ValueError(f"stack must be a nonempty 3-D array, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("stack contains non-finite entries")
+    return np.linalg.svd(s, compute_uv=False)[:, 0].tolist()
+
+
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(_as_matrix(a), "fro"))
+    """Square root of the sum of squared entries.
+
+    ``sqrt(v . v)`` of the entries raveled in memory order, which is what
+    ``np.linalg.norm(a, "fro")`` computes, bitwise, without its dispatch.
+    """
+    v = _as_matrix(a).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def rank(a) -> int:

@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .cache import PointIndex, _proof, _write_text
+from .cache import PointIndex, _proof, _row_keys, _write_text
 from .exceptions import CollapsedGridError, RankDeficientError
 
 __all__ = [
@@ -450,7 +450,8 @@ class _Grid:
     geometry keeps no cache or oracle alive, and the proof that its points
     are pairwise apart at ``tol`` (sorted projections, their row order and
     ``M``, not the byte keys), made by the first read from a cache that
-    stores no point.
+    stores no point or by the first :meth:`point_set`, which takes its
+    rows from it.
     """
 
     t_set: DirectionSet
@@ -496,7 +497,15 @@ class _Grid:
     def point_set(self) -> PointSet:
         """The points deduplicated at ``tol``, greedily in row-major order."""
         if self._point_set is None:
-            self.kept = PointIndex.distinct(self.points, self.tol)
+            # When the block proof holds, its rows are the ones an empty
+            # index stores: every row, or the first of each bitwise repeat.
+            proof = self._proved(_row_keys(self.points))
+            if not proof:
+                self.kept = PointIndex.distinct(self.points, self.tol)
+            elif proof[0] is None:
+                self.kept = np.arange(len(self.points))
+            else:
+                self.kept = np.array(proof[0], dtype=np.intp)
             self._point_set = PointSet._distinct(self.points[self.kept], self.tol)
         return self._point_set
 

@@ -250,16 +250,14 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
             raise
         except Exception as exc:
             raise StudyError(f"estimator failed at beta={beta!r}: {exc}") from exc
+        diff = res.hessian - h_true
         # A non-finite error raises the norms' ValueError at its own row.
-        diff = linalg._as_matrix(res.hessian - h_true)
-        flat = diff.ravel(order="K")
+        fro = linalg.frobenius_norm(diff)
         errors.append(diff)
-        # sqrt(v . v) of the raveled error is what np.linalg.norm(diff, "fro") computes.
         evals = sum(c.distinct_count for c in caches)
-        measured.append((beta, math.sqrt(flat.dot(flat)), float(bound), evals))
-    # One batched SVD for every row's spectral norm: each matrix gets the
-    # LAPACK call linalg.spectral_norm makes, so the norms are bitwise its.
-    spectral = np.linalg.svd(np.array(errors), compute_uv=False)[:, 0].tolist()
+        measured.append((beta, fro, float(bound), evals))
+    # Every row's spectral norm from one batched SVD.
+    spectral = linalg.spectral_norms(errors)
     rows = [
         StudyRow(beta, spec, fro, bound, evals)
         for (beta, fro, bound, evals), spec in zip(measured, spectral)

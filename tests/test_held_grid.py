@@ -93,14 +93,17 @@ def _matches_greedy(data):
 
 class TestDistinctPoints:
     def test_nshc_points_is_bitwise_the_greedy_loop(self, monkeypatch):
+        # A record's point set takes its rows from the block proof when that
+        # holds and falls back to the greedy lookups when it proves nothing.
         outcomes = []
-        real = PointIndex.separated
+        real = sets._proof
 
-        def recorded(points, tol):
-            outcomes.append(real(points, tol))
-            return outcomes[-1]
+        def recorded(points, keys, tol):
+            proof = real(points, keys, tol)
+            outcomes.append(bool(proof))
+            return proof
 
-        monkeypatch.setattr(PointIndex, "separated", staticmethod(recorded))
+        monkeypatch.setattr(sets, "_proof", recorded)
         _matches_greedy()
         assert True in outcomes and False in outcomes  # fast path and fallback both ran
 

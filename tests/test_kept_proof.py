@@ -124,6 +124,11 @@ def test_a_read_from_the_kept_proof_is_evaluate_many(kind, n, seed, magnitude):
     queries, tols = _later_lookups(record, np.random.default_rng(seed + 1))
     assert _answers(kept, queries, tols) == _answers(bulk, queries, tols)
     assert snapshot(kept) == snapshot(bulk)
+    # The record's point set takes its rows from the same proof.
+    want_kept = PointIndex.distinct(record.points, record.tol)
+    assert record.point_set().points.tobytes() == record.points[want_kept].tobytes()
+    assert record.kept.dtype == want_kept.dtype
+    assert record.kept.tobytes() == want_kept.tobytes()
 
 
 class TestThePathTaken:
@@ -147,6 +152,23 @@ class TestThePathTaken:
         holding.evaluate(np.full(20, 5.0))
         record.read(holding)
         assert len(calls) == 2
+
+    def test_the_point_set_and_a_fresh_read_share_one_proof(self, monkeypatch):
+        calls = []
+        real = cache_module._windows
+        monkeypatch.setattr(
+            cache_module, "_windows", lambda *args: calls.append(args) or real(*args)
+        )
+        for point_set_first in (True, False):
+            calls.clear()
+            record = _record("folded", 20, 9, 1.0)
+            if point_set_first:
+                record.point_set()
+            record.read(EvaluationCache(counter()))
+            record.point_set()
+            record.read(EvaluationCache(counter()))
+            assert len(calls) == 1
+            assert np.array_equal(record.kept, np.arange(len(record.points)))
 
     def test_a_cache_holding_points_takes_reserve(self, monkeypatch):
         reserved = []

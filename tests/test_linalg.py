@@ -164,6 +164,39 @@ def test_spectral_norm_is_bitwise_numpy_two_norm():
         assert linalg.spectral_norm(a) == float(np.linalg.norm(a, 2))
 
 
+def test_frobenius_norm_is_bitwise_numpy_fro_norm():
+    rng = np.random.default_rng(6)
+    cases = [np.zeros((3, 3)), np.array([[1e-200, 0.0], [0.0, 1e-200]])]
+    for _ in range(300):
+        a = rng.standard_normal(tuple(rng.integers(1, 7, 2))) * 10.0 ** rng.integers(-5, 6)
+        cases += [a, a.T, a[::-1, ::2]]  # strided layouts ravel in memory order
+    for a in cases:
+        got, want = linalg.frobenius_norm(a), np.linalg.norm(a, "fro")
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    with np.errstate(over="ignore"):  # the sum of squares overflows in both
+        assert linalg.frobenius_norm(np.full((2, 2), 1e154)) == np.inf
+
+
+def test_spectral_norms_are_bitwise_spectral_norm():
+    rng = np.random.default_rng(8)
+    for p, m, n in [(1, 1, 1), (12, 4, 4), (5, 2, 6), (3, 20, 20)]:
+        stack = rng.standard_normal((p, m, n))
+        stack[0] = 0.0
+        got = linalg.spectral_norms(list(stack))
+        assert [type(v) for v in got] == [float] * p
+        want = [linalg.spectral_norm(a) for a in stack]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", [np.ones((2, 2)), np.ones((0, 2, 2)), np.array([[[1.0, np.nan]]])]
+)
+def test_spectral_norms_refuse_what_a_matrix_may_not_be(bad):
+    with pytest.raises(ValueError, match="stack"):
+        linalg.spectral_norms(bad)
+
+
 def test_frobenius_dominates_spectral():
     rng = np.random.default_rng(3)
     for _ in range(20):

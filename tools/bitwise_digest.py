@@ -1,6 +1,6 @@
 """Print a SHA-256 digest of the benchmark workloads' results, one line per workload.
 
-    python3 tools/bitwise_digest.py [--root CHECKOUT] [--workload NAME ...]
+    python3 tools/bitwise_digest.py [--root CHECKOUT]
 
 Each workload's pool of inputs (``perfbench/workloads.py``, full size) is
 built at seeds 1 and 2, and each pool is run twice in this process, cold
@@ -87,15 +87,12 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent,
         help="checkout to hash (default: the one holding this script)",
     )
-    parser.add_argument(
-        "--workload", action="append", choices=WORKLOADS, help="repeatable; default: all"
-    )
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
 
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         print(workload, digest(workloads, workload), flush=True)
     return 0
 
