@@ -17,18 +17,18 @@ On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 (:func:`fold_index`), so only one point per class is looked up at all.
 
 Sampling geometry is built once and then held. A :class:`DirectionSet`
-keeps its radius, column spacing and thin SVDs, and the pseudoinverses and
-norms derived from them under the fixed cutoff of :mod:`nshess.linalg`;
-a set is immutable, so nothing it holds ever goes stale. An outer set S
-also holds the last ``U_k`` built from it and the grid record of the
-last ``(x0, T)`` it was sampled with, which is every estimator's one path
-from a geometry and a cache to its values: the record checks the spacing,
-works out the tolerance, the points and the class map once, makes the
-:class:`PointSet`, and holds its last read F beside a weak reference to
-that cache, so the models after an estimate request nothing. A
-:class:`PointSet` holds the singular values of its quadratic basis for
-the last center asked for. :func:`canonical_set` returns the same pair
-for a repeated ``(n, k, beta)`` from a bounded memo.
+keeps its radius, column spacing and thin SVDs, and the ranks,
+pseudoinverses and norms derived from them under the fixed cutoff of
+:mod:`nshess.linalg`; a set is immutable, so nothing it holds ever goes
+stale. An outer set S also holds the last ``U_k`` built from it and the
+grid records of the last four ``(x0, T)`` it was sampled with. A grid
+record is every estimator's one path from a geometry and a cache to its
+values: it checks the spacing, works out the tolerance, the points and
+the class map once, makes the :class:`PointSet`, and holds its last read
+F beside a weak reference to that cache, so the models after an estimate
+request nothing. A :class:`PointSet` holds the singular values of its
+quadratic basis for the last center asked for. :func:`canonical_set`
+returns the same pair for a repeated ``(n, k, beta)`` from a bounded memo.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class DirectionSet:
     The radius, the column spacing and the thin SVDs of the matrix and of
     its transpose are computed when first needed and then held, so
     :meth:`rank`, :meth:`pinv` and :meth:`pinv_norm` factor each
-    orientation once. The pseudoinverses and their norms, under the fixed
-    cutoff of :mod:`nshess.linalg`, are held too, one per argument
+    orientation once. The ranks, pseudoinverses and their norms, under the
+    fixed cutoff of :mod:`nshess.linalg`, are held too, one per argument
     combination. Held pseudoinverses are read-only.
     """
 
@@ -95,7 +95,7 @@ class DirectionSet:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_held", {})  # (method, *arguments) -> factor
         object.__setattr__(self, "_uk", None)  # (k, build_uk(self, k)), the last built
-        object.__setattr__(self, "_record", None)  # the last _Grid built on self as S
+        object.__setattr__(self, "_records", ())  # _Grid built on self as S, newest first
 
     @classmethod
     def from_columns(cls, columns) -> "DirectionSet":
@@ -137,7 +137,10 @@ class DirectionSet:
         return value
 
     def rank(self, transpose: bool = False) -> int:
-        """Rank under the fixed cutoff, from the held SVD of the matrix or its transpose."""
+        """Rank under the fixed cutoff, from the held SVD of the matrix or its transpose; held."""
+        return self._hold(("rank", transpose), lambda: self._rank(transpose))
+
+    def _rank(self, transpose: bool) -> int:
         return int(np.count_nonzero(linalg._kept(self._factors(transpose)[1], self.matrix.shape)))
 
     def pinv(self, transpose: bool = False) -> np.ndarray:
@@ -435,7 +438,8 @@ class _Grid:
 
     ``tol`` is the coincidence tolerance of the geometry, worked out once
     when the record is built: :func:`dedup_tolerance` of ``x0``, S and T,
-    unless :func:`nshc_points` was given another. ``grid[i, j]`` reads as
+    unless :func:`nshc_points` was given another. S holds up to four
+    records, one per ``(T, x0)`` (:func:`_grid`). ``grid[i, j]`` reads as
     ``points[cls[i, j]]``. When T is bitwise ``build_uk(S, k)`` and every
     cell lies within ``tol`` of the first cell of its :func:`fold_index`
     class, the points are those first cells, in row-major order; otherwise
@@ -518,23 +522,31 @@ class _Grid:
         return point_values[self.kept]
 
 
+_HELD_RECORDS = 4  # grid records an outer set holds
+
+
 def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> _Grid:
     """The grid record of ``(x0, S, T)``.
 
-    S holds one record, for the last ``(T, x0)`` it served, so every
-    consumer of one geometry reads the same record, and a warm record
-    works out nothing; a sweep over ``x0`` or T keeps only the last. The
-    key holds the shape of ``x0`` with its bytes: only a shape
+    S holds the records of the last four ``(T, x0)`` it was sampled with,
+    newest first, so every consumer of one geometry reads the same record,
+    and a warm record works out nothing: a β sweep that moves between a
+    few base points builds each record once, and a sweep over ``x0`` or T
+    keeps the last four. A new record replaces the held tuple in one
+    assignment, so a concurrent reader sees the old tuple or the new one;
+    of two records stored at once, one may be dropped and built again.
+    The key holds the shape of ``x0`` with its bytes: only a shape
     :func:`sample_grid` accepted is ever stored, so a malformed ``x0``
     never hits and raises there. An explicit ``tol`` builds a record at
-    that tolerance and leaves the held one in place.
+    that tolerance for that call alone and leaves the held ones in place.
     """
     x0 = np.asarray(x0, dtype=float)
     key = x0.shape, x0.tobytes()
     if tol is None:
-        held = s_set._record
-        if held is not None and held.t_set is t_set and held.x0_key == key:
-            return held
+        held = s_set._records  # read once: another thread may replace it
+        for record in held:
+            if record.t_set is t_set and record.x0_key == key:
+                return record
     grid = sample_grid(x0, s_set, t_set)
     record_tol = dedup_tolerance(x0, s_set, t_set) if tol is None else tol
     flat = grid.reshape(-1, grid.shape[2])
@@ -546,7 +558,7 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
             points, cls = flat[first], fold_cls
     record = _Grid(t_set, key, record_tol, _read_only(points), _read_only(cls))
     if tol is None:
-        object.__setattr__(s_set, "_record", record)
+        object.__setattr__(s_set, "_records", (record, *held[: _HELD_RECORDS - 1]))
     return record
 
 
@@ -592,10 +604,11 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     a folded pair ``(S, U_k)`` only the first cell of each
     :func:`fold_index` class is read, and the points go through
     :meth:`~nshess.cache.PointIndex.distinct`. By default the set is the
-    one of the grid record held on S, at the tolerance of this geometry
-    that every estimate on it uses, so a repeated call on the same
-    ``(x0, S, T)`` returns the same set. Another ``tol`` gives the set at
-    that tolerance, built afresh, and leaves the held record in place.
+    one of the grid record of ``(x0, S, T)`` held on S, at the tolerance
+    of this geometry that every estimate on it uses, so a repeated call
+    on the same ``(x0, S, T)`` returns the same set while S holds that
+    record. Another ``tol`` gives the set at that tolerance, built afresh,
+    and leaves the held records in place.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")

@@ -1,4 +1,4 @@
-"""One grid record per outer set, one distinctness proof per point set, one SVD per basis."""
+"""Grid records held per outer set, one distinctness proof per point set, one SVD per basis."""
 
 import gc
 import sys
@@ -203,13 +203,13 @@ class TestGridRecord:
         assert pts is model_pts is nshc_points(x0, s_set, t_set)
         assert pts.dedup_tol == dedup_tolerance(x0, s_set, t_set)
 
-    def test_one_record_per_outer_set_across_an_x0_sweep(self):
-        # The point set lives as long as its record: each new x0, or a new
-        # T, replaces the one record S holds, so only the last stays alive.
+    def test_at_most_four_records_per_outer_set_across_an_x0_sweep(self):
+        # The point set lives as long as its record: S holds the records of
+        # its last four (T, x0), so across a sweep the oldest goes first.
         s_set, t_set = canonical_set(3, 1, 0.1)
         rng = np.random.default_rng(3)
         held = []
-        for _ in range(6):
+        for step in range(6):
             x0 = rng.uniform(-1.0, 1.0, 3)
             cache = EvaluationCache(_cubic)
             nested_set_hessian(x0, s_set, t_set, cache)
@@ -218,12 +218,66 @@ class TestGridRecord:
             held.append(weakref.ref(pts))
             del pts
             gc.collect()
-            assert [ref() is not None for ref in held] == [False] * (len(held) - 1) + [True]
+            alive = min(step + 1, sets._HELD_RECORDS)
+            want = [False] * (len(held) - alive) + [True] * alive
+            assert [ref() is not None for ref in held] == want
+        # A new T joins the held records: the newest stays, the oldest goes.
         other = DirectionSet(0.1 * np.eye(3))
         swapped = nshc_points(x0, s_set, other)
         gc.collect()
-        assert held[-1]() is None
+        assert [ref() is not None for ref in held] == [False] * 3 + [True] * 3
         assert nshc_points(x0, s_set, other) is swapped
+        assert nshc_points(x0.copy(), s_set, t_set) is held[-1]()
+
+    def test_alternating_base_points_build_each_record_once(self, monkeypatch):
+        # Two base points taking turns on one S: each keeps its record, so
+        # its grid is built and its block proof made once.
+        builds, proofs = [], []
+        real_grid, real_proof = sets.sample_grid, sets._proof
+        monkeypatch.setattr(sets, "sample_grid", lambda *a: builds.append(1) or real_grid(*a))
+        monkeypatch.setattr(sets, "_proof", lambda *a: proofs.append(1) or real_proof(*a))
+        s_set, t_set = canonical_set(4, 2, 0.05)
+        for _ in range(3):
+            for x0 in (np.zeros(4), np.ones(4)):
+                nested_set_hessian(x0, s_set, t_set, EvaluationCache(_cubic))
+        assert len(builds) == 2
+        assert len(proofs) == 2
+
+    def test_threads_alternating_their_own_base_points_share_one_outer_set(self):
+        # Two threads, two base points each, on one S with fresh caches: a
+        # record found for another thread's x0 would show as a wrong
+        # Hessian, F or point set.
+        s_set, t_set = canonical_set(3, 2, 0.1)
+        x0s = [np.array([0.2, -0.1, 0.3]), np.zeros(3), np.ones(3), np.array([-0.5, 0.4, 0.1])]
+        want = []
+        for x0 in x0s:
+            fresh_s = DirectionSet(s_set.matrix)
+            result = nested_set_hessian(x0, fresh_s, build_uk(fresh_s, 2), EvaluationCache(_cubic))
+            want.append((result.hessian.tobytes(), result.values.tobytes(),
+                         _greedy_reference(x0, s_set, t_set, dedup_tolerance(x0, s_set, t_set))))
+        wrong = []
+
+        def work(mine):
+            for step in range(50):
+                i = mine[step % 2]
+                result = nested_set_hessian(x0s[i], s_set, t_set, EvaluationCache(_cubic))
+                pts = nshc_points(x0s[i], s_set, t_set).points
+                got = (result.hessian.tobytes(), result.values.tobytes())
+                if got != want[i][:2] or pts.tobytes() != want[i][2].tobytes():
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(mine,)) for mine in ((0, 1), (2, 3))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_a_bad_x0_raises_before_it_becomes_a_key(self):
         s_set, t_set = canonical_set(2, 1, 0.1)
