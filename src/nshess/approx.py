@@ -59,7 +59,7 @@ class HessianResult:
     f(x0 + t_j)``, so a rule row's simplex gradient on the same T reads
     row 0 and asks the cache nothing; it is ``None`` on estimates assembled
     otherwise. It is the array the grid record of ``(x0, S, T)``, one of
-    the four S holds, keeps for its last cache, so a repeated estimate, or
+    the two S holds, keeps for its last cache, so a repeated estimate, or
     a model, on that cache and geometry reads it again with no request.
     """
 

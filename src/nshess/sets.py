@@ -21,7 +21,7 @@ keeps its radius, column spacing and thin SVDs, and the ranks,
 pseudoinverses and norms derived from them under the fixed cutoff of
 :mod:`nshess.linalg`; a set is immutable, so nothing it holds ever goes
 stale. An outer set S also holds the last ``U_k`` built from it and the
-grid records of the last four ``(x0, T)`` it was sampled with. A grid
+grid records of the last two ``(x0, T)`` it was used with. A grid
 record is every estimator's one path from a geometry and a cache to its
 values: it checks the spacing, works out the tolerance, the points and
 the class map once, makes the :class:`PointSet`, and holds its last read
@@ -95,7 +95,7 @@ class DirectionSet:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_held", {})  # (method, *arguments) -> factor
         object.__setattr__(self, "_uk", None)  # (k, build_uk(self, k)), the last built
-        object.__setattr__(self, "_records", ())  # _Grid built on self as S, newest first
+        object.__setattr__(self, "_records", ())  # _Grid on self as S, last used first
 
     @classmethod
     def from_columns(cls, columns) -> "DirectionSet":
@@ -206,16 +206,17 @@ class PointSet:
         PointIndex.distinct(self.points, self.dedup_tol, strict=True)
 
     @classmethod
-    def _distinct(cls, points, dedup_tol: float) -> "PointSet":
-        """A set of rows already deduplicated at ``dedup_tol``, not checked again."""
+    def _distinct(cls, points, dedup_tol: float, shared: bool = False) -> "PointSet":
+        """A set of rows already deduplicated at ``dedup_tol``, not checked
+        again; ``shared`` read-only float rows are held as they are."""
         self = object.__new__(cls)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dedup_tol", dedup_tol)
-        self._freeze()
+        self._freeze(copy=not shared)
         return self
 
-    def _freeze(self) -> None:
-        pts = np.array(self.points, dtype=float, copy=True)
+    def _freeze(self, copy: bool = True) -> None:
+        pts = np.array(self.points, dtype=float, copy=True) if copy else self.points
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError(f"points must form a nonempty 2-D array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -438,7 +439,7 @@ class _Grid:
 
     ``tol`` is the coincidence tolerance of the geometry, worked out once
     when the record is built: :func:`dedup_tolerance` of ``x0``, S and T,
-    unless :func:`nshc_points` was given another. S holds up to four
+    unless :func:`nshc_points` was given another. S holds up to two
     records, one per ``(T, x0)`` (:func:`_grid`). ``grid[i, j]`` reads as
     ``points[cls[i, j]]``. When T is bitwise ``build_uk(S, k)`` and every
     cell lies within ``tol`` of the first cell of its :func:`fold_index`
@@ -448,7 +449,8 @@ class _Grid:
     by rounding alone, which a coincidence tolerance of
     :func:`dedup_tolerance` exceeds.) The deduplicated :class:`PointSet`
     and its rows ``kept`` in ``points`` are made by the first
-    :meth:`point_set` that asks. ``points`` and ``cls`` are read-only, and
+    :meth:`point_set` that asks; when every row is kept the set holds
+    ``points`` itself. ``points`` and ``cls`` are read-only, and
     only this module reads them. The record also holds the F of its last
     complete :meth:`read` beside a weak reference to that cache, so a held
     geometry keeps no cache or oracle alive, and the proof that its points
@@ -510,7 +512,8 @@ class _Grid:
                 self.kept = np.arange(len(self.points))
             else:
                 self.kept = np.array(proof[0], dtype=np.intp)
-            self._point_set = PointSet._distinct(self.points[self.kept], self.tol)
+            rows = self.points if len(self.kept) == len(self.points) else self.points[self.kept]
+            self._point_set = PointSet._distinct(_read_only(rows), self.tol, shared=True)
         return self._point_set
 
     def kept_values(self, cache) -> np.ndarray:
@@ -522,19 +525,20 @@ class _Grid:
         return point_values[self.kept]
 
 
-_HELD_RECORDS = 4  # grid records an outer set holds
+_HELD_RECORDS = 2  # grid records an outer set holds
 
 
 def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> _Grid:
     """The grid record of ``(x0, S, T)``.
 
-    S holds the records of the last four ``(T, x0)`` it was sampled with,
-    newest first, so every consumer of one geometry reads the same record,
-    and a warm record works out nothing: a β sweep that moves between a
-    few base points builds each record once, and a sweep over ``x0`` or T
-    keeps the last four. A new record replaces the held tuple in one
-    assignment, so a concurrent reader sees the old tuple or the new one;
-    of two records stored at once, one may be dropped and built again.
+    S holds the records of the last two ``(T, x0)`` it was used with, last
+    used first, so every consumer of one geometry reads the same record,
+    and a warm record works out nothing: a β sweep that moves between two
+    base points builds each record once, and a sweep over ``x0`` or T
+    keeps the last two. A new record, or a hit on the second, replaces the
+    held tuple in one assignment, so a concurrent reader sees the old
+    tuple or the new one; of two records stored at once, one may be
+    dropped and built again.
     The key holds the shape of ``x0`` with its bytes: only a shape
     :func:`sample_grid` accepted is ever stored, so a malformed ``x0``
     never hits and raises there. An explicit ``tol`` builds a record at
@@ -544,8 +548,10 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
     key = x0.shape, x0.tobytes()
     if tol is None:
         held = s_set._records  # read once: another thread may replace it
-        for record in held:
+        for i, record in enumerate(held):
             if record.t_set is t_set and record.x0_key == key:
+                if i:  # a hit moves to the front
+                    object.__setattr__(s_set, "_records", (record, *held[:i], *held[i + 1 :]))
                 return record
     grid = sample_grid(x0, s_set, t_set)
     record_tol = dedup_tolerance(x0, s_set, t_set) if tol is None else tol

@@ -203,9 +203,21 @@ class TestGridRecord:
         assert pts is model_pts is nshc_points(x0, s_set, t_set)
         assert pts.dedup_tol == dedup_tolerance(x0, s_set, t_set)
 
-    def test_at_most_four_records_per_outer_set_across_an_x0_sweep(self):
+    def test_a_folded_point_set_holds_its_records_rows(self):
+        # Every row of a folded record is kept, so its point set takes the
+        # record's read-only rows instead of a second copy.
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        s_set, t_set = canonical_set(4, 2, 0.05)
+        pts = nshc_points(x0, s_set, t_set)
+        assert pts.points is sets._grid(x0, s_set, t_set).points
+        assert not pts.points.flags.writeable
+        np.testing.assert_array_equal(pts.points, _greedy_reference(x0, s_set, t_set, pts.dedup_tol))
+
+    def test_at_most_two_records_per_outer_set_across_an_x0_sweep(self):
         # The point set lives as long as its record: S holds the records of
-        # its last four (T, x0), so across a sweep the oldest goes first.
+        # the last two (T, x0) it was used with, so across a sweep the
+        # oldest goes first.
+        assert sets._HELD_RECORDS == 2
         s_set, t_set = canonical_set(3, 1, 0.1)
         rng = np.random.default_rng(3)
         held = []
@@ -218,16 +230,31 @@ class TestGridRecord:
             held.append(weakref.ref(pts))
             del pts
             gc.collect()
-            alive = min(step + 1, sets._HELD_RECORDS)
+            alive = min(step + 1, 2)
             want = [False] * (len(held) - alive) + [True] * alive
             assert [ref() is not None for ref in held] == want
         # A new T joins the held records: the newest stays, the oldest goes.
         other = DirectionSet(0.1 * np.eye(3))
         swapped = nshc_points(x0, s_set, other)
         gc.collect()
-        assert [ref() is not None for ref in held] == [False] * 3 + [True] * 3
+        assert [ref() is not None for ref in held] == [False] * 5 + [True]
         assert nshc_points(x0, s_set, other) is swapped
         assert nshc_points(x0.copy(), s_set, t_set) is held[-1]()
+
+    def test_a_hit_keeps_its_record_ahead_of_the_next_build(self):
+        # The record dropped is the one used least recently, not the one
+        # built first: a base point read between one-off points stays held.
+        s_set, t_set = canonical_set(3, 1, 0.1)
+        kept = nshc_points(np.zeros(3), s_set, t_set)
+        for step in range(1, 4):
+            passing = nshc_points(np.full(3, 0.1 * step), s_set, t_set)
+            assert nshc_points(np.zeros(3), s_set, t_set) is kept
+        ref = weakref.ref(passing)
+        del passing
+        nshc_points(np.ones(3), s_set, t_set)
+        gc.collect()
+        assert ref() is None
+        assert nshc_points(np.zeros(3), s_set, t_set) is kept
 
     def test_alternating_base_points_build_each_record_once(self, monkeypatch):
         # Two base points taking turns on one S: each keeps its record, so
