@@ -207,8 +207,7 @@ class PointSet:
 
     @classmethod
     def _distinct(cls, points, dedup_tol: float, shared: bool = False) -> "PointSet":
-        """A set of rows already deduplicated at ``dedup_tol``, not checked
-        again; ``shared`` read-only float rows are held as they are."""
+        """Rows already deduplicated at ``dedup_tol``, unchecked; ``shared`` rows are not copied."""
         self = object.__new__(cls)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dedup_tol", dedup_tol)
@@ -538,11 +537,11 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
     keeps the last two. A new record, or a hit on the second, replaces the
     held tuple in one assignment, so a concurrent reader sees the old
     tuple or the new one; of two records stored at once, one may be
-    dropped and built again.
-    The key holds the shape of ``x0`` with its bytes: only a shape
-    :func:`sample_grid` accepted is ever stored, so a malformed ``x0``
-    never hits and raises there. An explicit ``tol`` builds a record at
-    that tolerance for that call alone and leaves the held ones in place.
+    dropped and built again. The key holds the shape of ``x0`` with its
+    bytes: only a shape :func:`sample_grid` accepted is ever stored, so a
+    malformed ``x0`` never hits and raises there. An explicit ``tol``
+    builds a record at that tolerance for that call alone and leaves the
+    held ones in place.
     """
     x0 = np.asarray(x0, dtype=float)
     key = x0.shape, x0.tobytes()
