@@ -12,13 +12,14 @@ to second-derivative coordinates. In matrix form the estimate is
 
 where ``F[i, j] = f((x0 + s_i) + t_j)``, with ``s_0 = t_0 = 0``, holds the
 values on the ``(m+1) x (k+1)`` sample grid of
-:func:`~nshess.sets.sample_grid`. The grid is read through a shared
-:class:`~nshess.cache.EvaluationCache` in one bulk lookup, so coincident
-points are evaluated once; on the folded pairs ``(S, U_k)`` that lookup
-asks only for one point per :func:`~nshess.sets.fold_index` class. The
-lookup's coincidence tolerance is the one the grid record of the geometry
-worked out when it was built; the simplex gradient, which has no grid,
-reads at :func:`~nshess.sets.dedup_tolerance` of ``x0`` and T.
+:func:`~nshess.sets.sample_grid`. The grid record of the geometry merges
+the cells that coincide within its tolerance (on the folded pairs
+``(S, U_k)`` by the closed-form :func:`~nshess.sets.fold_index` classes)
+and reads its distinct points from a shared
+:class:`~nshess.cache.EvaluationCache` in one block, so each is evaluated
+once; the cache itself is an exact memo. The simplex gradient, which has
+no grid, merges its points at :func:`~nshess.sets.dedup_tolerance` of
+``x0`` and T the same way.
 """
 
 from __future__ import annotations
@@ -130,12 +131,11 @@ def nested_set_hessian(
     matrix with its symmetric part; the default reports the estimate as
     defined, which is generally asymmetric on non-quadratic functions.
     Computed as ``pinv(S^T) @ D @ pinv(T)``; the sample grid is read in
-    one bulk cache lookup, row by row. When T is bitwise
-    ``build_uk(S, k)`` that lookup asks only for the first cell of each
-    :func:`~nshess.sets.fold_index` class, ``(n+1)(n+2)/2`` requests in
-    all, and every other cell reads its class's value; any other pair
-    requests every cell and leaves coincidences to the cache lookup, at
-    the tolerance the grid record of this geometry holds. A repeated
+    one block of cache requests, one per distinct point, and every cell
+    reads its point's value. When T is bitwise ``build_uk(S, k)`` the
+    points are the first cells of the :func:`~nshess.sets.fold_index`
+    classes, ``(n+1)(n+2)/2`` requests in all; on any other pair the grid
+    record merges the cells within the tolerance of this geometry. A repeated
     estimate on the same cache and geometry reads the grid the record
     holds from the last read and requests nothing.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction

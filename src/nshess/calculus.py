@@ -14,7 +14,7 @@ Each factor is visited once, and each of its sample values is read once.
 Its nested-set estimate reads the grid F from its cache, and the rest of
 its record comes from F with no further request: ``f(x0)`` is ``F[0, 0]``;
 the simplex gradient reads row 0 of F; the quadratic model reads the cells
-of F its point set kept, which the grid record on S holds for that cache.
+of F of its point set's points, which the grid record on S holds for that cache.
 So a rule makes no request of its own: the quotient rule checks that
 ``g(x0)``, ``F[0, 0]`` of g's grid, is not zero once both grids are read.
 In quadratic mode the record also keeps the interpolation model and the
@@ -207,7 +207,7 @@ def quadratic_model_gradient(
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
     be poised. Points are deduplicated at the tolerance of this geometry,
     which the grid record held on S worked out, and each point's value is
-    read from the cell it was kept from in the grid F that the record
+    read from a cell of its class in the grid F that the record
     reads from ``cache``: after a nested Hessian estimate at ``x0`` on
     ``(S, T)`` and ``cache``, that is the F the estimate read, with no
     request.
@@ -220,7 +220,7 @@ def quadratic_model_gradient(
         raise NotPoisedError(
             f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
         )
-    model = interpolate_general(pts, grid.kept_values(cache), center=x0)
+    model = interpolate_general(pts, grid.point_values(cache), center=x0)
     return model.gradient(x0), model, pts
 
 

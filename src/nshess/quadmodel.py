@@ -135,7 +135,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     """Closed-form model over the folded sample grid of ``(S, U_k)``.
 
     Reads its grid values through the grid record of ``(x0, S, U_k)``
-    held on S, in one bulk cache lookup of the first cell of each
+    held on S, in one block of cache requests for the first cell of each
     :func:`~nshess.sets.fold_index` class: the same ``(n+1)(n+2)/2``
     points, bitwise, that :func:`~nshess.approx.nested_set_hessian`
     requests on ``(S, U_k)``. After that estimate on the same cache, the

@@ -4,17 +4,17 @@ A direction set is an ordered collection of vectors in R^n stored as the
 columns of an n-by-m matrix. A Hessian estimate samples the target function
 on the points ``x0 + s_i + t_j`` generated by an outer set S and an inner
 set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
-This module deduplicates that grid, greedily in first-seen order through
-the same :class:`~nshess.cache.PointIndex` coincidence test the evaluation
-cache uses, at the fixed relative tolerance of :func:`dedup_tolerance`,
-which is the tolerance every estimate on the grid reads it at; only
-:func:`nshc_points` takes another. It also answers two structural
-questions about a candidate point set: is it poised for quadratic
-interpolation, and is it exactly the sample set of some nested Hessian
-estimate of minimal size.
+This module owns the coincidence tolerance: it deduplicates that grid,
+greedily in first-seen order, through the :class:`PointIndex` coincidence
+test, at the fixed relative tolerance of :func:`dedup_tolerance`; only
+:func:`nshc_points` takes another. The evaluation cache compares no
+points, so a grid is read as its distinct points, each requested once.
+It also answers two structural questions about a candidate point set: is
+it poised for quadratic interpolation, and is it exactly the sample set
+of some nested Hessian estimate of minimal size.
 
 On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
-(:func:`fold_index`), so only one point per class is looked up at all.
+(:func:`fold_index`), so only one point per class is tested at all.
 
 Sampling geometry is built once and then held. A :class:`DirectionSet`
 keeps its radius, column spacing and thin SVDs, and the ranks,
@@ -23,12 +23,13 @@ pseudoinverses and norms derived from them under the fixed cutoff of
 stale. An outer set S also holds the last ``U_k`` built from it and the
 grid records of the last two ``(x0, T)`` it was used with. A grid
 record is every estimator's one path from a geometry and a cache to its
-values: it checks the spacing, works out the tolerance, the points and
-the class map once, makes the :class:`PointSet`, and holds its last read
-F beside a weak reference to that cache, so the models after an estimate
-request nothing. A :class:`PointSet` holds the singular values of its
-quadratic basis for the last center asked for. :func:`canonical_set`
-returns the same pair for a repeated ``(n, k, beta)`` from a bounded memo.
+values: it checks the spacing, works out the tolerance, the distinct
+points and the class map once, makes the :class:`PointSet`, and holds
+its last read F beside a weak reference to that cache, so the models
+after an estimate request nothing. A :class:`PointSet` holds the
+singular values of its quadratic basis for the last center asked for.
+:func:`canonical_set` returns the same pair for a repeated
+``(n, k, beta)`` from a bounded memo.
 """
 
 from __future__ import annotations
@@ -36,17 +37,19 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
-from .cache import PointIndex, _proof, _row_keys, _write_text
+from .cache import _write_text
 from .exceptions import CollapsedGridError, RankDeficientError
 
 __all__ = [
     "DirectionSet",
+    "PointIndex",
     "PointSet",
     "MinimalityResult",
     "dedup_tolerance",
@@ -187,6 +190,176 @@ class DirectionSet:
         if self.radius <= 0.0:
             raise ValueError("cannot normalize a direction set with zero radius")
         return self.radius
+
+
+_EPS = float(np.finfo(float).eps)
+_FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(dim: int) -> tuple[np.ndarray, float, float]:
+    """Projection direction of :class:`PointIndex`, its 1-norm, and the
+    relative rounding allowance of a ``dim``-term dot product."""
+    w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
+    w.setflags(write=False)
+    gamma = (dim + 2) * _EPS / (1.0 - (dim + 2) * _EPS)
+    return w, float(w.sum()), 2.0 * gamma
+
+
+class PointIndex:
+    """Distinct points of one dimension, each stored as its byte key.
+
+    The one place where sample points are compared within a tolerance:
+    :func:`_grid` and :func:`_simplex_values` resolve a geometry's points
+    through :meth:`distinct` before they ask a cache, and
+    :class:`PointSet` checks its rows with it.
+
+    :meth:`lookup` finds the lowest stored row whose coordinates all differ
+    from the query by at most ``tol``, or -1, and :meth:`insert` stores a
+    query that found none as the next row. A query bitwise equal to an
+    earlier matched or inserted one gets that row from the byte-key memo
+    ``memo``. Otherwise only the rows near the query on a sorted projection
+    ``y = x . w`` are tested, where ``w`` is fixed per dimension with
+    distinct entries in ``[1, 2)``: rows within ``tol`` in max-norm have
+    projections within ``tol * |w|_1`` of the query's, and each computed
+    dot product is off by at most ``gamma * |w|_1 * (M + tol)``, where
+    ``M`` bounds the max-norm of the stored rows, and so of any query
+    within ``tol`` of one (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §3.1). The window ``|y - y'| <= tol * |w|_1 +
+    2 * gamma * |w|_1 * (M + tol)`` therefore holds every row within
+    ``tol``; ``gamma`` is taken for ``dim + 2`` terms at twice the unit
+    roundoff, which also covers the rounding of the window ends and of
+    ``M``. ``M`` is the largest max-norm of a stored row, exact, which
+    cannot overflow. A row is kept as its key ``x.tobytes()``, which also
+    serves the memo, and rebuilt only for a query whose window holds it.
+    A lookup costs ``O(log d)``, where ``d`` rows are stored; a miss whose
+    window is empty ends after one binary search.
+
+    A finite projection implies finite coordinates, since ``w > 0``, so
+    the projection doubles as the finiteness check of a query. A finite
+    row whose projection overflows is kept out of the sorted keys and
+    tested on every lookup; a finite query whose projection overflows is
+    tested against every row, with no overflow warning.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.memo: dict[bytes, int] = {}  # byte key -> row it resolved to
+        self._stored: list[bytes] = []  # the byte key of each row
+        self._w, self._w1, self._slack = _weights(dim)
+        self._keys: list[float] = []  # finite projections, ascending
+        self._rows: list[int] = []  # row of each projection
+        self._wide: list[int] = []  # rows whose projection overflowed
+        self._norm = 0.0  # M: the largest max-norm of a stored row
+
+    @staticmethod
+    def separated(points: np.ndarray, tol: float) -> bool:
+        """Whether no two rows of ``points`` lie within ``tol`` of each other.
+
+        A vectorized proof by the window above, with no per-row loop: with
+        ``M`` the largest max-norm of a row, exact, two rows within ``tol``
+        have computed projections within ``reach = tol * |w|_1 + 2 * gamma
+        * |w|_1 * (M + tol)``. So if every gap between neighbouring sorted
+        projections exceeds ``reach``, no row would find another in its
+        lookup window, and adding the rows in order to an empty index
+        stores every one of them. ``False`` proves nothing; it is also the
+        answer when a projection or ``M`` is not finite. ``M * |w|_1``
+        bounds a projection, so unless it is below ``_FAR`` the answer is
+        ``False`` before anything is projected and nothing overflows.
+        Python's ``sorted`` orders the projections: it maps in no numpy
+        sort kernel, which would raise the peak memory of a process that
+        sorts nothing else.
+        """
+        w, w1, slack = _weights(points.shape[1])
+        m = float(np.abs(points).max(initial=0.0))
+        if not m * w1 < _FAR:
+            return False
+        proj = (points @ w).tolist()
+        if not math.isfinite(sum(proj)):
+            return False
+        reach = w1 * (tol + slack * (m + tol))
+        return bool((np.diff(sorted(proj)) > reach).all())
+
+    @classmethod
+    def distinct(
+        cls, points: np.ndarray, tol: float, strict: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(kept, classes)`` of ``points`` fed in order to an empty index.
+
+        ``kept`` holds the indices of the rows it stores, and ``classes[b]``
+        the position in ``kept`` of the row that row ``b`` resolves to:
+        each row joins the first earlier kept row within ``tol``, greedily
+        in first-seen order. Every row is its own class when
+        :meth:`separated` proves every row distinct; otherwise the rows go
+        through a fresh index one by one. With ``strict``, a row within
+        ``tol`` of an earlier one raises :class:`ValueError` naming both.
+        """
+        if cls.separated(points, tol):
+            every = np.arange(len(points))
+            return every, every
+        index = cls(points.shape[1])
+        kept, classes = [], []
+        for b, x in enumerate(points):
+            key = x.tobytes()
+            a, y = index.lookup(x, key, tol)
+            if a < 0:
+                a = len(kept)
+                index.insert(x, key, y)
+                kept.append(b)
+            elif strict:
+                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
+            classes.append(a)
+        return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
+
+    # A finite x near the largest double may overflow; opposite infinities
+    # make inf - inf. Either way no warning: the lookup answers or raises.
+    @np.errstate(over="ignore", invalid="ignore")
+    def lookup(self, x: np.ndarray, key: bytes, tol: float) -> tuple[int, float]:
+        """The lowest stored row within ``tol`` of ``x``, or -1, given ``key
+        = x.tobytes()``; and the projection of ``x`` for :meth:`insert` (NaN
+        for an exact repeat, which makes none).
+
+        Raises :class:`ValueError`, with the index unchanged, when ``x``
+        has a non-finite entry.
+        """
+        i = self.memo.get(key)
+        if i is not None:
+            return i, math.nan
+        y = float(x.dot(self._w))
+        if math.isfinite(y):
+            reach = self._w1 * (tol + self._slack * (self._norm + tol))
+            keys = self._keys
+            lo = bisect_left(keys, y - reach)
+            if (lo == len(keys) or keys[lo] > y + reach) and not self._wide:
+                return -1, y
+            rows = self._rows[lo : bisect_right(keys, y + reach, lo)] + self._wide
+        elif np.isfinite(x).all():
+            rows = range(len(self._stored))
+        else:
+            raise ValueError("point contains non-finite entries")
+        cand = np.frombuffer(b"".join([self._stored[r] for r in rows])).reshape(-1, self.dim)
+        near = np.abs(cand - x).max(axis=1) <= tol
+        hits = [r for r, hit in zip(rows, near.tolist()) if hit]
+        if not hits:
+            return -1, y
+        i = self.memo[key] = min(hits)
+        return i, y
+
+    def insert(self, x: np.ndarray, key: bytes, y: float) -> None:
+        """Store ``x`` as the next row, given the key and projection :meth:`lookup` returned."""
+        row = len(self._stored)
+        if math.isfinite(y):
+            at = bisect_right(self._keys, y)
+            self._keys.insert(at, y)
+            self._rows.insert(at, row)
+        else:
+            self._wide.append(row)
+        coords = x.tolist()
+        norm = max(max(coords), -min(coords))
+        if norm > self._norm:
+            self._norm = norm
+        self._stored.append(key)
+        self.memo[key] = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,29 +607,27 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Grid:
-    """The points to look up for :func:`sample_grid`, and each cell's row among them.
+    """The distinct points of :func:`sample_grid`, and each cell's row among them.
 
     ``tol`` is the coincidence tolerance of the geometry, worked out once
     when the record is built: :func:`dedup_tolerance` of ``x0``, S and T,
     unless :func:`nshc_points` was given another. S holds up to two
     records, one per ``(T, x0)`` (:func:`_grid`). ``grid[i, j]`` reads as
-    ``points[cls[i, j]]``. When T is bitwise ``build_uk(S, k)`` and every
-    cell lies within ``tol`` of the first cell of its :func:`fold_index`
-    class, the points are those first cells, in row-major order; otherwise
-    they are every cell in row-major order and ``cls`` is the identity,
-    leaving all coincidences to the tolerance. (Cells of one class differ
-    by rounding alone, which a coincidence tolerance of
-    :func:`dedup_tolerance` exceeds.) The deduplicated :class:`PointSet`
-    and its rows ``kept`` in ``points`` are made by the first
-    :meth:`point_set` that asks; when every row is kept the set holds
-    ``points`` itself. ``points`` and ``cls`` are read-only, and
-    only this module reads them. The record also holds the F of its last
-    complete :meth:`read` beside a weak reference to that cache, so a held
-    geometry keeps no cache or oracle alive, and the proof that its points
-    are pairwise apart at ``tol`` (sorted projections, their row order and
-    ``M``, not the byte keys), made by the first read from a cache that
-    stores no point or by the first :meth:`point_set`, which takes its
-    rows from it.
+    ``points[cls[i, j]]``, and the record makes every coincidence decision
+    of its grid: when T is bitwise ``build_uk(S, k)`` and every cell lies
+    within ``tol`` of the first cell of its :func:`fold_index` class, the
+    candidates are those first cells, in row-major order; otherwise they
+    are every cell in row-major order. (Cells of one class differ by
+    rounding alone, which a coincidence tolerance of
+    :func:`dedup_tolerance` exceeds.) :meth:`PointIndex.distinct` then
+    merges the candidates within ``tol``, greedily in first-seen order, so
+    ``points`` are distinct at ``tol`` and a cache is asked for each once.
+    ``points`` and ``cls`` are read-only, and only this module reads them.
+    The :class:`PointSet` of ``points`` is made by the first
+    :meth:`point_set` that asks and holds ``points`` itself. The record
+    also holds the F of its last complete :meth:`read` beside a weak
+    reference to that cache, so a held geometry keeps no cache or oracle
+    alive.
     """
 
     t_set: DirectionSet
@@ -464,64 +635,39 @@ class _Grid:
     tol: float
     points: np.ndarray
     cls: np.ndarray
-    kept: np.ndarray | None = None
     _point_set: PointSet | None = None
     _last_read: tuple | None = None  # (weak reference to the cache, its F)
-    _proof: tuple | None = None  # cache._proof of points at tol, once made
 
     def read(self, cache) -> np.ndarray:
         """``F[i, j]``: the values at ``points``, read from ``cache`` in one
-        lookup at ``tol``, spread over the cells; read-only.
+        block, spread over the cells; read-only.
 
         On the cache of the last read that completed, the F it returned,
         with no request. A cache only ever adds points, and after a
-        complete read every key of ``points`` is in its exact-key memo, so
-        a second lookup would return these values row by row. Only a read
-        that returned in full is held, and the slot is replaced in one
+        complete read every key of ``points`` is in its memo, so a second
+        block would return these values row by row. Only a read that
+        returned in full is held, and the slot is replaced in one
         assignment, so a concurrent reader sees the old pair or the new.
-        A cache that stores no point takes the block from the held proof,
-        which the first such read makes; any other cache proves the block
-        against its own points. Either way the state and the values are
-        those of ``cache.evaluate_many(points, tol)``.
         """
         last = self._last_read
         if last is not None and last[0]() is cache:
             return last[1]
-        values = _read_only(cache._read(self.points, self.tol, self._proved)[self.cls])
+        values = _read_only(cache.evaluate_many(self.points)[self.cls])
         self._last_read = weakref.ref(cache), values
         return values
 
-    def _proved(self, keys: list[bytes]) -> tuple:
-        """The held proof of ``points`` at ``tol``, made now if there is none;
-        ``keys`` are the points' byte keys."""
-        proof = self._proof
-        if proof is None:
-            proof = self._proof = _proof(self.points, keys, self.tol)
-        return proof
-
     def point_set(self) -> PointSet:
-        """The points deduplicated at ``tol``, greedily in row-major order."""
+        """``points`` as a :class:`PointSet` at ``tol``, sharing their rows."""
         if self._point_set is None:
-            # When the block proof holds, its rows are the ones an empty
-            # index stores: every row, or the first of each bitwise repeat.
-            proof = self._proved(_row_keys(self.points))
-            if not proof:
-                self.kept = PointIndex.distinct(self.points, self.tol)
-            elif proof[0] is None:
-                self.kept = np.arange(len(self.points))
-            else:
-                self.kept = np.array(proof[0], dtype=np.intp)
-            rows = self.points if len(self.kept) == len(self.points) else self.points[self.kept]
-            self._point_set = PointSet._distinct(_read_only(rows), self.tol, shared=True)
+            self._point_set = PointSet._distinct(self.points, self.tol, shared=True)
         return self._point_set
 
-    def kept_values(self, cache) -> np.ndarray:
-        """The values at the rows of :meth:`point_set`, from the F :meth:`read` returns."""
-        point_values = np.empty(len(self.points))
+    def point_values(self, cache) -> np.ndarray:
+        """The values at ``points``, from the F :meth:`read` returns."""
+        values = np.empty(len(self.points))
         # Every cell of a class holds its point's value, so any one will do.
-        point_values[self.cls.ravel()] = self.read(cache).ravel()
-        self.point_set()
-        return point_values[self.kept]
+        values[self.cls.ravel()] = self.read(cache).ravel()
+        return values
 
 
 _HELD_RECORDS = 2  # grid records an outer set holds
@@ -554,13 +700,16 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
                 return record
     grid = sample_grid(x0, s_set, t_set)
     record_tol = dedup_tolerance(x0, s_set, t_set) if tol is None else tol
-    flat = grid.reshape(-1, grid.shape[2])
-    points, cls = flat, np.arange(len(flat)).reshape(grid.shape[:2])
+    points = grid.reshape(-1, grid.shape[2])
+    cls = np.arange(len(points)).reshape(grid.shape[:2])
     k = _fold_k(s_set, t_set)
     if k is not None:
         fold_cls, first = fold_index(s_set.dim, k)
-        if np.abs(flat - flat[first[fold_cls.ravel()]]).max() <= record_tol:
-            points, cls = flat[first], fold_cls
+        if np.abs(points - points[first[fold_cls.ravel()]]).max() <= record_tol:
+            points, cls = points[first], fold_cls
+    kept, classes = PointIndex.distinct(points, record_tol)
+    if len(kept) < len(points):
+        points, cls = points[kept], classes[cls]
     record = _Grid(t_set, key, record_tol, _read_only(points), _read_only(cls))
     if tol is None:
         object.__setattr__(s_set, "_records", (record, *held[: _HELD_RECORDS - 1]))
@@ -593,10 +742,13 @@ def _checked_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> _Grid:
 
 def _simplex_values(x0: np.ndarray, t_set: DirectionSet, cache) -> np.ndarray:
     """``f(x0)`` and ``f(x0 + t_j)`` from ``cache``, once T clears the
-    tolerance :func:`dedup_tolerance` of ``x0`` and T, which the read uses."""
+    tolerance :func:`dedup_tolerance` of ``x0`` and T; points within it of
+    an earlier one, greedily in that order, read its value."""
     tol = dedup_tolerance(x0, t_set)
     _require_spacing(tol, T=t_set)
-    return cache.evaluate_many(np.vstack([x0, x0 + t_set.matrix.T]), tol)
+    points = np.vstack([x0, x0 + t_set.matrix.T])
+    kept, classes = PointIndex.distinct(points, tol)
+    return cache.evaluate_many(points[kept])[classes]
 
 
 def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None) -> PointSet:
@@ -604,11 +756,11 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
 
     The deduplicated :func:`sample_grid`, read row by row (``x0``, then
     ``x0 + t_j``, then ``x0 + s_i`` followed by ``x0 + s_i + t_j``), so the
-    first-seen representative of each coincidence class is kept, exactly
-    as an evaluation cache answering requests at ``tol`` would keep it. On
-    a folded pair ``(S, U_k)`` only the first cell of each
-    :func:`fold_index` class is read, and the points go through
-    :meth:`~nshess.cache.PointIndex.distinct`. By default the set is the
+    first-seen representative of each coincidence class is kept: these
+    are the points an estimate on the grid requests. On a folded pair
+    ``(S, U_k)`` only the first cell of each :func:`fold_index` class is
+    read, and the points go through :meth:`PointIndex.distinct`. By
+    default the set is the
     one of the grid record of ``(x0, S, T)`` held on S, at the tolerance
     of this geometry that every estimate on it uses, so a repeated call
     on the same ``(x0, S, T)`` returns the same set while S holds that

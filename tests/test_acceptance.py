@@ -5,7 +5,10 @@ assertions hold, so a verbose run reads as a checklist. Tolerances are the
 published ones, not relaxed copies.
 """
 
+import re
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +316,28 @@ def test_c8_pseudoinverse_properties():
         e_hat = t_set.normalized().matrix
         np.testing.assert_allclose(pseudoinverse(e_hat), 2.0 * e_hat, atol=1e-13)
     print(f"PASS pseudoinverse: 1000 Penrose checks, worst residual {worst:.3e}, doubling identity")
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize(
+    "demo, pattern, want",
+    [
+        ("01_simplex_gradient.py", r"evals = (\d+)", ["3"] * 4),
+        ("02_nested_hessian_economy.py", r"(\d+) distinct points", ["6", "9"]),
+        (
+            "02_nested_hessian_economy.py",
+            r"k = 0\.\.\d+: (\[[\d, ]+\])",
+            [str([6] * 3), str([15] * 5), str([28] * 7)],
+        ),
+        ("02_nested_hessian_economy.py", r"distinct evals: (\d+)", ["10"]),
+        ("04_quadratic_models.py", r"evals (?:for the Hessian|after adding the model): +(\d+)",
+         ["6", "6"]),
+    ],
+)
+def test_c9_demo_evaluation_counts(demo, pattern, want, capsys):
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    got = re.findall(pattern, capsys.readouterr().out)
+    assert got == want
+    print(f"PASS {demo} counts: {', '.join(got)}")

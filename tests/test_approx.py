@@ -120,12 +120,22 @@ class TestSimplexGradient:
                 simplex_gradient(np.zeros(2), t, cache)
             assert cache.total_requests == cache.distinct_count == i
 
-    def test_reports_radius_and_eval_count(self):
-        t = DirectionSet(0.5 * np.eye(2))
+    @pytest.mark.parametrize(
+        "t_mat",
+        [
+            0.5 * np.eye(2),
+            # Columns 1 and 3 differ by 2e-13, below dedup_tolerance(x0, T)
+            # (about 1.5e-12) but not bitwise: they cost one evaluation.
+            np.array([[0.5, 0.0, 0.5 + 2e-13], [0.0, 0.5, 0.0]]),
+        ],
+        ids=["square", "near_duplicate_columns"],
+    )
+    def test_reports_radius_and_eval_count(self, t_mat):
+        t = DirectionSet(t_mat)
         cache = EvaluationCache(sphere)
         res = simplex_gradient(np.zeros(2), t, cache)
-        assert res.set_radius == 0.5
-        assert res.eval_count == 3
+        assert res.set_radius == t.radius
+        assert res.eval_count == cache.total_requests == 3
 
 
 class TestNestedSetHessian:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian, nshc_points
-from nshess.cache import PointIndex, _weights
+from nshess.sets import PointIndex, _weights
 from nshess.exceptions import EvaluationError
 
 
@@ -52,38 +52,37 @@ class TestCounting:
             cache.evaluate(np.zeros(3))
         assert len(calls) == 1
 
-    def test_tolerance_merges_nearby_points(self):
-        cache = EvaluationCache(sphere)
-        a = cache.evaluate(np.array([1.0, 0.0]), tol=1e-9)
-        b = cache.evaluate(np.array([1.0 + 1e-12, 0.0]), tol=1e-9)
-        assert a == b
-        assert cache.distinct_count == 1
-
-    def test_zero_tolerance_keeps_nearby_points_apart(self):
-        cache = EvaluationCache(sphere)
-        cache.evaluate(np.array([1.0, 0.0]))
-        cache.evaluate(np.array([1.0 + 1e-12, 0.0]))
-        assert cache.distinct_count == 2
-
-    def test_first_value_wins_inside_tolerance(self):
-        values = iter([10.0, 20.0])
-        cache = EvaluationCache(lambda x: next(values))
-        assert cache.evaluate(np.array([0.0]), tol=1e-6) == 10.0
-        assert cache.evaluate(np.array([1e-9]), tol=1e-6) == 10.0
+    def test_only_bitwise_equal_points_share_a_value(self):
+        # The cache is an exact memo on x.tobytes(): points one rounding
+        # apart, or differing only in the sign of a zero, are each evaluated.
+        cache = EvaluationCache(counter())
+        points = [[1.0, 0.0], [1.0 + 1e-12, 0.0], [1.0, -0.0], [1.0, 5e-324]]
+        assert [cache.evaluate(np.array(x)) for x in points] == [1.0, 2.0, 3.0, 4.0]
+        assert [cache.evaluate(np.array(x)) for x in points] == [1.0, 2.0, 3.0, 4.0]
+        assert state(cache)[:2] == (8, 4)
 
     def test_callable_protocol(self):
         cache = EvaluationCache(sphere)
         assert cache(np.array([2.0])) == 4.0
 
 
-class TestPerCallTolerance:
-    def test_tolerance_merges_only_its_own_request(self):
+class TestNoTolerance:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, np.inf, np.nan, -1.0])
+    def test_requests_take_no_tolerance(self, tol):
+        # Coincidence within a tolerance is the grid record's decision; a
+        # request that names one is refused before any state changes.
         cache = EvaluationCache(sphere)
         cache.evaluate(np.array([1.0]))
-        cache.evaluate(np.array([1.0 + 1e-9]), tol=1e-6)
-        assert cache.distinct_count == 1
-        cache.evaluate(np.array([1.0 - 2e-9]))
-        assert cache.distinct_count == 2
+        before = state(cache)
+        with pytest.raises(TypeError):
+            cache.evaluate(np.array([1.0 + 1e-12]), tol=tol)
+        with pytest.raises(TypeError):
+            cache.evaluate(np.array([1.0 + 1e-12]), tol)
+        with pytest.raises(TypeError):
+            cache.evaluate_many(np.array([[1.0 + 1e-12]]), tol=tol)
+        with pytest.raises(TypeError):
+            cache.evaluate_many(np.array([[1.0 + 1e-12]]), tol)
+        assert state(cache) == before
 
 
 class TestNestedEstimateCounts:
@@ -181,7 +180,7 @@ class TestFailures:
         with pytest.raises(ValueError, match="non-finite"):
             cache.evaluate(np.array([1.0, bad]))
         with pytest.raises(ValueError, match="non-finite"):
-            cache.evaluate(np.array([bad, bad]), tol=1.0)
+            cache.evaluate(np.array([bad, bad]))
         assert state(cache) == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -200,20 +199,6 @@ class TestFailures:
                 assert cache.evaluate(np.array([1.0, 2.0])) == 1.0
         assert state(cache)[:2] == (1, 1)
 
-    def test_infinite_coordinate_raises_under_infinite_tolerance(self):
-        # Under tol = inf every finite point matches the first stored row;
-        # a point with an infinite coordinate must still be refused.
-        cache = EvaluationCache(counter())
-        assert cache.evaluate(np.array([1.0, 2.0]), tol=np.inf) == 1.0
-        assert cache.evaluate(np.array([-5.0, 9.0]), tol=np.inf) == 1.0
-        before = state(cache)
-        for point in ([np.inf, 2.0], [1.0, -np.inf], [np.nan, 2.0]):
-            with pytest.raises(ValueError, match="non-finite"):
-                cache.evaluate(np.array(point), tol=np.inf)
-            with pytest.raises(ValueError, match="non-finite"):
-                cache.evaluate_many(np.array([point]), tol=np.inf)
-        assert state(cache) == before
-
     def test_rejects_matrix_input(self):
         cache = EvaluationCache(sphere)
         with pytest.raises(ValueError):
@@ -224,42 +209,15 @@ class TestFailures:
             EvaluationCache(42)
 
     def test_constructor_takes_no_tolerance(self):
-        # The tolerance is the request's; an estimate reads at its geometry's.
+        # The tolerance is the grid record's; the cache compares bytes.
         for args, kwargs in (((sphere, 1e-9), {}), ((sphere,), {"tol": 1e-9})):
             with pytest.raises(TypeError):
                 EvaluationCache(*args, **kwargs)
-
-    def test_rejects_nan_tolerance(self):
-        # A NaN tolerance used to pass the sign check and silently turn off
-        # folding.
-        cache = EvaluationCache(sphere)
-        with pytest.raises(ValueError, match="nonnegative"):
-            cache.evaluate(np.array([1.0]), tol=float("nan"))
-        with pytest.raises(ValueError, match="nonnegative"):
-            cache.evaluate_many(np.array([[1.0]]), tol=np.nan)
-        assert cache.total_requests == 0
-
-    def test_infinite_tolerance_is_accepted(self):
-        cache = EvaluationCache(sphere)
-        one, five = np.array([1.0]), np.array([5.0])
-        assert cache.evaluate(one, tol=np.inf) == cache.evaluate(five, tol=np.inf) == 1.0
-        assert cache.distinct_count == 1
-
-    def test_rejects_negative_per_call_tolerance(self):
-        cache = EvaluationCache(sphere)
-        with pytest.raises(ValueError):
-            cache.evaluate(np.array([1.0]), tol=-1.0)
-        with pytest.raises(ValueError):
-            cache.evaluate_many(np.array([[1.0]]), tol=-1.0)
-        assert cache.total_requests == 0
 
 
 class TestEvaluateMany:
     def test_empty_block_still_validates(self):
         cache = EvaluationCache(sphere)
-        for tol in (np.nan, -1.0):
-            with pytest.raises(ValueError, match="nonnegative"):
-                cache.evaluate_many(np.empty((0, 2)), tol=tol)
         with pytest.raises(ValueError, match="2-D"):
             cache.evaluate_many(np.empty((0,)))
         with pytest.raises(ValueError, match="nonempty"):
@@ -307,17 +265,17 @@ class TestEvaluateMany:
         calls = []
         original = EvaluationCache.evaluate
 
-        def counting(self, x, tol=0.0):
-            calls.append(tol)
-            return original(self, x, tol)
+        def counting(self, x):
+            calls.append(x.tobytes())
+            return original(self, x)
 
         monkeypatch.setattr(EvaluationCache, "evaluate", counting)
         cache = EvaluationCache(sphere)
         block = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [1.0, 2.0 + 1e-12]])
-        values = cache.evaluate_many(block, tol=1e-9)
-        assert values.tolist() == [5.0, 5.0, 25.0, 5.0]
-        assert calls == [1e-9] * 4
-        assert cache.total_requests == 4
+        values = cache.evaluate_many(block)
+        assert values.tolist() == [5.0, 5.0, 25.0, sphere(block[3])]
+        assert calls == [x.tobytes() for x in block]
+        assert state(cache)[:2] == (4, 3)
 
 
 class TestBlockEquivalence:
@@ -335,12 +293,12 @@ class TestBlockEquivalence:
             if c == plan["fail"]:
                 raise RuntimeError("planned failure")
             if c == plan["reenter"]:
-                inner, tol, many = plan["inner"]
+                inner, many = plan["inner"]
                 with pytest.raises(RuntimeError, match=REFUSAL):
                     if many:
-                        cell[0].evaluate_many(inner, tol)
+                        cell[0].evaluate_many(inner)
                     else:
-                        cell[0].evaluate(inner[0], tol)
+                        cell[0].evaluate(inner[0])
             return float(c)
 
         return f
@@ -356,24 +314,19 @@ class TestBlockEquivalence:
             rows[rng.integers(p), rng.integers(rows.shape[1])] = rng.choice([np.nan, np.inf])
         return rows
 
-    @staticmethod
-    def stored(cache):
-        return None if cache._index is None else cache._index.points.tobytes()
-
     @given(data=st.data())
     def test_same_values_state_and_later_answers(self, data):
         dim = data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         centers = rng.integers(-3, 4, size=(5, dim)) * 0.5
-        tols = st.sampled_from([0.0, 1e-12, 1e-9, 2e-3, 1.0, np.inf])
         blocks = [
-            (self.rows(data, rng, centers, data.draw(st.integers(0, 10))), data.draw(tols))
+            self.rows(data, rng, centers, data.draw(st.integers(0, 10)))
             for _ in range(data.draw(st.integers(1, 4)))
         ]
         plan = {
             "fail": data.draw(st.integers(0, 25)),
             "reenter": data.draw(st.integers(0, 25)),
-            "inner": (self.rows(data, rng, centers, 3), data.draw(tols), data.draw(st.booleans())),
+            "inner": (self.rows(data, rng, centers, 3), data.draw(st.booleans())),
         }
         many_cell, single_cell = [], []
         many = EvaluationCache(self.oracle(plan, many_cell))
@@ -381,41 +334,30 @@ class TestBlockEquivalence:
         many_cell.append(many)
         single_cell.append(single)
         errors = (ValueError, EvaluationError)
-        for rows, tol in blocks:
+        for rows in blocks:
             try:
-                got = many.evaluate_many(rows, tol).tolist()
+                got = many.evaluate_many(rows).tolist()
             except errors as exc:
                 got = type(exc)
             want = []
             try:
                 for x in rows:
-                    want.append(single.evaluate(x, tol))
+                    want.append(single.evaluate(x))
             except errors as exc:
                 want = type(exc)
             assert got == want
             assert state(many) == state(single)
-            assert self.stored(many) == self.stored(single)
         for x in np.vstack([centers, centers + 1e-9]):
-            for tol in (0.0, 1e-6):
-                answers = []
-                for cache in (many, single):
-                    try:
-                        answers.append(cache.evaluate(x, tol))
-                    except errors as exc:
-                        answers.append(type(exc))
-                assert answers[0] == answers[1]
+            answers = []
+            for cache in (many, single):
+                try:
+                    answers.append(cache.evaluate(x))
+                except errors as exc:
+                    answers.append(type(exc))
+            assert answers[0] == answers[1]
         assert state(many) == state(single)
-        assert self.stored(many) == self.stored(single)
 
-    def test_failed_first_block_fixes_no_dimension(self, monkeypatch):
-        reserved = []
-        original = PointIndex.reserve
-
-        def recording(self, block, keys, tol):
-            reserved.append(original(self, block, keys, tol))
-            return reserved[-1]
-
-        monkeypatch.setattr(PointIndex, "reserve", recording)
+    def test_failed_first_block_fixes_no_dimension(self):
         calls = []
 
         def oracle(x):
@@ -427,7 +369,6 @@ class TestBlockEquivalence:
         cache = EvaluationCache(oracle)
         with pytest.raises(EvaluationError, match="not yet"):
             cache.evaluate_many(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert reserved == [True]
         assert state(cache) == (0, 0, [])
         assert cache.evaluate(np.array([1.0, 2.0, 3.0])) == 14.0
         assert cache.evaluate_many(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])).tolist() == [
@@ -435,6 +376,9 @@ class TestBlockEquivalence:
             1.0,
         ]
         assert state(cache)[:2] == (3, 2)
+        # The failed block's rows left nothing behind: in R^2 they are refused.
+        with pytest.raises(ValueError, match="R\\^3"):
+            cache.evaluate(np.array([3.0, 4.0]))
 
 
 class TestRefusedReentry:
@@ -473,10 +417,10 @@ class TestRefusedReentry:
         cache = self.reentrant(np.array(inner), 1)
         with pytest.raises(EvaluationError, match=f"RuntimeError: {REFUSAL}"):
             cache.evaluate(np.array([1.0]))
-        assert state(cache) == (0, 0, []) and cache._index is None
+        assert state(cache) == (0, 0, [])
         point = np.ravel(inner)
         assert cache.evaluate(point) == 2.0
-        assert cache._index.points.tobytes() == point.tobytes()
+        assert state(cache) == (1, 1, [(point.tobytes(), 2.0, "miss")])
 
     @pytest.mark.parametrize("inner", [[5.0, 6.0], [[5.0, 6.0]]])
     def test_a_swallowed_refusal_stores_the_outer_point(self, inner):
@@ -484,7 +428,6 @@ class TestRefusedReentry:
         cache = self.reentrant(np.array(inner), 1, swallow=True)
         assert cache.evaluate(np.array([1.0])) == 1.0
         assert state(cache) == (1, 1, [(np.array([1.0]).tobytes(), 1.0, "miss")])
-        assert cache._index.points.tolist() == [[1.0]]
         with pytest.raises(ValueError, match="R\\^1"):
             cache.evaluate(np.array([5.0, 6.0]))
 
@@ -502,40 +445,50 @@ class TestRefusedReentry:
             single.evaluate(block[1])
         assert want == [1.0]
         assert state(many) == state(single) == (1, 1, [(block[0].tobytes(), 1.0, "miss")])
-        assert many._index.points.ravel().tolist() == [0.0]
         assert many.evaluate_many(block).tolist() == [1.0, 3.0, 4.0, 5.0]
         assert [single.evaluate(x) for x in block] == [1.0, 3.0, 4.0, 5.0]
         assert state(many) == state(single)
-        assert many._index.points.tobytes() == single._index.points.tobytes()
 
 
 class TestHugeCoordinates:
-    """Finite points whose ``x . x`` overflows, though their projection does not."""
+    """Finite points whose ``x . x`` overflows."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stored_without_a_warning(self):
-        # Above about 1.3e154 the squared norm overflows. The bound on the
-        # stored norms used it, so the request warned after the oracle ran,
-        # and under warnings-as-errors it raised and stored nothing.
+        # Above about 1.3e154 the squared norm overflows. A bound on the
+        # stored norms once used it, so the request warned after the oracle
+        # ran, and under warnings-as-errors it raised and stored nothing.
         cache = EvaluationCache(counter())
         big = np.full(3, 1e200)
         assert cache.evaluate(big) == 1.0
         assert cache.distinct_count == cache.total_requests == 1
         near = big.copy()
         near[0] = np.nextafter(1e200, 0.0)
-        assert cache.evaluate(near, tol=1e190) == 1.0
-        above = big.copy()
-        above[1] = np.nextafter(1e200, np.inf)
-        assert cache.evaluate(above) == 2.0
+        assert cache.evaluate(near) == 2.0
         assert cache.evaluate(-big) == 3.0
+        assert cache.evaluate_many(np.array([big, near, np.full(3, 1e308)])).tolist() == [
+            1.0,
+            2.0,
+            4.0,
+        ]
         assert cache.evaluate(big.copy()) == 1.0
-        assert state(cache)[:2] == (5, 3)
+        assert state(cache)[:2] == (7, 4)
+
+
+def resolve(index, x, tol):
+    """The row ``index`` resolves ``x`` to at ``tol``, storing it first if new."""
+    key = x.tobytes()
+    row, y = index.lookup(x, key, tol)
+    if row < 0:
+        index.insert(x, key, y)
+        row = index.memo[key]
+    return row
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingProjection:
-    """Finite points whose projection ``x . w`` overflows still resolve,
-    and no request of them warns."""
+    """Finite points whose projection ``x . w`` overflows still resolve in a
+    :class:`PointIndex`, and no lookup of them warns."""
 
     def test_matches_and_misses_near_the_largest_double(self):
         a = np.full(3, 1e308)
@@ -545,98 +498,64 @@ class TestOverflowingProjection:
         near = a.copy()
         near[0] = np.nextafter(near[0], 0.0)  # one ulp, about 2e292, below
         far = np.array([1e308, 1e308, 9e307])
-        cache = EvaluationCache(counter())
-        assert cache.evaluate(a) == 1.0
-        assert cache.evaluate(near, tol=1e300) == 1.0
-        assert cache.evaluate(near.copy(), tol=0.0) == 1.0  # exact repeat
-        assert cache.evaluate(np.array([1e308, 1e308, np.nextafter(1e308, 2e308)])) == 2.0
-        assert cache.evaluate(far, tol=1e300) == 3.0
-        assert cache.evaluate(far + [0.0, 0.0, 1e299], tol=1e300) == 3.0
+        index = PointIndex(3)
+        assert resolve(index, a, 0.0) == 0
+        assert resolve(index, near, 1e300) == 0
+        assert resolve(index, near.copy(), 0.0) == 0  # exact repeat
+        assert resolve(index, np.array([1e308, 1e308, np.nextafter(1e308, 2e308)]), 0.0) == 1
+        assert resolve(index, far, 1e300) == 2
+        assert resolve(index, far + [0.0, 0.0, 1e299], 1e300) == 2
         # A finite projection is tested against the overflowed rows too.
-        assert cache.evaluate(np.zeros(3), tol=np.inf) == 1.0
-        assert cache.evaluate(np.ones(3)) == 4.0
-        assert cache.evaluate(-a) == 5.0
-        assert cache.evaluate(np.array([1e308, -1e308, 1e308])) == 6.0
-        assert cache.distinct_count == 6
+        assert resolve(index, np.zeros(3), np.inf) == 0
+        assert resolve(index, np.ones(3), 0.0) == 3
+        assert resolve(index, -a, 0.0) == 4
+        assert resolve(index, np.array([1e308, -1e308, 1e308]), 0.0) == 5
 
-    def test_a_block_is_tested_against_the_overflowed_rows(self):
-        # An overflowed row has no sorted projection, so no window of a
-        # block can clear it: the block takes the lookup of each row.
-        cache = EvaluationCache(counter())
-        assert cache.evaluate(np.full(3, 1e308)) == 1.0
-        assert cache.evaluate_many(np.zeros((1, 3)), tol=np.inf).tolist() == [1.0]
-        assert cache.evaluate_many(np.ones((2, 3))).tolist() == [2.0, 2.0]
-        assert state(cache)[:2] == (4, 2)
+    def test_distinct_tests_every_row_against_the_overflowed_rows(self):
+        # An overflowed row has no sorted projection, so no window can
+        # clear it: each later row is tested against it.
+        top = np.full(3, 1e308)
+        kept, classes = PointIndex.distinct(np.array([top, np.zeros(3)]), np.inf)
+        assert kept.tolist() == [0] and classes.tolist() == [0, 0]
+        kept, classes = PointIndex.distinct(np.array([top, np.ones(3), np.ones(3)]), 0.0)
+        assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 1]
 
-    def test_a_block_near_the_largest_double_takes_the_lookup_of_each_row(self):
-        # Its projections could overflow, so the proof declines it before
-        # projecting anything.
+    def test_rows_near_the_largest_double_take_the_lookup_of_each_row(self):
+        # Their projections could overflow, so the vectorized proof declines
+        # them before projecting anything.
         block = np.array([[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308]])
         assert not PointIndex.separated(block[:2], 0.0)
-        cache = EvaluationCache(counter())
-        assert cache.evaluate_many(block).tolist() == [1.0, 2.0, 1.0]
-        assert cache.evaluate_many(np.zeros((1, 3))).tolist() == [3.0]
-        assert state(cache)[:2] == (4, 3)
+        kept, classes = PointIndex.distinct(block, 0.0)
+        assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 0]
 
-    def test_a_window_too_wide_for_its_ends_is_not_reserved(self, monkeypatch):
-        reserved = []
-        original = PointIndex.reserve
-
-        def recording(self, block, keys, tol):
-            reserved.append(original(self, block, keys, tol))
-            return reserved[-1]
-
-        monkeypatch.setattr(PointIndex, "reserve", recording)
+    def test_a_window_too_wide_for_its_ends_still_matches(self):
+        # The row lies within tol of row 0, though its window ends overflow.
         big = float(np.finfo(float).max)
         w1 = _weights(1)[1]
-        cache = EvaluationCache(counter())
-        assert cache.evaluate_many(np.zeros((1, 1))).tolist() == [1.0]
-        # The row lies within tol of row 0, but its window ends overflow.
-        x = np.array([[0.2 * big / w1]])
-        assert cache.evaluate_many(x, tol=0.9 * big / w1).tolist() == [1.0]
-        assert reserved == [True, False]
-        assert state(cache)[:2] == (2, 1)
+        rows = np.array([[0.0], [0.2 * big / w1]])
+        kept, classes = PointIndex.distinct(rows, 0.9 * big / w1)
+        assert kept.tolist() == [0] and classes.tolist() == [0, 0]
 
 
 class TestStorageAndHitPath:
-    """Stored rows are their byte keys; a bitwise repeat is answered from the memo."""
+    """A bitwise repeat is answered from the memo; no request compares points."""
 
-    def test_points_are_the_stored_rows_bitwise_read_only_and_detached(self):
-        rows = np.array([[0.1, -0.0], [5e-324, 3.0], [-0.0, 0.1], [1e200, -1e-300]])
-        want = rows.tobytes()
-        index = PointIndex(2)
-        for x in rows:
-            key = x.tobytes()
-            index.insert(x, key, index.lookup(x, key, 0.0)[1])
-        rows[:] = 7.0
-        points = index.points
-        assert points.shape == (4, 2)
-        assert points.tobytes() == want
-        assert not points.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            points[0, 0] = 1.0
-        assert PointIndex(3).points.shape == (0, 3)
+    def test_a_request_makes_no_tolerance_lookup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cache compared points within a tolerance")
 
-    def test_bitwise_repeat_makes_no_lookup(self, monkeypatch):
-        lookups = []
-        original = PointIndex.lookup
-
-        def counting(self, x, key, tol):
-            lookups.append(key)
-            return original(self, x, key, tol)
-
-        monkeypatch.setattr(PointIndex, "lookup", counting)
+        monkeypatch.setattr(PointIndex, "lookup", refuse)
+        monkeypatch.setattr(PointIndex, "distinct", refuse)
         cache = EvaluationCache(counter())
         a, near = np.array([1.0, 2.0]), np.array([1.0, 2.0 + 1e-12])
         assert cache.evaluate(a) == 1.0
-        assert cache.evaluate(near, tol=1e-9) == 1.0
-        assert len(lookups) == 2
-        # Whatever their tolerance, repeats of a request or of a match.
-        for x, tol in ((a.copy(), 0.0), (near.copy(), 0.0), (a, 1.0)):
-            assert cache.evaluate(x, tol) == 1.0
-        assert cache.evaluate_many(np.array([a, near])).tolist() == [1.0, 1.0]
-        assert len(lookups) == 2
-        assert [status for _, _, status in cache.trace_rows()] == ["miss"] + ["hit"] * 6
+        assert cache.evaluate(near) == 2.0
+        for x in (a.copy(), near.copy(), a):
+            assert cache.evaluate(x) in (1.0, 2.0)
+        assert cache.evaluate_many(np.array([a, near, a + 1.0])).tolist() == [1.0, 2.0, 3.0]
+        assert [status for _, _, status in cache.trace_rows()] == (
+            ["miss"] * 2 + ["hit"] * 5 + ["miss"]
+        )
 
     def test_wrong_dimension_after_hits_raises_before_any_state_changes(self):
         calls = []
@@ -654,29 +573,21 @@ class TestStorageAndHitPath:
         assert len(calls) == 2
 
 
-class TestAgainstLinearScan:
-    """Random request blocks give what a linear scan of stored points gives."""
+class TestAgainstExactMemo:
+    """Random request blocks give what a dict of byte keys gives."""
 
     @staticmethod
-    def reference(blocks, dim):
-        stored, exact, trace = [], {}, []
-        for block, tol in blocks:
+    def reference(blocks):
+        exact, trace = {}, []
+        for block in blocks:
             for x in block:
                 if not np.isfinite(x).all():
-                    return stored, trace
+                    return exact, trace
                 key = x.tobytes()
-                i = exact.get(key)
-                if i is None:
-                    near = [j for j, p in enumerate(stored) if np.abs(p - x).max() <= tol]
-                    i = near[0] if near else -1
-                if i >= 0:
-                    trace.append((key, float(i + 1), "hit"))
-                else:
-                    i = len(stored)
-                    stored.append(x.copy())
-                    trace.append((key, float(i + 1), "miss"))
-                exact[key] = i
-        return stored, trace
+                status = "hit" if key in exact else "miss"
+                value = exact.setdefault(key, float(len(exact) + 1))
+                trace.append((key, value, status))
+        return exact, trace
 
     @given(data=st.data())
     def test_same_values_counts_and_trace(self, data):
@@ -692,16 +603,15 @@ class TestAgainstLinearScan:
             )
             if p and data.draw(st.booleans()) and rng.random() < 0.2:
                 rows[rng.integers(p), rng.integers(dim)] = rng.choice([np.nan, np.inf])
-            tol = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, 2e-3, 1.0, np.inf]))
-            blocks.append((rows, tol))
+            blocks.append(rows)
         cache = EvaluationCache(counter())
         values = []
         try:
-            for rows, tol in blocks:
-                values.extend(cache.evaluate_many(rows, tol=tol))
+            for rows in blocks:
+                values.extend(cache.evaluate_many(rows))
         except ValueError:
             pass
-        stored, trace = self.reference(blocks, dim)
+        stored, trace = self.reference(blocks)
         assert state(cache) == (len(trace), len(stored), trace)
         # A block that raises returns nothing, but its earlier rows count.
         assert values == [value for _, value, _ in trace][: len(values)]
@@ -729,16 +639,18 @@ class TestTrace:
 
     def test_points_are_the_requests_bitwise_and_detached(self):
         cache = EvaluationCache(sphere)
-        requests = [np.array([0.1, -0.0]), np.array([0.1 + 1e-9, 0.0]), np.array([5e-324, 3.0])]
+        requests = [np.array([0.1, -0.0]), np.array([0.1, 0.0]), np.array([5e-324, 3.0])]
         for x in requests:
-            cache.evaluate(x, tol=1e-6)
+            cache.evaluate(x)
         for x in requests:
             x[:] = 7.0
-        cache.evaluate_many(np.array([[2.0, 1.0]]), tol=1e-6)
+        cache.evaluate_many(np.array([[2.0, 1.0], [0.1, -0.0]]))
         points = [point for point, _, _ in cache.trace_rows()]
-        want = [[0.1, -0.0], [0.1 + 1e-9, 0.0], [5e-324, 3.0], [2.0, 1.0]]
+        want = [[0.1, -0.0], [0.1, 0.0], [5e-324, 3.0], [2.0, 1.0], [0.1, -0.0]]
         assert [p.tobytes() for p in points] == [np.array(w).tobytes() for w in want]
-        assert [status for _, _, status in cache.trace_rows()] == ["miss", "hit", "miss", "miss"]
+        assert all(not p.flags.writeable for p in points)
+        statuses = [status for _, _, status in cache.trace_rows()]
+        assert statuses == ["miss", "miss", "miss", "miss", "hit"]
 
     def test_csv_has_one_header_for_every_row(self):
         # A 3-D request after a 2-D one used to be answered and traced, so

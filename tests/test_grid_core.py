@@ -1,4 +1,4 @@
-"""The grid-first estimator core: bulk cache lookup, matrix-form Hessian,
+"""The grid-first estimator core: bulk cache reads, matrix-form Hessian,
 grid deduplication, the coincidence index, the closed-form fold map, and
 the refusal to estimate on collapsed grids."""
 
@@ -23,9 +23,8 @@ from nshess import (
     simplex_gradient,
 )
 from nshess import linalg, sets
-from nshess.cache import PointIndex, _weights
 from nshess.exceptions import EvaluationError
-from nshess.sets import fold_index, sample_grid
+from nshess.sets import PointIndex, _weights, fold_index, sample_grid
 
 
 def smooth(x):
@@ -58,10 +57,10 @@ class TestBulkLookup:
         rows = np.vstack(
             [
                 base,
-                base[[0, 2]] + 0.5 * self.TOL,  # within tol: hits on the first value
+                base[[0, 2]] + 0.5 * self.TOL,  # within a tolerance, but new keys
                 base[[1, 1]],  # exact repeats
-                base[[3]] + 3.0 * self.TOL,  # just outside tol: a new point
-                base[[3]] + 3.5 * self.TOL,  # within tol of that new point only
+                base[[3]] + 3.0 * self.TOL,
+                base[[3]] + 3.5 * self.TOL,
                 rng.standard_normal((3, 3)),
             ]
         )
@@ -70,44 +69,44 @@ class TestBulkLookup:
     def test_matches_row_by_row_evaluation(self):
         rows = self.requests()
         one = EvaluationCache(counter_oracle())
-        expected = [one.evaluate(x, self.TOL) for x in rows]
+        expected = [one.evaluate(x) for x in rows]
         bulk = EvaluationCache(counter_oracle())
-        got = bulk.evaluate_many(rows, self.TOL)
+        got = bulk.evaluate_many(rows)
         np.testing.assert_array_equal(got, expected)
         assert cache_state(bulk) == cache_state(one)
         statuses = cache_state(bulk)[4]
-        assert statuses.count("miss") == 10 and statuses.count("hit") == 5
+        assert statuses.count("miss") == 13 and statuses.count("hit") == 2
 
     def test_split_and_interleaved_calls_match(self):
         rows = self.requests()
         one = EvaluationCache(counter_oracle())
-        expected = [one.evaluate(x, self.TOL) for x in rows]
+        expected = [one.evaluate(x) for x in rows]
         mixed = EvaluationCache(counter_oracle())
-        got = list(mixed.evaluate_many(rows[:5], self.TOL))
-        got.append(mixed.evaluate(rows[5], self.TOL))
-        got.extend(mixed.evaluate_many(rows[6:], self.TOL))
+        got = list(mixed.evaluate_many(rows[:5]))
+        got.append(mixed.evaluate(rows[5]))
+        got.extend(mixed.evaluate_many(rows[6:]))
         assert got == expected
         assert cache_state(mixed) == cache_state(one)
 
-    def test_first_value_wins_within_tolerance(self):
-        cache = EvaluationCache(counter_oracle())
-        got = cache.evaluate_many([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]], 1e-6)
-        # 0.9e-6 is within tol of both stored points; the earlier one wins
+    def test_first_class_wins_within_tolerance(self):
+        # 0.9e-6 is within tol of both kept points; the earlier one wins
         # although the later one is nearer.
-        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 0.0])
-        assert cache.distinct_count == 2
+        points = np.array([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]])
+        kept, classes = PointIndex.distinct(points, 1e-6)
+        assert kept.tolist() == [0, 3]
+        assert classes.tolist() == [0, 0, 0, 1, 0]
 
     def test_another_dimension_raises_before_any_state_changes(self):
         cache = EvaluationCache(counter_oracle())
-        assert cache.evaluate_many(np.zeros((1, 2)), self.TOL)[0] == 0.0
+        assert cache.evaluate_many(np.zeros((1, 2)))[0] == 0.0
         before = cache_state(cache)
         for other in (np.zeros(3), np.array([0.0, 0.0, 1e-12]), np.zeros(1)):
             with pytest.raises(ValueError, match="R\\^2"):
-                cache.evaluate(other, self.TOL)
+                cache.evaluate(other)
             with pytest.raises(ValueError, match="R\\^2"):
-                cache.evaluate_many(np.vstack([other, other]), self.TOL)
+                cache.evaluate_many(np.vstack([other, other]))
         assert cache_state(cache) == before
-        assert cache.evaluate(np.array([0.0, 1e-12]), self.TOL) == 0.0
+        assert cache.evaluate(np.zeros(2)) == 0.0
         # A first request that stores nothing fixes no dimension.
         fresh = EvaluationCache(counter_oracle())
         with pytest.raises(ValueError, match="non-finite"):
@@ -324,15 +323,16 @@ def insert(index, x):
 def index_classes(cloud, tol):
     """Greedy first-seen classes through a PointIndex: each row's class row."""
     index = PointIndex(cloud.shape[1])
-    labels = []
+    labels, kept = [], []
     for x in cloud:
         key = x.tobytes()
         i, y = index.lookup(x, key, tol)
         if i < 0:
-            i = len(index)
+            i = len(kept)
             index.insert(x, key, y)
+            kept.append(x)
         labels.append(i)
-    return labels, index.points.copy()
+    return labels, np.array(kept)
 
 
 def scan_classes(cloud, tol):
@@ -354,6 +354,9 @@ class TestPointIndex:
         want_labels, want_kept = scan_classes(cloud, tol)
         assert labels == want_labels
         np.testing.assert_array_equal(kept, want_kept)
+        rows, classes = PointIndex.distinct(cloud, tol)
+        assert classes.tolist() == want_labels
+        np.testing.assert_array_equal(cloud[rows], want_kept)
         index = PointIndex(cloud.shape[1])
         for x in kept:
             insert(index, x)
@@ -472,26 +475,49 @@ class TestFoldMap:
         with pytest.raises(ValueError):
             fold_index(3, 4)
 
-    def test_folded_pair_requests_one_point_per_class(self):
+    @staticmethod
+    def non_folded_pair(kind, n, k):
+        """``(S, T)`` whose T is not bitwise ``build_uk(S, k)``, so no fold map
+        applies, while cells of the grid still coincide up to rounding."""
+        if kind == "plus_zero":  # float-equal U_k, +0.0 for its -0.0 entries
+            s_set, t_set = canonical_set(n, k, 1e-2)
+            plus_zero = DirectionSet(t_set.matrix + 0.0)
+            assert plus_zero.matrix.tobytes() != t_set.matrix.tobytes()
+            return s_set, plus_zero
+        rng = np.random.default_rng(n + k)
+        s = 0.1 * (np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+        # T repeats columns of S, so (x0 + s_i) + s_j meets (x0 + s_j) + s_i.
+        return DirectionSet(s), DirectionSet(np.hstack([s[:, : n - 1], 0.1 * np.eye(n)[:, :1]]))
+
+    @pytest.mark.parametrize("kind", ["folded", "plus_zero", "shared_columns"])
+    def test_a_read_requests_each_distinct_point_once(self, kind):
+        # The record, not the cache, merges cells within its tolerance, so
+        # every read requests each of its distinct points exactly once; F, H
+        # and the count are those of a scan that maps each cell to the first
+        # earlier cell within dedup_tolerance(x0, S, T).
         n, k = 5, 2
         x0 = np.linspace(-0.5, 0.5, n)
-        s_set, t_set = canonical_set(n, k, 1e-2)
-        need = minimal_point_count(n)
+        if kind == "folded":
+            s_set, t_set = canonical_set(n, k, 1e-2)
+        else:
+            s_set, t_set = self.non_folded_pair(kind, n, k)
+        grid = sample_grid(x0, s_set, t_set)
+        labels, kept = scan_classes(grid.reshape(-1, n), dedup_tolerance(x0, s_set, t_set))
+        want_values = np.array([smooth(p) for p in kept])[labels].reshape(grid.shape[:2])
+        s, t = s_set.matrix.copy(), t_set.matrix.copy()
+        d = want_values[1:, 1:] - want_values[1:, :1] - want_values[:1, 1:] + want_values[0, 0]
+        want_hessian = linalg.pseudoinverse(s.T) @ d @ linalg.pseudoinverse(t)
+
         cache = EvaluationCache(smooth)
-        nested_set_hessian(x0, s_set, t_set, cache)
-        assert cache.total_requests == need
-        interpolate_minimal(x0, s_set, k, cache)
-        assert cache.total_requests == need
-        assert [status for _, _, status in cache.trace_rows()].count("hit") == 0
-        # Float-equal but not bitwise U_k (+0.0 for -0.0): every cell is requested.
-        plus_zero = DirectionSet(t_set.matrix + 0.0)
-        assert plus_zero.matrix.tobytes() != t_set.matrix.tobytes()
-        other = EvaluationCache(smooth)
-        res = nested_set_hessian(x0, s_set, plus_zero, other)
-        assert other.total_requests == (n + 1) ** 2
-        assert other.distinct_count == need
-        want = nested_set_hessian(x0, s_set, t_set, EvaluationCache(smooth)).hessian
-        assert np.array_equal(res.hessian, want)
+        res = nested_set_hessian(x0, s_set, t_set, cache)
+        assert cache.total_requests == cache.distinct_count == len(kept)
+        assert "hit" not in [status for _, _, status in cache.trace_rows()]
+        assert res.values.tobytes() == want_values.tobytes()
+        assert res.hessian.tobytes() == want_hessian.tobytes()
+        if kind == "shared_columns":
+            assert len(kept) < grid.shape[0] * grid.shape[1]
+        else:
+            assert len(kept) == minimal_point_count(n)
 
     def test_zero_tolerance_and_rounded_cells_keep_the_tolerance_path(self):
         # A random S puts rounding between the cells of a class, so at

@@ -1,4 +1,4 @@
-"""Grid records held per outer set, one distinctness proof per point set, one SVD per basis."""
+"""Grid records held per outer set, one coincidence decision per record, one SVD per basis."""
 
 import gc
 import sys
@@ -31,8 +31,7 @@ from nshess import (
     run_study,
     sets,
 )
-from nshess.cache import PointIndex
-from nshess.sets import _fold_k, fold_index, sample_grid
+from nshess.sets import PointIndex, _fold_k, fold_index, sample_grid
 
 
 def _cubic(x):
@@ -47,13 +46,14 @@ def _greedy_reference(x0, s_set, t_set, tol):
         cls, first = fold_index(len(x0), k)
         if np.abs(flat - flat[first[cls.ravel()]]).max() <= tol:
             flat = flat[first]
-    index = PointIndex(flat.shape[1])
+    index, kept = PointIndex(flat.shape[1]), []
     for x in flat:
         key = x.tobytes()
         row, y = index.lookup(x, key, tol)
         if row < 0:
             index.insert(x, key, y)
-    return index.points
+            kept.append(x)
+    return np.array(kept)
 
 
 def _geometry(kind, n, rng):
@@ -93,17 +93,16 @@ def _matches_greedy(data):
 
 class TestDistinctPoints:
     def test_nshc_points_is_bitwise_the_greedy_loop(self, monkeypatch):
-        # A record's point set takes its rows from the block proof when that
-        # holds and falls back to the greedy lookups when it proves nothing.
+        # A record keeps every candidate when the vectorized proof holds and
+        # falls back to the greedy lookups when it proves nothing.
         outcomes = []
-        real = sets._proof
+        real = PointIndex.separated
 
-        def recorded(points, keys, tol):
-            proof = real(points, keys, tol)
-            outcomes.append(bool(proof))
-            return proof
+        def recorded(points, tol):
+            outcomes.append(real(points, tol))
+            return outcomes[-1]
 
-        monkeypatch.setattr(sets, "_proof", recorded)
+        monkeypatch.setattr(PointIndex, "separated", staticmethod(recorded))
         _matches_greedy()
         assert True in outcomes and False in outcomes  # fast path and fallback both ran
 
@@ -132,14 +131,18 @@ class TestDistinctPoints:
         monkeypatch.setattr(
             PointIndex, "lookup", lambda self, *a: lookups.append(1) or real(self, *a)
         )
-        assert np.array_equal(PointIndex.distinct(points, 1e-12), np.arange(len(points)))
+        kept, classes = PointIndex.distinct(points, 1e-12)
+        assert np.array_equal(kept, np.arange(len(points)))
+        assert np.array_equal(classes, kept)
         assert PointSet(points, 1e-12).points.tobytes() == points.tobytes()
         assert lookups == []
         repeated = np.vstack([points, points[3] + 1e-14])
         with pytest.raises(ValueError, match="points 3 and 15 coincide"):
             PointSet(repeated, 1e-12)
         assert len(lookups) == 16
-        assert np.array_equal(PointIndex.distinct(repeated, 1e-12), np.arange(len(points)))
+        kept, classes = PointIndex.distinct(repeated, 1e-12)
+        assert np.array_equal(kept, np.arange(len(points)))
+        assert classes.tolist() == list(range(len(points))) + [3]
 
     def test_adversarial_classes_merge(self):
         s = 0.1 * np.eye(3)
@@ -204,7 +207,7 @@ class TestGridRecord:
         assert pts.dedup_tol == dedup_tolerance(x0, s_set, t_set)
 
     def test_a_folded_point_set_holds_its_records_rows(self):
-        # Every row of a folded record is kept, so its point set takes the
+        # A record's points are distinct, so its point set takes the
         # record's read-only rows instead of a second copy.
         x0 = np.array([0.3, -0.2, 0.5, 0.1])
         s_set, t_set = canonical_set(4, 2, 0.05)
@@ -258,11 +261,13 @@ class TestGridRecord:
 
     def test_alternating_base_points_build_each_record_once(self, monkeypatch):
         # Two base points taking turns on one S: each keeps its record, so
-        # its grid is built and its block proof made once.
+        # its grid is built and its points resolved once.
         builds, proofs = [], []
-        real_grid, real_proof = sets.sample_grid, sets._proof
+        real_grid, real_distinct = sets.sample_grid, PointIndex.distinct
         monkeypatch.setattr(sets, "sample_grid", lambda *a: builds.append(1) or real_grid(*a))
-        monkeypatch.setattr(sets, "_proof", lambda *a: proofs.append(1) or real_proof(*a))
+        monkeypatch.setattr(
+            PointIndex, "distinct", lambda *a: proofs.append(1) or real_distinct(*a)
+        )
         s_set, t_set = canonical_set(4, 2, 0.05)
         for _ in range(3):
             for x0 in (np.zeros(4), np.ones(4)):

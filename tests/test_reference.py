@@ -3,20 +3,19 @@
 The reference uses no cache, fold, memo or held factor:
 
 - it forms every grid cell as ``(x0 + s_i) + t_j``;
-- it maps each cell, by a brute-force scan, to the first earlier point
-  within ``dedup_tolerance(x0, S, T)``, and evaluates each point it keeps
-  once; a cache shared by several geometries is modelled by replaying the
-  earlier geometries' points first;
+- it maps each cell, by a brute-force scan, to the first earlier cell of
+  the same grid within ``dedup_tolerance(x0, S, T)``, and evaluates each
+  cell it keeps once per byte key: a cache shared by several geometries is
+  a dict of byte keys, so it merges only their bitwise-equal points;
 - it takes ``linalg.pseudoinverse`` of fresh copies of ``S^T`` and ``T``.
 
 F, H, the folded closed-form model, the model gradient and the rule
 estimates must be bitwise the reference's, and ``distinct_count`` the
 reference's point count, for canonical, folded, coincident and
 overdetermined geometries, on fresh and shared caches, with cold and warm
-geometry. A read requests one point per distinct point of the grid on the
-folded pairs ``(S, U_k)``, every cell on any other pair, and nothing when
-the record holds that cache's read; the models after an estimate request
-nothing. Only the bound inputs take another path: the
+geometry. A read requests each distinct point of its grid once, on every
+pair, and nothing when the record holds that cache's read; the models
+after an estimate request nothing. Only the bound inputs take another path: the
 library reads the singular values of S and T divided by the radius, where
 the reference factors the normalized set again, so each norm is held to
 ``4 * eps * kappa`` relative, ``kappa`` the condition number of the kept
@@ -66,20 +65,17 @@ def _g(x):
 
 
 class Reference:
-    """An oracle's values with the cache written as a list scan."""
+    """An oracle's values with the cache written as a dict of byte keys."""
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.points: list[np.ndarray] = []
-        self.values: list[float] = []
+        self.values: dict[bytes, float] = {}
 
-    def value(self, x, tol):
-        for p, v in zip(self.points, self.values):
-            if np.max(np.abs(p - x)) <= tol:
-                return v
-        self.points.append(x)
-        self.values.append(float(self.oracle(x.copy())))
-        return self.values[-1]
+    def value(self, x):
+        key = x.tobytes()
+        if key not in self.values:
+            self.values[key] = float(self.oracle(x.copy()))
+        return self.values[key]
 
     def read(self, x0, s, t):
         """F on the grid of ``(x0, S, T)``, and the grid's own distinct points
@@ -91,10 +87,11 @@ class Reference:
             row = x0 if i == 0 else x0 + s[:, i - 1]
             for j in range(values.shape[1]):
                 cell = row if j == 0 else row + t[:, j - 1]
-                values[i, j] = self.value(cell, tol)
-                if all(np.max(np.abs(p - cell)) > tol for p in kept):
+                near = [a for a, p in enumerate(kept) if np.max(np.abs(p - cell)) <= tol]
+                if not near:
                     kept.append(cell)
-                    kept_values.append(values[i, j])
+                    kept_values.append(self.value(cell))
+                values[i, j] = kept_values[near[0] if near else -1]
         return values, tol, np.array(kept), np.array(kept_values)
 
 
@@ -182,9 +179,9 @@ def _check(x0, s_set, t_set, k, cache, ref, first_read):
     assert (res.delta_u, res.delta_l) == (
         max(_radius(s), _radius(t)), min(_radius(s), _radius(t))
     )
-    assert res.eval_count == cache.distinct_count == len(ref.points)
+    assert res.eval_count == cache.distinct_count == len(ref.values)
     if first_read:
-        assert cache.total_requests - before == (values.size if k is None else len(kept))
+        assert cache.total_requests - before == len(kept)
     else:  # the record holds this cache's read
         assert cache.total_requests == before
 

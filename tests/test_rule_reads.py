@@ -81,10 +81,14 @@ class TestGridValues:
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
         assert values[0, 0] == cache.evaluate(x0)
+        # Each cell holds the value of the first cell within the tolerance
+        # of the geometry, which the read requested.
         tol = dedup_tolerance(x0, s_set, t_set)
-        grid = sample_grid(x0, s_set, t_set)
-        want = cache.evaluate_many(grid.reshape(-1, 4), tol).reshape(values.shape)
+        cells = sample_grid(x0, s_set, t_set).reshape(-1, 4)
+        firsts = [next(c for c in cells if np.abs(c - x).max() <= tol) for x in cells]
+        want = np.array([cache.evaluate(c) for c in firsts]).reshape(values.shape)
         assert np.array_equal(values, want)
+        assert cache.distinct_count == minimal_point_count(4)
 
     def test_simplex_gradient_from_row_zero_is_bitwise_the_requested_one(self):
         # A simplex-mode rule row takes f(x0) and its gradient from row 0 of
