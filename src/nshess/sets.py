@@ -5,8 +5,8 @@ columns of an n-by-m matrix. A Hessian estimate samples the target function
 on the points ``x0 + s_i + t_j`` generated by an outer set S and an inner
 set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
 This module owns the coincidence tolerance: it deduplicates that grid,
-greedily in first-seen order, through the :class:`PointIndex` coincidence
-test, at the fixed relative tolerance of :func:`dedup_tolerance`; only
+greedily in first-seen order, in one pass of :func:`_distinct` over its
+points, at the fixed relative tolerance of :func:`dedup_tolerance`; only
 :func:`nshc_points` takes another. The evaluation cache compares no
 points, so a grid is read as its distinct points, each requested once.
 It also answers two structural questions about a candidate point set: is
@@ -49,7 +49,6 @@ from .exceptions import CollapsedGridError, RankDeficientError
 
 __all__ = [
     "DirectionSet",
-    "PointIndex",
     "PointSet",
     "MinimalityResult",
     "dedup_tolerance",
@@ -194,11 +193,14 @@ class DirectionSet:
 
 _EPS = float(np.finfo(float).eps)
 _FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
+# A max-norm distance of finite points may overflow to inf, which is a
+# miss at any finite tolerance: the comparison answers, with no warning.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @functools.lru_cache(maxsize=None)
 def _weights(dim: int) -> tuple[np.ndarray, float, float]:
-    """Projection direction of :class:`PointIndex`, its 1-norm, and the
+    """Projection direction of the coincidence test, its 1-norm, and the
     relative rounding allowance of a ``dim``-term dot product."""
     w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
     w.setflags(write=False)
@@ -206,160 +208,100 @@ def _weights(dim: int) -> tuple[np.ndarray, float, float]:
     return w, float(w.sum()), 2.0 * gamma
 
 
-class PointIndex:
-    """Distinct points of one dimension, each stored as its byte key.
+def _near(rows: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """Which ``rows`` lie within ``tol`` of ``x``: every coordinate differs
+    by at most ``tol``. The one tolerance test of sample points; callers
+    run it under ``_QUIET``."""
+    return np.abs(rows - x).max(axis=1) <= tol
 
-    The one place where sample points are compared within a tolerance:
-    :func:`_grid` and :func:`_simplex_values` resolve a geometry's points
-    through :meth:`distinct` before they ask a cache, and
-    :class:`PointSet` checks its rows with it.
 
-    :meth:`lookup` finds the lowest stored row whose coordinates all differ
-    from the query by at most ``tol``, or -1, and :meth:`insert` stores a
-    query that found none as the next row. A query bitwise equal to an
-    earlier matched or inserted one gets that row from the byte-key memo
-    ``memo``. Otherwise only the rows near the query on a sorted projection
-    ``y = x . w`` are tested, where ``w`` is fixed per dimension with
-    distinct entries in ``[1, 2)``: rows within ``tol`` in max-norm have
-    projections within ``tol * |w|_1`` of the query's, and each computed
-    dot product is off by at most ``gamma * |w|_1 * (M + tol)``, where
-    ``M`` bounds the max-norm of the stored rows, and so of any query
-    within ``tol`` of one (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, §3.1). The window ``|y - y'| <= tol * |w|_1 +
-    2 * gamma * |w|_1 * (M + tol)`` therefore holds every row within
-    ``tol``; ``gamma`` is taken for ``dim + 2`` terms at twice the unit
-    roundoff, which also covers the rounding of the window ends and of
-    ``M``. ``M`` is the largest max-norm of a stored row, exact, which
-    cannot overflow. A row is kept as its key ``x.tobytes()``, which also
-    serves the memo, and rebuilt only for a query whose window holds it.
-    A lookup costs ``O(log d)``, where ``d`` rows are stored; a miss whose
-    window is empty ends after one binary search.
+def _separated(points: np.ndarray, tol: float) -> bool:
+    """Whether no two rows of ``points`` lie within ``tol`` of each other.
 
-    A finite projection implies finite coordinates, since ``w > 0``, so
-    the projection doubles as the finiteness check of a query. A finite
-    row whose projection overflows is kept out of the sorted keys and
-    tested on every lookup; a finite query whose projection overflows is
-    tested against every row, with no overflow warning.
+    A vectorized proof on the projection ``y = x . w``, where ``w`` is
+    fixed per dimension with distinct entries in ``[1, 2)``: rows within
+    ``tol`` in max-norm have projections within ``tol * |w|_1``, and each
+    computed dot product is off by at most ``gamma * |w|_1 * M``, where
+    ``M`` is the largest max-norm of a row, exact, which cannot overflow
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    §3.1). So two rows within ``tol`` have computed projections within
+    ``reach = tol * |w|_1 + 2 * gamma * |w|_1 * (M + tol)``; ``gamma`` is
+    taken for ``dim + 2`` terms at twice the unit roundoff, which also
+    covers the rounding of ``reach`` and of the ends of a window around
+    ``y``. If every gap between neighbouring sorted projections exceeds
+    ``reach``, no two rows are within ``tol``. ``False`` proves nothing;
+    it is also the answer when a projection or ``M`` is not finite.
+    ``M * |w|_1`` bounds a projection, so unless it is below ``_FAR`` the
+    answer is ``False`` before anything is projected and nothing
+    overflows. Python's ``sorted`` orders the projections: it maps in no
+    numpy sort kernel, which would raise the peak memory of a process
+    that sorts nothing else.
     """
+    w, w1, slack = _weights(points.shape[1])
+    m = float(np.abs(points).max(initial=0.0))
+    if not m * w1 < _FAR:
+        return False
+    proj = (points @ w).tolist()
+    if not math.isfinite(sum(proj)):
+        return False
+    reach = w1 * (tol + slack * (m + tol))
+    return bool((np.diff(sorted(proj)) > reach).all())
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.memo: dict[bytes, int] = {}  # byte key -> row it resolved to
-        self._stored: list[bytes] = []  # the byte key of each row
-        self._w, self._w1, self._slack = _weights(dim)
-        self._keys: list[float] = []  # finite projections, ascending
-        self._rows: list[int] = []  # row of each projection
-        self._wide: list[int] = []  # rows whose projection overflowed
-        self._norm = 0.0  # M: the largest max-norm of a stored row
 
-    @staticmethod
-    def separated(points: np.ndarray, tol: float) -> bool:
-        """Whether no two rows of ``points`` lie within ``tol`` of each other.
+@_QUIET
+def _distinct(points: np.ndarray, tol: float, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(kept, classes)``: the rows of ``points`` merged greedily at ``tol``.
 
-        A vectorized proof by the window above, with no per-row loop: with
-        ``M`` the largest max-norm of a row, exact, two rows within ``tol``
-        have computed projections within ``reach = tol * |w|_1 + 2 * gamma
-        * |w|_1 * (M + tol)``. So if every gap between neighbouring sorted
-        projections exceeds ``reach``, no row would find another in its
-        lookup window, and adding the rows in order to an empty index
-        stores every one of them. ``False`` proves nothing; it is also the
-        answer when a projection or ``M`` is not finite. ``M * |w|_1``
-        bounds a projection, so unless it is below ``_FAR`` the answer is
-        ``False`` before anything is projected and nothing overflows.
-        Python's ``sorted`` orders the projections: it maps in no numpy
-        sort kernel, which would raise the peak memory of a process that
-        sorts nothing else.
-        """
-        w, w1, slack = _weights(points.shape[1])
-        m = float(np.abs(points).max(initial=0.0))
-        if not m * w1 < _FAR:
-            return False
+    Each row, in order, joins the lowest earlier kept row within ``tol``
+    (:func:`_near`), or is kept. ``kept`` holds the indices of the kept
+    rows, and ``classes[b]`` the position in ``kept`` of the row that row
+    ``b`` joined. Every row is its own class when :func:`_separated`
+    proves every row distinct. Otherwise the projections are taken once,
+    those of the kept rows are kept sorted, and each row is compared only
+    with the kept rows whose projections lie within ``reach`` of its own,
+    found by binary search: with ``M`` the largest max-norm of any row,
+    that window holds every row within ``tol``. When ``M * |w|_1`` is not
+    below ``_FAR`` a projection could overflow, so each row is compared
+    with every kept row instead, and a row with a non-finite entry raises
+    :class:`ValueError` when it is reached. With ``strict``, a row within
+    ``tol`` of an earlier one raises :class:`ValueError` naming both.
+    """
+    if _separated(points, tol):
+        every = np.arange(len(points))
+        return every, every
+    w, w1, slack = _weights(points.shape[1])
+    m = float(np.abs(points).max(initial=0.0))
+    windowed = m * w1 < _FAR  # then every row is finite, and so is its projection
+    if windowed:
         proj = (points @ w).tolist()
-        if not math.isfinite(sum(proj)):
-            return False
         reach = w1 * (tol + slack * (m + tol))
-        return bool((np.diff(sorted(proj)) > reach).all())
-
-    @classmethod
-    def distinct(
-        cls, points: np.ndarray, tol: float, strict: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(kept, classes)`` of ``points`` fed in order to an empty index.
-
-        ``kept`` holds the indices of the rows it stores, and ``classes[b]``
-        the position in ``kept`` of the row that row ``b`` resolves to:
-        each row joins the first earlier kept row within ``tol``, greedily
-        in first-seen order. Every row is its own class when
-        :meth:`separated` proves every row distinct; otherwise the rows go
-        through a fresh index one by one. With ``strict``, a row within
-        ``tol`` of an earlier one raises :class:`ValueError` naming both.
-        """
-        if cls.separated(points, tol):
-            every = np.arange(len(points))
-            return every, every
-        index = cls(points.shape[1])
-        kept, classes = [], []
-        for b, x in enumerate(points):
-            key = x.tobytes()
-            a, y = index.lookup(x, key, tol)
-            if a < 0:
-                a = len(kept)
-                index.insert(x, key, y)
-                kept.append(b)
-            elif strict:
-                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
-            classes.append(a)
-        return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
-
-    # A finite x near the largest double may overflow; opposite infinities
-    # make inf - inf. Either way no warning: the lookup answers or raises.
-    @np.errstate(over="ignore", invalid="ignore")
-    def lookup(self, x: np.ndarray, key: bytes, tol: float) -> tuple[int, float]:
-        """The lowest stored row within ``tol`` of ``x``, or -1, given ``key
-        = x.tobytes()``; and the projection of ``x`` for :meth:`insert` (NaN
-        for an exact repeat, which makes none).
-
-        Raises :class:`ValueError`, with the index unchanged, when ``x``
-        has a non-finite entry.
-        """
-        i = self.memo.get(key)
-        if i is not None:
-            return i, math.nan
-        y = float(x.dot(self._w))
-        if math.isfinite(y):
-            reach = self._w1 * (tol + self._slack * (self._norm + tol))
-            keys = self._keys
-            lo = bisect_left(keys, y - reach)
-            if (lo == len(keys) or keys[lo] > y + reach) and not self._wide:
-                return -1, y
-            rows = self._rows[lo : bisect_right(keys, y + reach, lo)] + self._wide
-        elif np.isfinite(x).all():
-            rows = range(len(self._stored))
+    else:
+        finite = np.isfinite(points).all(axis=1).tolist()
+    kept, classes = [], []
+    keys, at = [], []  # the kept rows' projections, ascending, and the class of each
+    for b, x in enumerate(points):
+        if windowed:
+            y = proj[b]
+            cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
+        elif finite[b]:
+            cand = range(len(kept))
         else:
             raise ValueError("point contains non-finite entries")
-        cand = np.frombuffer(b"".join([self._stored[r] for r in rows])).reshape(-1, self.dim)
-        near = np.abs(cand - x).max(axis=1) <= tol
-        hits = [r for r, hit in zip(rows, near.tolist()) if hit]
-        if not hits:
-            return -1, y
-        i = self.memo[key] = min(hits)
-        return i, y
-
-    def insert(self, x: np.ndarray, key: bytes, y: float) -> None:
-        """Store ``x`` as the next row, given the key and projection :meth:`lookup` returned."""
-        row = len(self._stored)
-        if math.isfinite(y):
-            at = bisect_right(self._keys, y)
-            self._keys.insert(at, y)
-            self._rows.insert(at, row)
+        hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
+        near = [c for c, h in zip(cand, hit) if h]
+        if near:
+            a = min(near)
+            if strict:
+                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
         else:
-            self._wide.append(row)
-        coords = x.tolist()
-        norm = max(max(coords), -min(coords))
-        if norm > self._norm:
-            self._norm = norm
-        self._stored.append(key)
-        self.memo[key] = row
+            a = len(kept)
+            kept.append(b)
+            if windowed:
+                i = bisect_right(keys, y)
+                keys.insert(i, y)
+                at.insert(i, a)
+        classes.append(a)
+    return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +318,7 @@ class PointSet:
 
     def __post_init__(self):
         self._freeze()
-        PointIndex.distinct(self.points, self.dedup_tol, strict=True)
+        _distinct(self.points, self.dedup_tol, strict=True)
 
     @classmethod
     def _distinct(cls, points, dedup_tol: float, shared: bool = False) -> "PointSet":
@@ -429,11 +371,15 @@ class PointSet:
     def contains(self, x, tol: float | None = None) -> bool:
         return self.index_of(x, tol) >= 0
 
+    @_QUIET
     def index_of(self, x, tol: float | None = None) -> int:
-        """Row index of the point matching ``x``, or -1.
+        """Row index of the first point within ``tol`` of ``x``, or -1.
 
         ``x`` must be one point of this set's dimension and ``tol``, when
-        given, nonnegative; it defaults to ``dedup_tol``.
+        given, nonnegative; it defaults to ``dedup_tol``. The test is the
+        one :func:`_distinct` merges points by, so a distance that
+        overflows, as between ``1e308`` and ``-1e308``, is a miss with no
+        warning.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -441,7 +387,7 @@ class PointSet:
         t = self.dedup_tol if tol is None else tol
         if not t >= 0:
             raise ValueError(f"tol must be nonnegative, got {t}")
-        hits = np.nonzero(np.max(np.abs(self.points - x), axis=1) <= t)[0]
+        hits = np.flatnonzero(_near(self.points, x, t))
         return int(hits[0]) if hits.size else -1
 
     def to_csv(self, target) -> None:
@@ -619,8 +565,8 @@ class _Grid:
     candidates are those first cells, in row-major order; otherwise they
     are every cell in row-major order. (Cells of one class differ by
     rounding alone, which a coincidence tolerance of
-    :func:`dedup_tolerance` exceeds.) :meth:`PointIndex.distinct` then
-    merges the candidates within ``tol``, greedily in first-seen order, so
+    :func:`dedup_tolerance` exceeds.) :func:`_distinct` then merges the
+    candidates within ``tol``, greedily in first-seen order, so
     ``points`` are distinct at ``tol`` and a cache is asked for each once.
     ``points`` and ``cls`` are read-only, and only this module reads them.
     The :class:`PointSet` of ``points`` is made by the first
@@ -707,7 +653,7 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
         fold_cls, first = fold_index(s_set.dim, k)
         if np.abs(points - points[first[fold_cls.ravel()]]).max() <= record_tol:
             points, cls = points[first], fold_cls
-    kept, classes = PointIndex.distinct(points, record_tol)
+    kept, classes = _distinct(points, record_tol)
     if len(kept) < len(points):
         points, cls = points[kept], classes[cls]
     record = _Grid(t_set, key, record_tol, _read_only(points), _read_only(cls))
@@ -747,7 +693,7 @@ def _simplex_values(x0: np.ndarray, t_set: DirectionSet, cache) -> np.ndarray:
     tol = dedup_tolerance(x0, t_set)
     _require_spacing(tol, T=t_set)
     points = np.vstack([x0, x0 + t_set.matrix.T])
-    kept, classes = PointIndex.distinct(points, tol)
+    kept, classes = _distinct(points, tol)
     return cache.evaluate_many(points[kept])[classes]
 
 
@@ -759,12 +705,11 @@ def nshc_points(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None 
     first-seen representative of each coincidence class is kept: these
     are the points an estimate on the grid requests. On a folded pair
     ``(S, U_k)`` only the first cell of each :func:`fold_index` class is
-    read, and the points go through :meth:`PointIndex.distinct`. By
-    default the set is the
-    one of the grid record of ``(x0, S, T)`` held on S, at the tolerance
-    of this geometry that every estimate on it uses, so a repeated call
-    on the same ``(x0, S, T)`` returns the same set while S holds that
-    record. Another ``tol`` gives the set at that tolerance, built afresh,
+    read, and the points go through :func:`_distinct`. By default the set
+    is the one of the grid record of ``(x0, S, T)`` held on S, at the
+    tolerance of this geometry that every estimate on it uses, so a
+    repeated call on the same ``(x0, S, T)`` returns the same set while S
+    holds that record. Another ``tol`` gives the set at that tolerance, built afresh,
     and leaves the held records in place.
     """
     if tol is not None and not tol >= 0:

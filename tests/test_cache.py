@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian, nshc_points
-from nshess.sets import PointIndex, _weights
+from nshess import sets
+from nshess.sets import PointSet, _distinct, _weights
 from nshess.exceptions import EvaluationError
 
 
@@ -475,20 +476,32 @@ class TestHugeCoordinates:
         assert state(cache)[:2] == (7, 4)
 
 
-def resolve(index, x, tol):
-    """The row ``index`` resolves ``x`` to at ``tol``, storing it first if new."""
-    key = x.tobytes()
-    row, y = index.lookup(x, key, tol)
-    if row < 0:
-        index.insert(x, key, y)
-        row = index.memo[key]
-    return row
+def scan_find(points, x, tol):
+    """First row within ``tol`` of ``x`` in max-norm, or -1, by a full scan;
+    a distance that overflows is a miss, with no warning."""
+    with np.errstate(over="ignore"):
+        for i, p in enumerate(points):
+            if np.max(np.abs(p - x)) <= tol:
+                return i
+    return -1
+
+
+def scan_classes(cloud, tol):
+    """Greedy first-seen classes by a full scan: each row's class, and the kept rows."""
+    kept, labels = [], []
+    for x in cloud:
+        i = scan_find(kept, x, tol)
+        if i < 0:
+            i = len(kept)
+            kept.append(x)
+        labels.append(i)
+    return labels, np.array(kept)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingProjection:
-    """Finite points whose projection ``x . w`` overflows still resolve in a
-    :class:`PointIndex`, and no lookup of them warns."""
+    """Finite points whose projection ``x . w`` overflows still merge as a
+    full scan merges them, and neither the pass nor a query warns."""
 
     def test_matches_and_misses_near_the_largest_double(self):
         a = np.full(3, 1e308)
@@ -497,35 +510,43 @@ class TestOverflowingProjection:
             assert not np.isfinite(a @ w)
         near = a.copy()
         near[0] = np.nextafter(near[0], 0.0)  # one ulp, about 2e292, below
+        up = np.array([1e308, 1e308, np.nextafter(1e308, 2e308)])
         far = np.array([1e308, 1e308, 9e307])
-        index = PointIndex(3)
-        assert resolve(index, a, 0.0) == 0
-        assert resolve(index, near, 1e300) == 0
-        assert resolve(index, near.copy(), 0.0) == 0  # exact repeat
-        assert resolve(index, np.array([1e308, 1e308, np.nextafter(1e308, 2e308)]), 0.0) == 1
-        assert resolve(index, far, 1e300) == 2
-        assert resolve(index, far + [0.0, 0.0, 1e299], 1e300) == 2
-        # A finite projection is tested against the overflowed rows too.
-        assert resolve(index, np.zeros(3), np.inf) == 0
-        assert resolve(index, np.ones(3), 0.0) == 3
-        assert resolve(index, -a, 0.0) == 4
-        assert resolve(index, np.array([1e308, -1e308, 1e308]), 0.0) == 5
+        cloud = np.array(
+            [a, near, near.copy(), up, far, far + [0.0, 0.0, 1e299],
+             np.zeros(3), np.ones(3), -a, [1e308, -1e308, 1e308]]
+        )
+        want = {
+            0.0: [0, 1, 1, 2, 3, 4, 5, 6, 7, 8],
+            1e300: [0, 0, 0, 0, 1, 1, 2, 2, 3, 4],
+            # A finite row is tested against the overflowed rows too.
+            np.inf: [0] * 10,
+        }
+        for tol, labels in want.items():
+            want_labels, want_kept = scan_classes(cloud, tol)
+            assert want_labels == labels
+            kept, classes = _distinct(cloud, tol)
+            assert classes.tolist() == labels
+            assert cloud[kept].tobytes() == want_kept.tobytes()
+            points = PointSet(want_kept, tol)
+            for q in cloud:
+                assert points.index_of(q) == scan_find(want_kept, q, tol)
 
     def test_distinct_tests_every_row_against_the_overflowed_rows(self):
-        # An overflowed row has no sorted projection, so no window can
-        # clear it: each later row is tested against it.
+        # A row whose projection could overflow leaves no window to search:
+        # each later row is tested against every kept row, this one too.
         top = np.full(3, 1e308)
-        kept, classes = PointIndex.distinct(np.array([top, np.zeros(3)]), np.inf)
+        kept, classes = _distinct(np.array([top, np.zeros(3)]), np.inf)
         assert kept.tolist() == [0] and classes.tolist() == [0, 0]
-        kept, classes = PointIndex.distinct(np.array([top, np.ones(3), np.ones(3)]), 0.0)
+        kept, classes = _distinct(np.array([top, np.ones(3), np.ones(3)]), 0.0)
         assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 1]
 
     def test_rows_near_the_largest_double_take_the_lookup_of_each_row(self):
         # Their projections could overflow, so the vectorized proof declines
         # them before projecting anything.
         block = np.array([[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308]])
-        assert not PointIndex.separated(block[:2], 0.0)
-        kept, classes = PointIndex.distinct(block, 0.0)
+        assert not sets._separated(block[:2], 0.0)
+        kept, classes = _distinct(block, 0.0)
         assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 0]
 
     def test_a_window_too_wide_for_its_ends_still_matches(self):
@@ -533,7 +554,7 @@ class TestOverflowingProjection:
         big = float(np.finfo(float).max)
         w1 = _weights(1)[1]
         rows = np.array([[0.0], [0.2 * big / w1]])
-        kept, classes = PointIndex.distinct(rows, 0.9 * big / w1)
+        kept, classes = _distinct(rows, 0.9 * big / w1)
         assert kept.tolist() == [0] and classes.tolist() == [0, 0]
 
 
@@ -544,8 +565,8 @@ class TestStorageAndHitPath:
         def refuse(*args):
             raise AssertionError("the cache compared points within a tolerance")
 
-        monkeypatch.setattr(PointIndex, "lookup", refuse)
-        monkeypatch.setattr(PointIndex, "distinct", refuse)
+        monkeypatch.setattr(sets, "_near", refuse)
+        monkeypatch.setattr(sets, "_distinct", refuse)
         cache = EvaluationCache(counter())
         a, near = np.array([1.0, 2.0]), np.array([1.0, 2.0 + 1e-12])
         assert cache.evaluate(a) == 1.0

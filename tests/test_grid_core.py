@@ -1,5 +1,5 @@
 """The grid-first estimator core: bulk cache reads, matrix-form Hessian,
-grid deduplication, the coincidence index, the closed-form fold map, and
+grid deduplication, the coincidence pass, the closed-form fold map, and
 the refusal to estimate on collapsed grids."""
 
 import itertools
@@ -11,6 +11,7 @@ from nshess import (
     CollapsedGridError,
     DirectionSet,
     EvaluationCache,
+    PointSet,
     build_uk,
     canonical_set,
     dedup_tolerance,
@@ -24,7 +25,7 @@ from nshess import (
 )
 from nshess import linalg, sets
 from nshess.exceptions import EvaluationError
-from nshess.sets import PointIndex, _weights, fold_index, sample_grid
+from nshess.sets import _distinct, _weights, fold_index, sample_grid
 
 
 def smooth(x):
@@ -92,7 +93,7 @@ class TestBulkLookup:
         # 0.9e-6 is within tol of both kept points; the earlier one wins
         # although the later one is nearer.
         points = np.array([[0.0], [5e-7], [1e-6], [1.5e-6], [0.9e-6]])
-        kept, classes = PointIndex.distinct(points, 1e-6)
+        kept, classes = _distinct(points, 1e-6)
         assert kept.tolist() == [0, 3]
         assert classes.tolist() == [0, 0, 0, 1, 0]
 
@@ -309,33 +310,8 @@ def scan_find(points, x, tol):
     return -1
 
 
-def find(index, x, tol):
-    """The row ``index`` resolves ``x`` to at ``tol``, or -1."""
-    return index.lookup(x, x.tobytes(), tol)[0]
-
-
-def insert(index, x):
-    """Store ``x``, which no stored row matches bitwise, as the next row."""
-    key = x.tobytes()
-    index.insert(x, key, index.lookup(x, key, 0.0)[1])
-
-
-def index_classes(cloud, tol):
-    """Greedy first-seen classes through a PointIndex: each row's class row."""
-    index = PointIndex(cloud.shape[1])
-    labels, kept = [], []
-    for x in cloud:
-        key = x.tobytes()
-        i, y = index.lookup(x, key, tol)
-        if i < 0:
-            i = len(kept)
-            index.insert(x, key, y)
-            kept.append(x)
-        labels.append(i)
-    return labels, np.array(kept)
-
-
 def scan_classes(cloud, tol):
+    """Greedy first-seen classes by a full scan: each row's class, and the kept rows."""
     kept, labels = [], []
     for x in cloud:
         i = scan_find(kept, x, tol)
@@ -346,22 +322,18 @@ def scan_classes(cloud, tol):
     return labels, np.array(kept)
 
 
-class TestPointIndex:
-    """Lookups through the sorted projection equal a full max-norm scan."""
+class TestCoincidencePass:
+    """The windowed pass over sorted projections equals a full max-norm scan,
+    and so does a point set's query."""
 
     def check(self, cloud, queries, tol):
-        labels, kept = index_classes(cloud, tol)
         want_labels, want_kept = scan_classes(cloud, tol)
-        assert labels == want_labels
-        np.testing.assert_array_equal(kept, want_kept)
-        rows, classes = PointIndex.distinct(cloud, tol)
+        rows, classes = _distinct(cloud, tol)
         assert classes.tolist() == want_labels
-        np.testing.assert_array_equal(cloud[rows], want_kept)
-        index = PointIndex(cloud.shape[1])
-        for x in kept:
-            insert(index, x)
+        assert cloud[rows].tobytes() == want_kept.tobytes()
+        kept = PointSet(want_kept, tol)
         for q in queries:
-            assert find(index, q, tol) == scan_find(kept, q, tol)
+            assert kept.index_of(q) == scan_find(want_kept, q, tol)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairs_at_and_just_beyond_tolerance(self, seed):
@@ -400,21 +372,18 @@ class TestPointIndex:
         base += ulp * rng.integers(-2**20, 2**20, size=base.shape)
         near = base + ulp * rng.integers(-1, 2, size=base.shape)
         cloud = np.vstack([base, near])
-        labels, _ = index_classes(cloud, ulp)
-        assert labels[p:] == list(range(p))
+        assert _distinct(cloud, ulp)[1][p:].tolist() == list(range(p))
         self.check(cloud, near, ulp)
 
     def test_zero_tolerance_merges_signed_zeros(self):
         cloud = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [5e-324, 1.0]])
-        labels, _ = index_classes(cloud, 0.0)
-        assert labels == [0, 0, 1, 1, 2]
+        assert _distinct(cloud, 0.0)[1].tolist() == [0, 0, 1, 1, 2]
         self.check(cloud, cloud, 0.0)
 
     def test_infinite_tolerance_matches_the_first_row(self):
         rng = np.random.default_rng(6)
         cloud = 1e6 * rng.standard_normal((20, 3))
-        labels, _ = index_classes(cloud, np.inf)
-        assert labels == [0] * 20
+        assert _distinct(cloud, np.inf)[1].tolist() == [0] * 20
         self.check(cloud, rng.standard_normal((5, 3)), np.inf)
 
     def test_dimension_one(self):
@@ -437,13 +406,13 @@ class TestPointIndex:
         self.check(cloud, queries, 0.0)
 
     def test_exact_repeat_keeps_first_seen_row(self):
-        index = PointIndex(2)
-        insert(index, np.array([0.0, 0.0]))
-        insert(index, np.array([1e-6, 0.0]))
+        # q lies within tol of both kept rows and nearer the second; it and
+        # its bitwise repeat join the first.
         q = np.array([0.9e-6, 0.0])
-        assert find(index, q, 1e-6) == 0
-        # The memo answers a bitwise repeat whatever its tolerance.
-        assert find(index, q.copy(), 0.0) == 0
+        cloud = np.array([[0.0, 0.0], [1.5e-6, 0.0], q, q.copy()])
+        assert _distinct(cloud, 1e-6)[1].tolist() == [0, 1, 0, 0]
+        assert PointSet(cloud[:2], 1e-6).index_of(q) == 0
+        self.check(cloud, cloud, 1e-6)
 
 
 def canonical_or_random(n, k, rng):

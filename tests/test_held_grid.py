@@ -31,7 +31,7 @@ from nshess import (
     run_study,
     sets,
 )
-from nshess.sets import PointIndex, _fold_k, fold_index, sample_grid
+from nshess.sets import _fold_k, fold_index, sample_grid
 
 
 def _cubic(x):
@@ -39,19 +39,16 @@ def _cubic(x):
 
 
 def _greedy_reference(x0, s_set, t_set, tol):
-    """The points ``nshc_points`` keeps, found by a ``PointIndex`` lookup per point."""
+    """The points ``nshc_points`` keeps, each candidate scanned against every kept one."""
     flat = sample_grid(x0, s_set, t_set).reshape(-1, len(x0))
     k = _fold_k(s_set, t_set)
     if k is not None:
         cls, first = fold_index(len(x0), k)
         if np.abs(flat - flat[first[cls.ravel()]]).max() <= tol:
             flat = flat[first]
-    index, kept = PointIndex(flat.shape[1]), []
+    kept = []
     for x in flat:
-        key = x.tobytes()
-        row, y = index.lookup(x, key, tol)
-        if row < 0:
-            index.insert(x, key, y)
+        if not any(np.max(np.abs(p - x)) <= tol for p in kept):
             kept.append(x)
     return np.array(kept)
 
@@ -94,53 +91,55 @@ def _matches_greedy(data):
 class TestDistinctPoints:
     def test_nshc_points_is_bitwise_the_greedy_loop(self, monkeypatch):
         # A record keeps every candidate when the vectorized proof holds and
-        # falls back to the greedy lookups when it proves nothing.
+        # falls back to the windowed pass when it proves nothing.
         outcomes = []
-        real = PointIndex.separated
+        real = sets._separated
 
         def recorded(points, tol):
             outcomes.append(real(points, tol))
             return outcomes[-1]
 
-        monkeypatch.setattr(PointIndex, "separated", staticmethod(recorded))
+        monkeypatch.setattr(sets, "_separated", recorded)
         _matches_greedy()
         assert True in outcomes and False in outcomes  # fast path and fallback both ran
 
     def test_separated_answers(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert PointIndex.separated(rows, 1e-9)
-        assert PointIndex.separated(rows[:1], np.inf)
-        assert not PointIndex.separated(rows, 1.0)
-        assert not PointIndex.separated(np.vstack([rows, rows[1]]), 0.0)
-        assert not PointIndex.separated(np.array([[0.0, 0.0], [-0.0, 0.0]]), 0.0)
+        assert sets._separated(rows, 1e-9)
+        assert sets._separated(rows[:1], np.inf)
+        assert not sets._separated(rows, 1.0)
+        assert not sets._separated(np.vstack([rows, rows[1]]), 0.0)
+        assert not sets._separated(np.array([[0.0, 0.0], [-0.0, 0.0]]), 0.0)
         near = rows.copy()
         near[2] = near[1] + 1e-10
-        assert not PointIndex.separated(near, 1e-9)
+        assert not sets._separated(near, 1e-9)
         for bad in (np.nan, np.inf):
             odd = rows.copy()
             odd[1, 0] = bad
-            assert not PointIndex.separated(odd, 1e-9)
+            assert not sets._separated(odd, 1e-9)
         with np.errstate(over="ignore"):  # the projections overflow
-            assert not PointIndex.separated(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0)
+            assert not sets._separated(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0)
 
     def test_point_set_construction_takes_the_vectorized_proof(self, monkeypatch):
         s_set, t_set = canonical_set(4, 2, 0.1)
         points = nshc_points(np.full(4, 0.3), s_set, t_set).points.copy()
-        lookups = []
-        real = PointIndex.lookup
+        compared = []
+        real = sets._near
         monkeypatch.setattr(
-            PointIndex, "lookup", lambda self, *a: lookups.append(1) or real(self, *a)
+            sets, "_near", lambda rows, *a: compared.append(len(rows)) or real(rows, *a)
         )
-        kept, classes = PointIndex.distinct(points, 1e-12)
+        kept, classes = sets._distinct(points, 1e-12)
         assert np.array_equal(kept, np.arange(len(points)))
         assert np.array_equal(classes, kept)
         assert PointSet(points, 1e-12).points.tobytes() == points.tobytes()
-        assert lookups == []
+        assert compared == []
         repeated = np.vstack([points, points[3] + 1e-14])
         with pytest.raises(ValueError, match="points 3 and 15 coincide"):
             PointSet(repeated, 1e-12)
-        assert len(lookups) == 16
-        kept, classes = PointIndex.distinct(repeated, 1e-12)
+        # A row is compared only with the kept rows in its projection
+        # window: here the repeat alone, with the one row it repeats.
+        assert compared == [1]
+        kept, classes = sets._distinct(repeated, 1e-12)
         assert np.array_equal(kept, np.arange(len(points)))
         assert classes.tolist() == list(range(len(points))) + [3]
 
@@ -263,11 +262,9 @@ class TestGridRecord:
         # Two base points taking turns on one S: each keeps its record, so
         # its grid is built and its points resolved once.
         builds, proofs = [], []
-        real_grid, real_distinct = sets.sample_grid, PointIndex.distinct
+        real_grid, real_distinct = sets.sample_grid, sets._distinct
         monkeypatch.setattr(sets, "sample_grid", lambda *a: builds.append(1) or real_grid(*a))
-        monkeypatch.setattr(
-            PointIndex, "distinct", lambda *a: proofs.append(1) or real_distinct(*a)
-        )
+        monkeypatch.setattr(sets, "_distinct", lambda *a: proofs.append(1) or real_distinct(*a))
         s_set, t_set = canonical_set(4, 2, 0.05)
         for _ in range(3):
             for x0 in (np.zeros(4), np.ones(4)):

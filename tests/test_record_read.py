@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nshess import DirectionSet, EvaluationCache, EvaluationError, build_uk, canonical_set
-from nshess.sets import PointIndex, _grid, sample_grid
+from nshess import sets
+from nshess.sets import _distinct, _grid, sample_grid
 
 REFUSAL = "a cache's oracle may not make a request of the same cache"
 
@@ -86,7 +87,7 @@ def test_a_read_is_evaluate_many_of_the_distinct_points(kind, n, seed, magnitude
     assert snapshot(read) == snapshot(bulk) == snapshot(single)
     # One request per point, each a new one: the points are distinct at tol.
     assert read.total_requests == read.distinct_count == len(record.points)
-    kept, classes = PointIndex.distinct(record.points, record.tol)
+    kept, classes = _distinct(record.points, record.tol)
     assert kept.tolist() == classes.tolist() == list(range(len(record.points)))
     # Every cell lies within tol of the point it reads.
     cells = sample_grid(x0, s_set, t_set)
@@ -97,8 +98,8 @@ def test_a_read_is_evaluate_many_of_the_distinct_points(kind, n, seed, magnitude
 class TestOneDecisionPerRecord:
     def test_reads_from_many_caches_resolve_the_points_once(self, monkeypatch):
         calls = []
-        real = PointIndex.distinct
-        monkeypatch.setattr(PointIndex, "distinct", lambda *a: calls.append(a) or real(*a))
+        real = sets._distinct
+        monkeypatch.setattr(sets, "_distinct", lambda *a: calls.append(a) or real(*a))
         record = _record("folded", 20, 7, 1.0)
         assert len(calls) == 1
         for _ in range(3):

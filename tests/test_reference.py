@@ -12,14 +12,15 @@ The reference uses no cache, fold, memo or held factor:
 F, H, the folded closed-form model, the model gradient and the rule
 estimates must be bitwise the reference's, and ``distinct_count`` the
 reference's point count, for canonical, folded, coincident and
-overdetermined geometries, on fresh and shared caches, with cold and warm
-geometry. A read requests each distinct point of its grid once, on every
-pair, and nothing when the record holds that cache's read; the models
-after an estimate request nothing. Only the bound inputs take another path: the
-library reads the singular values of S and T divided by the radius, where
-the reference factors the normalized set again, so each norm is held to
-``4 * eps * kappa`` relative, ``kappa`` the condition number of the kept
-singular values.
+overdetermined geometries, and for a scaled ``U_k`` that no fold map
+recognises, whose cells meet up to rounding, on fresh and shared caches,
+with cold and warm geometry. A read requests each distinct point of its
+grid once, on every pair, and nothing when the record holds that cache's
+read; the models after an estimate request nothing. Only the bound inputs
+take another path: the library reads the singular values of S and T
+divided by the radius, where the reference factors the normalized set
+again, so each norm is held to ``4 * eps * kappa`` relative, ``kappa``
+the condition number of the kept singular values.
 
 Every drawn geometry keeps distinct points at least a direction's spacing
 apart, far above the tolerance, while cells of one point differ by
@@ -78,10 +79,12 @@ class Reference:
         return self.values[key]
 
     def read(self, x0, s, t):
-        """F on the grid of ``(x0, S, T)``, and the grid's own distinct points
-        and their values, first-seen in row-major order."""
+        """F on the grid of ``(x0, S, T)``, the tolerance, the grid's own
+        distinct points and their values, first-seen in row-major order, and
+        each cell's position among them."""
         tol = dedup_tolerance(x0, DirectionSet(s), DirectionSet(t))
         values = np.empty((s.shape[1] + 1, t.shape[1] + 1))
+        labels = np.empty(values.shape, dtype=np.intp)
         kept, kept_values = [], []
         for i in range(values.shape[0]):
             row = x0 if i == 0 else x0 + s[:, i - 1]
@@ -91,8 +94,9 @@ class Reference:
                 if not near:
                     kept.append(cell)
                     kept_values.append(self.value(cell))
-                values[i, j] = kept_values[near[0] if near else -1]
-        return values, tol, np.array(kept), np.array(kept_values)
+                labels[i, j] = near[0] if near else len(kept) - 1
+                values[i, j] = kept_values[labels[i, j]]
+        return values, tol, np.array(kept), np.array(kept_values), labels
 
 
 def _pinv(a):
@@ -171,7 +175,7 @@ def _geometry(kind, n, rng):
 def _check(x0, s_set, t_set, k, cache, ref, first_read):
     """One estimate, its models and its bound inputs against the reference."""
     s, t = s_set.matrix.copy(), t_set.matrix.copy()
-    values, tol, kept, kept_values = ref.read(x0, s, t)
+    values, tol, kept, kept_values, _ = ref.read(x0, s, t)
     before = cache.total_requests
     res = nested_set_hessian(x0, s_set, t_set, cache)
     assert _same(res.values, values)
@@ -254,6 +258,24 @@ def test_estimates_are_the_reference(data):
     _check(x0 + s_set.radius, s_set, t_set, k, cache, ref, first_read=True)
 
 
+@pytest.mark.parametrize("n", [4, 10, 20])
+def test_a_non_folded_grid_with_rounding_coincidences_is_the_reference(n):
+    # T is U_k of a random S, scaled by beta, so it is not bitwise U_k of
+    # the scaled S and no fold map applies: the record's own pass merges
+    # the cells that differ by rounding alone, down to the minimal count.
+    rng = np.random.default_rng(n)
+    r, k, beta = np.eye(n) + 0.3 * rng.standard_normal((n, n)), n // 2, 1e-2
+    s_set, t_set = DirectionSet(beta * r), DirectionSet(beta * sets._uk_matrix(r, k))
+    assert sets._fold_k(s_set, t_set) is None
+    x0 = rng.uniform(-1.0, 1.0, n)
+    _, _, kept, _, labels = Reference(_f).read(x0, s_set.matrix.copy(), t_set.matrix.copy())
+    record = sets._grid(x0, s_set, t_set)
+    assert _same(record.points, kept) and _same(record.cls, labels)
+    cache = EvaluationCache(_f)
+    _check(x0, s_set, t_set, None, cache, Reference(_f), first_read=True)
+    assert cache.total_requests == cache.distinct_count == minimal_point_count(n)
+
+
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_rule_estimates_are_the_reference(data):
@@ -269,7 +291,7 @@ def test_rule_estimates_are_the_reference(data):
 
     gradients, hessians, f0 = [], [], []
     for oracle in (_f, _g):
-        values, tol, kept, kept_values = Reference(oracle).read(x0, s, t)
+        values, tol, kept, kept_values, _ = Reference(oracle).read(x0, s, t)
         hessians.append(_hessian(s, t, values))
         f0.append(values[0, 0])
         if mode is CalcMode.SIMPLEX:

@@ -231,6 +231,18 @@ class TestPointSet:
             ps.contains(np.asarray(query))
         assert ps.index_of([1.0, 1.0]) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_query_whose_distance_overflows_misses_without_a_warning(self):
+        # 1e308 - (-1e308) overflows; the query warned "overflow encountered
+        # in subtract", or raised under -W error, though building the same
+        # points was silent.
+        ps = PointSet(np.array([[1e308, 0.0], [0.0, 1.0]]))
+        assert ps.index_of([-1e308, 0.0]) == -1
+        assert not ps.contains([-1e308, 0.0])
+        assert not ps.contains([-1e308, 0.0], 1e300)
+        assert ps.index_of([-1e308, 0.0], np.inf) == 0
+        assert ps.index_of([1e308, 1e-300]) == -1 and ps.index_of([1e308, 1e-300], 1e-300) == 0
+
     def test_rejects_coincident_points(self):
         with pytest.raises(ValueError, match="coincide"):
             PointSet(np.array([[0.0, 0.0], [1e-13, 0.0]]), dedup_tol=1e-9)
