@@ -3,10 +3,10 @@
 The bounds take Lipschitz constants of the true derivatives on a ball
 covering every sample point, together with conditioning factors of the
 normalized direction sets. The factors are spectral norms computed from
-the actual sets, from the singular values each
-:class:`~nshess.sets.DirectionSet` holds
-(:meth:`~nshess.sets.DirectionSet.pinv_norm`), the same factorization its
-estimator's pseudoinverse uses, so a bound factors no set again. Each
+the actual sets, read from the record that each
+:class:`~nshess.sets.DirectionSet` makes of one SVD per orientation
+(:meth:`~nshess.sets.DirectionSet.pinv_norm`), the SVD its estimator's
+pseudoinverse comes from, so a bound factors no set again. Each
 bound is a per-unit-radius constant times a radius; the rule certificates
 of :mod:`nshess.calculus` read the same constants and input check.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import DirectionSet
+from .sets import DirectionSet, _checked_counts
 
 __all__ = [
     "BoundInputs",
@@ -148,10 +148,7 @@ def error_bound_canonical(n: int, k: int, beta: float, lipschitz_hess: float) ->
     ``5/3 * n^{3/2} * L * beta`` when ``k == 0`` and ``11/2 * n^2 * L * beta``
     otherwise.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    n, k = _checked_counts(n, k)
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     _require_nonnegative(lipschitz_hess=lipschitz_hess)

@@ -32,12 +32,6 @@ _FLOAT = np.dtype(float)
 _REENTRY = "a cache's oracle may not make a request of the same cache"
 
 
-def _row_keys(block: np.ndarray) -> list[bytes]:
-    """The byte key ``x.tobytes()`` of each row of a float ``block``, from one copy."""
-    raw, step = block.tobytes(), block.shape[1] * block.itemsize
-    return [raw[a : a + step] for a in range(0, len(raw), step)]
-
-
 class EvaluationCache:
     """Memoizes oracle values so a repeated sample point costs one call.
 
@@ -51,21 +45,16 @@ class EvaluationCache:
 
     A cache holds the points of one dimension, fixed by the first point it
     stores; a request in another dimension raises :class:`ValueError`
-    before any state changes, so the trace is one table. The memo is asked
-    first: a bitwise repeat is answered with no further check, since its
-    point was checked when first seen, and a key's length fixes its
-    dimension. Any other request is checked for its dimension and for
-    finite coordinates (a non-finite point raises :class:`ValueError`
-    before any state changes). The oracle's value is checked once, when
-    it is returned.
+    before any state changes, so the trace is one table. The memo holds
+    only answered points, each key with its value, and is asked first: a
+    bitwise repeat needs no check, since its point was checked when first
+    seen and a key's length fixes its dimension. Any other request must be
+    in that dimension with finite coordinates, or raises
+    :class:`ValueError` before any state changes; its key is entered once
+    the oracle's value has been checked.
 
-    :meth:`evaluate_many` checks a ``(p, n)`` block once, enters the new
-    keys of its rows up to the first non-finite one in the memo as pending
-    rows with no value yet, and then sends every row through
-    :meth:`evaluate`, since the benchmark's tracer counts one request per
-    call. A pending row's request calls the oracle and stores only the
-    value. So the values, the counts and the trace are exactly those of
-    row-by-row calls.
+    :meth:`evaluate_many` sends every row through :meth:`evaluate`, since
+    the benchmark's tracer counts one request per call.
 
     The cache is callable, so it can stand in anywhere an oracle is
     expected. All state is guarded by a lock; the oracle is called at most
@@ -79,18 +68,17 @@ class EvaluationCache:
         if not callable(oracle):
             raise TypeError("oracle must be callable")
         self._oracle = oracle
-        self._dim: int | None = None  # fixed by the first point stored
-        self._memo: dict[bytes, int] = {}  # byte key -> its row in _values
-        self._values: list[float] = []  # the value of each stored point
+        self._memo: dict[bytes, float] = {}  # byte key -> the oracle's value there
         self._trace: list[tuple[bytes, float, str]] = []  # (x.tobytes(), value, status)
         self._lock = threading.RLock()
         self._calling = False  # whether the oracle is running
+        self._checked = False  # whether evaluate_many has checked the rows it is requesting
 
     @property
     def distinct_count(self) -> int:
         """Number of oracle calls made, i.e. distinct points evaluated."""
         with self._lock:
-            return len(self._values)
+            return len(self._memo)
 
     @property
     def total_requests(self) -> int:
@@ -104,8 +92,10 @@ class EvaluationCache:
 
     def _require_dim(self, dim: int) -> None:
         """Raise :class:`ValueError` unless this cache may hold points in R^dim."""
-        if self._dim is not None and dim != self._dim:
-            raise ValueError(f"this cache holds points in R^{self._dim}, got one in R^{dim}")
+        key = next(iter(self._memo), None)  # any stored key: its length fixes the dimension
+        if key is not None and len(key) != dim * _FLOAT.itemsize:
+            held = len(key) // _FLOAT.itemsize
+            raise ValueError(f"this cache holds points in R^{held}, got one in R^{dim}")
 
     def evaluate(self, x) -> float:
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
@@ -118,15 +108,14 @@ class EvaluationCache:
         with self._lock:
             if self._calling:
                 raise RuntimeError(_REENTRY)
-            i = self._memo.get(key)
-            if i is None:
-                self._require_dim(x.shape[0])
-                if not np.isfinite(x).all():
-                    raise ValueError("point contains non-finite entries")
-            values = self._values
-            if i is not None and i < len(values):
-                value, status = values[i], "hit"
+            value = self._memo.get(key)
+            if value is not None:
+                status = "hit"
             else:
+                if not self._checked:
+                    self._require_dim(x.shape[0])
+                    if not np.isfinite(x).all():
+                        raise ValueError("point contains non-finite entries")
                 self._calling = True
                 try:
                     value = float(self._oracle(x.copy()))
@@ -139,10 +128,7 @@ class EvaluationCache:
                 if not math.isfinite(value):
                     raise EvaluationError(x, f"oracle returned non-finite value {value}")
                 status = "miss"
-                if i is None:
-                    self._memo[key] = len(values)
-                    self._dim = x.shape[0]
-                values.append(value)
+                self._memo[key] = value
             self._trace.append((key, value, status))
             return value
 
@@ -151,13 +137,11 @@ class EvaluationCache:
     def evaluate_many(self, points) -> np.ndarray:
         """Values at every row of a ``(p, n)`` array, in one call.
 
-        Under one hold of the lock, so no other caller interleaves, the
-        block is checked once and its new keys become pending rows in the
-        memo, in first-seen order; then every row goes through
-        :meth:`evaluate` in order. When a row raises, the pending rows with
-        no value yet are dropped, and a cache left with no value fixes no
-        dimension. So counts, the trace and errors are exactly those of
-        ``p`` separate calls.
+        Under one hold of the lock, the block's dimension, unless it is
+        empty, and its rows up to the first non-finite one are checked
+        once, and those rows' requests skip these checks; a non-finite row
+        raises at its own request. So counts, the trace and errors are
+        exactly those of ``p`` separate calls.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or not pts.shape[1]:
@@ -169,25 +153,17 @@ class EvaluationCache:
                 raise RuntimeError(_REENTRY)
             if len(pts):
                 self._require_dim(pts.shape[1])
-                self._dim = pts.shape[1]
-            # A non-finite row raises at its own request, so no later row is reached.
-            reached = pts
-            if not np.isfinite(pts).all():
-                reached = pts[: np.isfinite(pts).all(axis=1).argmin()]
-            memo, base = self._memo, len(self._values)
-            new = dict.fromkeys(_row_keys(reached))  # first-seen order
-            pending = list(new) if memo.keys().isdisjoint(new) else [k for k in new if k not in memo]
-            memo.update(zip(pending, range(base, base + len(pending))))
+            finite = np.isfinite(pts).all(axis=1)
+            checked = len(pts) if finite.all() else int(finite.argmin())
             evaluate = self.evaluate
+            self._checked = True
             try:
-                return np.array([evaluate(x) for x in pts])
+                values = [evaluate(x) for x in pts[:checked]]
             finally:
-                # Pending rows take their values in order, so the unvalued ones are the last.
-                valued = len(self._values)
-                for key in pending[valued - base :]:
-                    del memo[key]
-                if not valued:
-                    self._dim = None
+                self._checked = False
+            if checked < len(pts):
+                evaluate(pts[checked])  # raises: the row is not finite
+            return np.array(values)
 
     def trace_rows(self) -> list[tuple[np.ndarray, float, str]]:
         """Chronological (point, value, hit|miss) records.

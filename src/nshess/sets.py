@@ -17,29 +17,30 @@ On the folded pairs ``(S, U_k)`` the coincidences are known in closed form
 (:func:`fold_index`), so only one point per class is tested at all.
 
 Sampling geometry is built once and then held. A :class:`DirectionSet`
-keeps its radius, column spacing and thin SVDs, and the ranks,
-pseudoinverses and norms derived from them under the fixed cutoff of
-:mod:`nshess.linalg`; a set is immutable, so nothing it holds ever goes
-stale. An outer set S also holds the last ``U_k`` built from it and the
-grid records of the last two ``(x0, T)`` it was used with. A grid
-record is every estimator's one path from a geometry and a cache to its
-values: it checks the spacing, works out the tolerance, the distinct
-points and the class map once, makes the :class:`PointSet`, and holds
-its last read F beside a weak reference to that cache, so the models
-after an estimate request nothing. A :class:`PointSet` holds the
-singular values of its quadratic basis for the last center asked for.
-:func:`canonical_set` returns the same pair for a repeated
-``(n, k, beta)`` from a bounded memo.
+keeps its radius, column spacing and, per orientation, the rank,
+pseudoinverse and norms its readers read; a set is immutable, so nothing
+it holds ever goes stale. An outer set S also holds the last ``U_k``
+built from it and the grid records of the last two ``(x0, T)`` it was
+used with. A grid record is every estimator's one path from a geometry
+and a cache to its values: it checks the spacing, works out the
+tolerance, the distinct points and the class map once, makes the
+:class:`PointSet`, and holds its last read F beside a weak reference to
+that cache, so the models after an estimate request nothing. A
+:class:`PointSet` holds the singular values of its quadratic basis for
+the last center asked for. :func:`canonical_set` returns the same pair
+for a repeated ``(n, k, beta)`` from a bounded memo.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int by :func:`operator.index`, or a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+class _Factored(NamedTuple):
+    """One orientation ``M`` of a direction set, as its readers read it,
+    from one thin SVD under the fixed cutoff of :mod:`nshess.linalg`."""
+
+    rank: int
+    pinv: np.ndarray  # read-only
+    pinv_norm: float
+    normalized_norm: float | None  # the pinv norm of M / radius; None for a zero radius
+
+
+def _pinv_norm(s: np.ndarray, shape) -> float:
+    """The pinv's norm from singular values ``s``: the largest kept reciprocal, or 0."""
+    inv = 1.0 / s[linalg._kept(s, shape)]
+    return float(inv.max()) if inv.size else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Ordered set of direction vectors, stored as matrix columns.
@@ -77,12 +102,12 @@ class DirectionSet:
     The matrix is copied and frozen at construction; entries must be finite.
     ``radius`` is the largest column norm, the resolution of the set.
 
-    The radius, the column spacing and the thin SVDs of the matrix and of
-    its transpose are computed when first needed and then held, so
-    :meth:`rank`, :meth:`pinv` and :meth:`pinv_norm` factor each
-    orientation once. The ranks, pseudoinverses and their norms, under the
-    fixed cutoff of :mod:`nshess.linalg`, are held too, one per argument
-    combination. Held pseudoinverses are read-only.
+    The radius, the column spacing and one record for the matrix and one
+    for its transpose are computed when first needed and then held. A
+    record is made from one thin SVD and keeps what readers read: the rank
+    and the read-only pseudoinverse under the fixed cutoff of
+    :mod:`nshess.linalg`, and the pseudoinverse's norm for the set and for
+    the set divided by its radius; no singular vectors.
     """
 
     matrix: np.ndarray
@@ -95,7 +120,7 @@ class DirectionSet:
             raise ValueError("direction matrix contains non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_held", {})  # (method, *arguments) -> factor
+        object.__setattr__(self, "_factored", [None, None])  # _Factored of M, then of M^T
         object.__setattr__(self, "_uk", None)  # (k, build_uk(self, k)), the last built
         object.__setattr__(self, "_records", ())  # _Grid on self as S, last used first
 
@@ -113,47 +138,37 @@ class DirectionSet:
 
     @functools.cached_property
     def radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.matrix, axis=0)))
+        return _norm(self.matrix, axis=0)
 
     @functools.cached_property
     def spacing(self) -> float:
         """The smallest max-norm of a column."""
         return float(np.abs(self.matrix).max(axis=0).min())
 
-    @functools.cached_property
-    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.matrix, full_matrices=False)
-
-    @functools.cached_property
-    def _svd_t(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.matrix.T, full_matrices=False)
-
-    def _factors(self, transpose: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._svd_t if transpose else self._svd
-
-    def _hold(self, key: tuple, compute):
-        """``compute()``, held under ``key``."""
-        value = self._held.get(key)
-        if value is None:
-            value = self._held[key] = compute()
-        return value
+    def _factor(self, transpose: bool) -> _Factored:
+        """The record of the matrix, or of its transpose; made on first use."""
+        held = self._factored[transpose]
+        if held is None:
+            m = self.matrix.T if transpose else self.matrix
+            u, s, vt = np.linalg.svd(m, full_matrices=False)
+            held = self._factored[transpose] = _Factored(
+                int(np.count_nonzero(linalg._kept(s, m.shape))),
+                _read_only(linalg._pinv_from_svd(u, s, vt, m.shape)),
+                _pinv_norm(s, m.shape),
+                _pinv_norm(s / self.radius, m.shape) if self.radius > 0.0 else None,
+            )
+        return held
 
     def rank(self, transpose: bool = False) -> int:
-        """Rank under the fixed cutoff, from the held SVD of the matrix or its transpose; held."""
-        return self._hold(("rank", transpose), lambda: self._rank(transpose))
-
-    def _rank(self, transpose: bool) -> int:
-        return int(np.count_nonzero(linalg._kept(self._factors(transpose)[1], self.matrix.shape)))
+        """Rank under the fixed cutoff, of the matrix or its transpose."""
+        return self._factor(transpose).rank
 
     def pinv(self, transpose: bool = False) -> np.ndarray:
         """``pinv(M)``, or ``pinv(M^T)`` when ``transpose``; held and read-only.
 
         Bitwise equal to :func:`~nshess.linalg.pseudoinverse` of that matrix.
         """
-        return self._hold(
-            ("pinv", transpose),
-            lambda: _read_only(linalg._pinv_from_svd(*self._factors(transpose), self.matrix.shape)),
-        )
+        return self._factor(transpose).pinv
 
     def pinv_norm(self, transpose: bool = False, normalized: bool = False) -> float:
         """Spectral norm of :meth:`pinv`, from the kept singular values.
@@ -162,18 +177,11 @@ class DirectionSet:
         radius: the singular values are divided by the radius before the
         cutoff, as :meth:`normalized` would give them.
         """
-        return self._hold(
-            ("norm", transpose, normalized), lambda: self._pinv_norm(transpose, normalized)
-        )
-
-    def _pinv_norm(self, transpose: bool, normalized: bool) -> float:
-        s = self._factors(transpose)[1]
-        if normalized:
-            s = s / self._positive_radius()
-        inv = 1.0 / s[linalg._kept(s, self.matrix.shape)]
-        if not inv.size:
-            return 0.0
-        return float(inv.max())
+        record = self._factor(transpose)
+        if not normalized:
+            return record.pinv_norm
+        self._positive_radius()
+        return record.normalized_norm
 
     def column(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
@@ -196,6 +204,19 @@ _FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
 # A max-norm distance of finite points may overflow to inf, which is a
 # miss at any finite tolerance: the comparison answers, with no warning.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
+def _norm(a: np.ndarray, axis: int | None = None) -> float:
+    """The largest 2-norm of ``a`` along ``axis``, or of all of ``a``:
+    bitwise ``np.linalg.norm``'s wherever that is finite. It squares the
+    entries, so above about 1.3e154 it overflows; then, for finite ``a``,
+    the norm is taken of ``a`` over its largest entry and scaled back."""
+    norm = float(np.linalg.norm(a, axis=axis).max())
+    if math.isinf(norm) and np.isfinite(a).all():
+        top = float(np.abs(a).max())
+        norm = top * float(np.linalg.norm(a / top, axis=axis).max())
+    return norm
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,8 +439,7 @@ def dedup_tolerance(x0, *sets: DirectionSet) -> float:
     points assembled through different arithmetic paths still match.
     Callers that need another threshold pass it to :func:`nshc_points`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    return 1e-12 * (1.0 + float(np.linalg.norm(x0)) + sum(s.radius for s in sets))
+    return 1e-12 * (1.0 + _norm(np.asarray(x0, dtype=float)) + sum(s.radius for s in sets))
 
 
 def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
@@ -435,8 +455,7 @@ def build_uk(s_set: DirectionSet, k: int) -> DirectionSet:
     n = s_set.dim
     if s_set.count != n:
         raise ValueError(f"S must be square (n x n) to build U_k, got {s_set.dim} x {s_set.count}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    _, k = _checked_counts(n, k)
     slot = s_set._uk  # read once: another thread may replace it
     if slot is None or slot[0] != k:
         slot = k, DirectionSet(_uk_matrix(s_set.matrix, k))
@@ -472,7 +491,6 @@ def _fold_k(s_set: DirectionSet, t_set: DirectionSet) -> int | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def fold_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Coincidence classes of the folded ``(n+1) x (n+1)`` sample grid of ``(S, U_k)``.
 
@@ -482,13 +500,14 @@ def fold_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     tolerance. Returns ``(cls, first)``: ``cls[i, j]`` is the class of cell
     ``(i, j)``, classes numbered in row-major order of first appearance,
     and ``first[c]`` is the flat row-major position of class ``c``'s first
-    cell. There are ``(n+1)(n+2)/2`` classes. Memoized; both arrays are
-    read-only.
+    cell. There are ``(n+1)(n+2)/2`` classes. The arguments are checked
+    on every call; the arrays come from a memo, and both are read-only.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    return _fold_classes(*_checked_counts(n, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_classes(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     sigma = list(range(n + 1))
     sigma[0], sigma[k] = k, 0
     ids: dict[tuple[int, int], int] = {}
@@ -506,6 +525,16 @@ def fold_index(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cls, first
 
 
+def _checked_counts(n, k) -> tuple[int, int]:
+    """``(n, k)`` as plain ints, once ``n >= 1`` and ``0 <= k <= n``."""
+    n, k = _integer(n, "n"), _integer(k, "k")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    return n, k
+
+
 def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionSet]:
     """Scaled coordinate sets ``S = beta * I`` and ``T = beta * E_k``.
 
@@ -515,10 +544,7 @@ def canonical_set(n: int, k: int, beta: float) -> tuple[DirectionSet, DirectionS
     a repeated ``(n, k, beta)`` returns the same two sets, with every
     factor they hold.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    n, k = _checked_counts(n, k)
     if not np.isfinite(beta) or beta <= 0:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     return _canonical_pair(n, k, float(beta))
@@ -724,8 +750,7 @@ def count_distinct(x0, s_set: DirectionSet, t_set: DirectionSet) -> int:
 
 def minimal_point_count(n: int) -> int:
     """Points needed to determine a quadratic in R^n: (n+1)(n+2)/2."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n, _ = _checked_counts(n, 0)
     return (n + 1) * (n + 2) // 2
 
 

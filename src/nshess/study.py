@@ -37,6 +37,7 @@ from .sets import (
     is_poised_quadratic,
     nshc_points,
     PointSet,
+    _integer,
 )
 
 __all__ = [
@@ -93,7 +94,7 @@ class StudyConfig:
     t_base: DirectionSet | None = None
 
     def validate(self) -> None:
-        if self.dim < 1:
+        if _integer(self.dim, "dim") < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
@@ -101,11 +102,11 @@ class StudyConfig:
             raise ValueError(f"beta_ratio must lie in (0, 1), got {self.beta_ratio}")
         if self.beta_start <= 0 or not np.isfinite(self.beta_start):
             raise ValueError(f"beta_start must be positive, got {self.beta_start}")
-        if self.beta_steps < 1:
+        if _integer(self.beta_steps, "beta_steps") < 1:
             raise ValueError(f"beta_steps must be at least 1, got {self.beta_steps}")
         if (self.s_base is None) != (self.t_base is None):
             raise ValueError("explicit sets must supply both s_base and t_base")
-        if self.s_base is None and not 0 <= self.k <= self.dim:
+        if self.s_base is None and not 0 <= _integer(self.k, "k") <= self.dim:
             raise ValueError(f"k must lie in 0..{self.dim}, got {self.k}")
 
     def betas(self) -> list[float]:

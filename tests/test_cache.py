@@ -226,6 +226,20 @@ class TestEvaluateMany:
         assert cache.evaluate_many(np.empty((0, 2))).shape == (0,)
         assert state(cache) == (0, 0, [])
 
+    def test_empty_block_in_another_dimension_changes_nothing(self):
+        # An empty block fixes no dimension and meets none: it is accepted
+        # on a cache of any dimension, which it leaves as it was.
+        cache = EvaluationCache(counter())
+        cache.evaluate(np.array([1.0, 2.0]))
+        before = state(cache)
+        for dim in (1, 2, 3):
+            values = cache.evaluate_many(np.empty((0, dim)))
+            assert values.shape == (0,) and values.dtype == float
+            assert state(cache) == before
+        with pytest.raises(ValueError, match="R\\^2"):
+            cache.evaluate(np.array([1.0, 2.0, 3.0]))
+        assert cache.evaluate(np.array([1.0, 2.0])) == 1.0
+
     def test_bad_row_leaves_the_state_of_row_by_row_calls(self):
         block = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, np.nan], [5.0, 6.0]])
         many = EvaluationCache(counter())

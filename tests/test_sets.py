@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nshess import (
     DirectionSet,
+    EvaluationCache,
     PointSet,
     build_uk,
     canonical_set,
@@ -13,6 +15,7 @@ from nshess import (
     is_minimal_nshc,
     is_poised_quadratic,
     minimal_point_count,
+    nested_set_hessian,
     nshc_points,
     quadratic_basis_matrix,
 )
@@ -68,6 +71,32 @@ class TestDirectionSet:
     def test_rejects_one_dimensional_input(self):
         with pytest.raises(ValueError):
             DirectionSet(np.array([1.0, 2.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_of_huge_finite_columns_does_not_overflow(self):
+        # Squaring entries above about 1.3e154 overflows; the radius was
+        # inf, with a RuntimeWarning.
+        assert DirectionSet(1e160 * np.eye(3)).radius == 1e160
+        assert DirectionSet(np.array([[1e300, 0.0], [1e300, 3.0]])).radius == pytest.approx(
+            np.sqrt(2.0) * 1e300
+        )
+        m = np.random.default_rng(0).standard_normal((4, 5))
+        assert DirectionSet(m).radius == float(np.max(np.linalg.norm(m, axis=0)))
+
+    def test_a_factored_orientation_holds_about_one_pinv(self):
+        # One record per orientation keeps the rank, the pseudoinverse and
+        # two norms; the SVD's U and V^T are dropped, which were two more
+        # matrices of the pseudoinverse's size.
+        d = DirectionSet(np.random.default_rng(1).standard_normal((60, 60)))
+        d.radius
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d.rank(), d.pinv(), d.pinv_norm(), d.pinv_norm(normalized=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert d.pinv().nbytes <= held < 1.5 * d.pinv().nbytes
 
 
 class TestBuildUk:
@@ -188,6 +217,21 @@ class TestDedupTolerance:
         far = dedup_tolerance(1e6 * np.ones(2), s, t)
         assert far > near
         assert near == pytest.approx(1e-12 * 3.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_huge_finite_base_point_does_not_overflow(self):
+        assert dedup_tolerance(np.full(3, 1e160)) == pytest.approx(1e-12 * np.sqrt(3.0) * 1e160)
+        x0 = np.array([3.0, -4.0])
+        assert dedup_tolerance(x0) == 1e-12 * (1.0 + float(np.linalg.norm(x0)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x0, beta", [(np.zeros(3), 1e160), (np.full(3, 1e160), 1e150)])
+    def test_estimates_on_huge_finite_geometry_return(self, x0, beta):
+        # An overflowed norm made the tolerance inf, so every column was
+        # "at or below the coincidence tolerance inf" and the grid collapsed.
+        cache = EvaluationCache(lambda x: float(np.sum(x)))
+        nested_set_hessian(x0, *canonical_set(3, 1, beta), cache)
+        assert cache.total_requests == cache.distinct_count == 10
 
 
 class TestMinimalPointCount:
