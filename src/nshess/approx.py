@@ -74,23 +74,14 @@ class HessianResult:
     values: np.ndarray | None = None
 
 
-def _base_point(x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ValueError(f"x0 must be a 1-D point, got shape {x0.shape}")
-    return x0
-
-
 def second_differences(values: np.ndarray) -> np.ndarray:
     """``D[i, j] = F[i, j] - F[i, 0] - F[0, j] + F[0, 0]`` for ``i, j >= 1``."""
     return values[1:, 1:] - values[1:, :1] - values[:1, 1:] + values[0, 0]
 
 
 def delta_f(x0, t_set: DirectionSet, cache: EvaluationCache) -> np.ndarray:
-    """Forward differences ``f(x0 + t_j) - f(x0)`` along the columns of T."""
-    x0 = _base_point(x0)
-    if x0.shape[0] != t_set.dim:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
+    """Forward differences ``f(x0 + t_j) - f(x0)`` along the columns of T;
+    the simplex read checks that ``x0`` is a finite point of T's dimension."""
     values = _simplex_values(x0, t_set, cache)
     return values[1:] - values[0]
 
@@ -102,11 +93,9 @@ def simplex_gradient(x0, t_set: DirectionSet, cache: EvaluationCache) -> Gradien
     estimate is ``pinv(T^T) @ delta_f``, which reduces to the exact solve
     when T is square. ``f(x0)`` and ``f(x0 + t_j)`` are read from
     ``cache``; a rule row in simplex mode takes them from row 0 of the F
-    its own estimate read instead.
+    its own estimate read instead. T's rank is checked first, then ``x0``
+    by the simplex read, as in :func:`delta_f`.
     """
-    x0 = _base_point(x0)
-    if x0.shape[0] != t_set.dim:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, T expects {t_set.dim}")
     _require_full_row_rank(t_set, "T", transpose=True)
     g = _row_gradient(t_set, _simplex_values(x0, t_set, cache))
     return GradientResult(g, t_set.radius, cache.distinct_count)
@@ -138,15 +127,11 @@ def nested_set_hessian(
     record merges the cells within the tolerance of this geometry. A repeated
     estimate on the same cache and geometry reads the grid the record
     holds from the last read and requests nothing.
+    The ranks of S and T are checked first; then the grid record checks
+    that ``x0`` is a finite point of their dimension, once per record.
     Raises :class:`~nshess.exceptions.CollapsedGridError` when a direction
     is too short for the coincidence tolerance of this geometry.
     """
-    x0 = _base_point(x0)
-    n = x0.shape[0]
-    if s_set.dim != n or t_set.dim != n:
-        raise ValueError(
-            f"dimension mismatch: x0 in R^{n}, S in R^{s_set.dim}, T in R^{t_set.dim}"
-        )
     _require_full_row_rank(s_set, "S", transpose=True)
     _require_full_row_rank(t_set, "T", transpose=False)
     values = _checked_grid(x0, s_set, t_set).read(cache)

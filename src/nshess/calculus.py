@@ -17,10 +17,10 @@ the simplex gradient reads row 0 of F; the quadratic model reads the cells
 of F of its point set's points, which the grid record on S holds for that cache.
 So a rule makes no request of its own: the quotient rule checks that
 ``g(x0)``, ``F[0, 0]`` of g's grid, is not zero once both grids are read.
-In quadratic mode the record also keeps the interpolation model and the
-point set the gradient came from. The rule assembles its estimate from
-these records, and a caller certifying the estimate reads the same
-records, so the bound covers exactly the numbers the estimate used. In
+In quadratic mode the record also keeps the point set the gradient came
+from. The rule assembles its estimate from these records, and a caller
+certifying the estimate reads the same records, so the bound covers
+exactly the numbers the estimate used. In
 quadratic mode the factors share one geometry: the grid record on S gives
 both of them the same point set, whose quadratic basis is factored once,
 for the model's poisedness check, and read again by
@@ -40,13 +40,11 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
 from .approx import HessianResult, _row_gradient, nested_set_hessian
 from .bounds import _gsg_constant, _nsh_constant, _require_nonnegative
 from .cache import EvaluationCache
-from .exceptions import NotPoisedError
 from .quadmodel import QuadraticModel, interpolate_general
-from .sets import DirectionSet, PointSet, _checked_grid, minimal_point_count, nshc_points
+from .sets import DirectionSet, PointSet, _checked_grid, nshc_points
 
 __all__ = [
     "CalcMode",
@@ -187,15 +185,14 @@ def model_gradient_constant(lipschitz_hess: float, points, x0) -> float:
     the singular values of ``Qhat`` for its last center, so after
     :func:`~nshess.quadmodel.interpolate_general` about ``x0`` on the same
     set this takes no SVD. ``x0`` must be a finite point of the points'
-    dimension and ``lipschitz_hess`` nonnegative.
+    dimension and ``lipschitz_hess`` nonnegative. A count other than
+    ``(n+1)(n+2)/2``, like a singular basis, raises ``NotPoisedError``.
     """
     _require_nonnegative(lipschitz_hess=lipschitz_hess)
     if not isinstance(points, PointSet):
         points = PointSet._distinct(points, 0.0)
-    svals = points._singular_values(x0)
-    if not linalg._kept(svals, (len(points), minimal_point_count(points.dim)))[-1]:
-        raise NotPoisedError("point set is not poised; model gradient constant undefined")
-    inv_norm = 1.0 / float(svals[-1])
+    points._poised(x0, strict=True)
+    inv_norm = 1.0 / float(points._singular_values(x0)[-1])
     return 6.0 * (1.0 + _SQRT2) * math.sqrt(len(points)) * lipschitz_hess * inv_norm
 
 
@@ -205,21 +202,16 @@ def quadratic_model_gradient(
     """Model gradient at ``x0`` over the full sample grid of ``(S, T)``.
 
     The grid must consist of exactly ``(n+1)(n+2)/2`` distinct points and
-    be poised. Points are deduplicated at the tolerance of this geometry,
-    which the grid record held on S worked out, and each point's value is
-    read from a cell of its class in the grid F that the record
-    reads from ``cache``: after a nested Hessian estimate at ``x0`` on
-    ``(S, T)`` and ``cache``, that is the F the estimate read, with no
-    request.
+    be poised, which :func:`~nshess.quadmodel.interpolate_general` decides
+    once the values are read. Points are deduplicated at the tolerance of
+    this geometry, which the grid record held on S worked out, and each
+    point's value is read from a cell of its class in the grid F that the
+    record reads from ``cache``: after a nested Hessian estimate at ``x0``
+    on ``(S, T)`` and ``cache``, that is the F the estimate read, with no
+    request. The record checks ``x0`` when it is built.
     """
-    x0 = np.asarray(x0, dtype=float)
     grid = _checked_grid(x0, s_set, t_set)
     pts = nshc_points(x0, s_set, t_set)  # the point set of ``grid``
-    need = minimal_point_count(pts.dim)
-    if len(pts) != need:
-        raise NotPoisedError(
-            f"quadratic mode needs exactly {need} sample points, the sets generate {len(pts)}"
-        )
     model = interpolate_general(pts, grid.point_values(cache), center=x0)
     return model.gradient(x0), model, pts
 
@@ -230,15 +222,14 @@ class _FactorRecord:
 
     ``estimate`` is the factor's nested-set Hessian, ``value`` is ``f(x0)``
     and ``gradient`` the mode's gradient at ``x0``, both taken from the
-    grid values the estimate read. In quadratic mode the
-    record also keeps the interpolation ``model`` and the ``points`` it was
-    built on; in simplex mode both are ``None``.
+    grid values the estimate read. In quadratic mode the record also keeps
+    the ``points`` the model was built on, for the certificate; in simplex
+    mode they are ``None``.
     """
 
     estimate: HessianResult
     value: float
     gradient: np.ndarray
-    model: QuadraticModel | None = None
     points: PointSet | None = None
 
 
@@ -270,10 +261,10 @@ def _rule_estimate(
         estimate = nested_set_hessian(x0, s_set, t_set, cache, symmetrize)
         values = estimate.values
         if mode is CalcMode.SIMPLEX:
-            mode_data = (_row_gradient(t_set, values[0]),)
-        else:  # gradient, model and point set, from the F the estimate read
-            mode_data = quadratic_model_gradient(cache, x0, s_set, t_set)
-        records.append(_FactorRecord(estimate, float(values[0, 0]), *mode_data))
+            gradient, points = _row_gradient(t_set, values[0]), None
+        else:  # from the F the estimate read
+            gradient, _, points = quadratic_model_gradient(cache, x0, s_set, t_set)
+        records.append(_FactorRecord(estimate, float(values[0, 0]), gradient, points))
     if rule == "quotient" and records[1].value == 0.0:
         raise ZeroDivisionError(
             f"quotient rule: g(x0) = {records[1].value!r} is zero at the point of interest"

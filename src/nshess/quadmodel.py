@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .approx import second_differences
 from .cache import EvaluationCache
 from .exceptions import NotPoisedError
@@ -27,7 +26,6 @@ from .sets import (
     _quadratic_terms,
     _require_full_row_rank,
     build_uk,
-    minimal_point_count,
     quadratic_basis_matrix,
 )
 
@@ -93,27 +91,22 @@ def interpolate_general(points: PointSet, values, center=None) -> QuadraticModel
     coefficients mapped back, which keeps the system well conditioned
     regardless of where the cluster sits. Raises
     :class:`~nshess.exceptions.NotPoisedError` when the set does not
-    determine a unique quadratic, judged from the singular values of the
-    basis, which the point set holds for ``center`` (the centroid when
+    determine a unique quadratic, before ``values`` are checked: a count
+    other than ``(n+1)(n+2)/2``, or a singular value of the basis at the
+    cutoff. The point set holds those for ``center`` (the centroid when
     ``None``): a second solve about the same center on the same set, or a
     :func:`~nshess.calculus.model_gradient_constant` after it, takes no
     SVD.
     """
     n = points.dim
-    need = minimal_point_count(n)
-    if len(points) != need:
-        raise NotPoisedError(
-            f"interpolation needs exactly {need} points in R^{n}, got {len(points)}"
-        )
+    basis, c, r = quadratic_basis_matrix(points.points, center)
+    points._poised(c, basis, strict=True)
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (need,):
-        raise ValueError(f"values must have shape ({need},), got {vals.shape}")
+    if vals.shape != (len(points),):
+        raise ValueError(f"values must have shape ({len(points)},), got {vals.shape}")
     if not np.isfinite(vals).all():
         raise ValueError("values contain non-finite entries")
 
-    basis, c, r = quadratic_basis_matrix(points.points, center)
-    if np.count_nonzero(linalg._kept(points._singular_values(c, basis), basis.shape)) < need:
-        raise NotPoisedError("point set is not poised for quadratic interpolation")
     coef = np.linalg.solve(basis, vals)
     residual = float(np.max(np.abs(basis @ coef - vals)))
     if residual > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
@@ -143,16 +136,12 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     request at all. The second differences ``D = S^T H U_k``
     of a quadratic give the curvature matrix ``S^T H S = D E_k``, where
     ``U_k = S E_k`` and ``E_k`` is its own inverse; two solves with ``S^T``
-    then map it back.
+    then map it back. :func:`~nshess.sets.build_uk` checks that S is square
+    and ``k``, then S's rank is checked, then ``x0`` by the grid record.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0] if x0.ndim == 1 else -1
-    if x0.ndim != 1 or s_set.dim != n:
-        raise ValueError(f"x0 must be a point in R^{s_set.dim}, got shape {x0.shape}")
-    if s_set.count != n:
-        raise ValueError(f"S must be square for the closed form, got {s_set.dim} x {s_set.count}")
+    uk = build_uk(s_set, k)
     _require_full_row_rank(s_set, "S", transpose=True)
-    values = _checked_grid(x0, s_set, build_uk(s_set, k)).read(cache)
+    values = _checked_grid(x0, s_set, uk).read(cache)
     d = second_differences(values)
     if k == 0:
         hhat = d
@@ -170,6 +159,7 @@ def interpolate_minimal(x0, s_set: DirectionSet, k: int, cache: EvaluationCache)
     hessian = np.linalg.solve(st, w.T).T
     hessian = 0.5 * (hessian + hessian.T)
 
+    x0 = np.asarray(x0, dtype=float)
     f0 = values[0, 0]
     abar = values[1:, 0] - f0 - 0.5 * np.diag(hhat) - x0 @ hessian @ s_set.matrix
     alpha = np.linalg.solve(st, abar)

@@ -48,14 +48,15 @@ _PASSED_LOCK = threading.Lock()
 _SKIP_SELFCHECK: ContextVar[bool] = ContextVar("_SKIP_SELFCHECK", default=False)
 
 
+def _central_differences(fn, x, h):
+    """``(fn(x + h e_i) - fn(x - h e_i)) / 2h`` for each coordinate ``i``:
+    the gradient of an oracle, or the Hessian columns of a gradient."""
+    steps = np.where(np.eye(x.shape[0], dtype=bool), h, 0.0)  # row i is h e_i
+    return [(fn(x + e) - fn(x - e)) / (2.0 * h) for e in steps]
+
+
 def _central_gradient(oracle, x, h):
-    n = x.shape[0]
-    g = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        g[i] = (oracle(x + e) - oracle(x - e)) / (2.0 * h)
-    return g
+    return np.array(_central_differences(oracle, x, h), dtype=float)
 
 
 @np.errstate(all="ignore")  # a probe that overflows raises ValueError in _agree instead
@@ -66,14 +67,7 @@ def _selfcheck(name, oracle, gradient, hessian, x0, radius, rng):
         u /= np.linalg.norm(u)
         x = x0 + 0.3 * radius * u
         _agree(name, "gradient", _central_gradient(oracle, x, h), gradient(x))
-        h_fd = np.column_stack(
-            [
-                (gradient(x + _unit(x.shape[0], i, h)) - gradient(x - _unit(x.shape[0], i, h)))
-                / (2.0 * h)
-                for i in range(x.shape[0])
-            ]
-        )
-        _agree(name, "Hessian", h_fd, hessian(x))
+        _agree(name, "Hessian", np.column_stack(_central_differences(gradient, x, h)), hessian(x))
 
 
 def _agree(name, what, fd, an):
@@ -98,12 +92,6 @@ def _check_base_point(name, fn, x0):
         values = (math.nan,)
     if not all(np.isfinite(v).all() for v in values):
         raise ValueError(f"{name}: the oracle or a derivative is not finite at x0")
-
-
-def _unit(n, i, h):
-    e = np.zeros(n)
-    e[i] = h
-    return e
 
 
 @dataclass(eq=False)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import linalg
 from .cache import _write_text
-from .exceptions import CollapsedGridError, RankDeficientError
+from .exceptions import CollapsedGridError, NotPoisedError, RankDeficientError
 
 __all__ = [
     "DirectionSet",
@@ -200,6 +200,7 @@ class DirectionSet:
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
 # A max-norm distance of finite points may overflow to inf, which is a
 # miss at any finite tolerance: the comparison answers, with no warning.
@@ -209,13 +210,16 @@ _QUIET = np.errstate(over="ignore", invalid="ignore")
 @_QUIET
 def _norm(a: np.ndarray, axis: int | None = None) -> float:
     """The largest 2-norm of ``a`` along ``axis``, or of all of ``a``:
-    bitwise ``np.linalg.norm``'s wherever that is finite. It squares the
-    entries, so above about 1.3e154 it overflows; then, for finite ``a``,
-    the norm is taken of ``a`` over its largest entry and scaled back."""
+    bitwise ``np.linalg.norm``'s wherever that is normal and finite. It
+    squares the entries, so above about 1.3e154 it overflows and below
+    about 1e-154 it underflows to a subnormal or to 0; then, for finite
+    ``a`` with a nonzero entry, the norm is taken of ``a`` over its
+    largest entry and scaled back."""
     norm = float(np.linalg.norm(a, axis=axis).max())
-    if math.isinf(norm) and np.isfinite(a).all():
+    if not _TINY <= norm < math.inf and np.isfinite(a).all():
         top = float(np.abs(a).max())
-        norm = top * float(np.linalg.norm(a / top, axis=axis).max())
+        if top > 0.0:
+            norm = top * float(np.linalg.norm(a / top, axis=axis).max())
     return norm
 
 
@@ -378,6 +382,23 @@ class PointSet:
             held = (key, _read_only(np.linalg.svd(basis, compute_uv=False)))
             object.__setattr__(self, "_svd", held)
         return held[1]
+
+    def _poised(self, center=None, basis: np.ndarray | None = None, strict: bool = False) -> bool:
+        """Whether the points determine a unique quadratic: every singular
+        value of the basis about ``center`` clears the cutoff of
+        :mod:`nshess.linalg`. The one poisedness decision: a count other
+        than ``(n+1)(n+2)/2`` raises :class:`~nshess.exceptions.NotPoisedError`,
+        and so, with ``strict``, does a set that is not poised."""
+        need = minimal_point_count(self.dim)
+        if len(self) != need:
+            raise NotPoisedError(
+                f"a quadratic in R^{self.dim} needs exactly {need} points, got {len(self)}"
+            )
+        # The values are sorted, so the last is kept exactly when all are.
+        poised = bool(linalg._kept(self._singular_values(center, basis), (need, need))[-1])
+        if strict and not poised:
+            raise NotPoisedError("point set is not poised for quadratic interpolation")
+        return poised
 
     @property
     def dim(self) -> int:
@@ -556,20 +577,32 @@ def _canonical_pair(n: int, k: int, beta: float) -> tuple[DirectionSet, Directio
     return s_set, build_uk(s_set, k)
 
 
+def _base_point(x0, **dims: int) -> np.ndarray:
+    """``x0`` as a float array, once it is a finite 1-D point in each named
+    dimension: the one check of a base point, made where it first meets
+    arithmetic (:func:`sample_grid` and the simplex read). Its one
+    ``ValueError`` names every dimension."""
+    x0 = np.asarray(x0, dtype=float)
+    shaped = x0.ndim == 1 and all(n == x0.shape[0] for n in dims.values())
+    if not (shaped and np.isfinite(x0).all()):
+        where = ", ".join(f"{name} in R^{n}" for name, n in dims.items())
+        got = "a non-finite entry" if shaped else f"shape {x0.shape}"
+        raise ValueError(
+            f"x0 must be a finite 1-D point in the dimension of each set ({where}); got {got}"
+        )
+    return x0
+
+
 def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     """The ``(m+1, k+1, n)`` array of points a nested Hessian estimate samples.
 
     ``grid[i, j] = (x0 + s_i) + t_j`` with ``s_0 = t_0 = 0``: row 0 holds
     ``x0`` and ``x0 + t_j``, column 0 holds ``x0 + s_i``. Every entry is
     formed by that one sequence of additions, so points shared by two
-    estimates on the same sets are bitwise equal.
+    estimates on the same sets are bitwise equal. Every grid record checks
+    ``x0`` here, by :func:`_base_point`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or x0.shape[0] != s_set.dim or s_set.dim != t_set.dim:
-        raise ValueError(
-            f"dimension mismatch: x0 has {x0.shape}, S is {s_set.dim}-dimensional, "
-            f"T is {t_set.dim}-dimensional"
-        )
+    x0 = _base_point(x0, S=s_set.dim, T=t_set.dim)
     grid = np.empty((s_set.count + 1, t_set.count + 1, x0.shape[0]))
     grid[0, 0] = x0
     grid[1:, 0] = x0 + s_set.matrix.T
@@ -656,8 +689,9 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
     held tuple in one assignment, so a concurrent reader sees the old
     tuple or the new one; of two records stored at once, one may be
     dropped and built again. The key holds the shape of ``x0`` with its
-    bytes: only a shape :func:`sample_grid` accepted is ever stored, so a
-    malformed ``x0`` never hits and raises there. An explicit ``tol``
+    bytes: only an ``x0`` that :func:`sample_grid` accepted, a finite point
+    of the sets' dimension, is ever stored, so a warm read checks nothing
+    and a bad ``x0`` never hits and raises there. An explicit ``tol``
     builds a record at that tolerance for that call alone and leaves the
     held ones in place.
     """
@@ -712,10 +746,12 @@ def _checked_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> _Grid:
     return grid
 
 
-def _simplex_values(x0: np.ndarray, t_set: DirectionSet, cache) -> np.ndarray:
-    """``f(x0)`` and ``f(x0 + t_j)`` from ``cache``, once T clears the
-    tolerance :func:`dedup_tolerance` of ``x0`` and T; points within it of
-    an earlier one, greedily in that order, read its value."""
+def _simplex_values(x0, t_set: DirectionSet, cache) -> np.ndarray:
+    """``f(x0)`` and ``f(x0 + t_j)`` from ``cache``, once ``x0`` passes
+    :func:`_base_point` and T clears the tolerance :func:`dedup_tolerance`
+    of ``x0`` and T; points within it of an earlier one, greedily in that
+    order, read its value."""
+    x0 = _base_point(x0, T=t_set.dim)
     tol = dedup_tolerance(x0, t_set)
     _require_spacing(tol, T=t_set)
     points = np.vstack([x0, x0 + t_set.matrix.T])
@@ -763,13 +799,14 @@ def quadratic_basis_matrix(points: np.ndarray, center=None):
     a read-only copy. Default center is the centroid; the scale is the
     largest distance of a point from the center, which keeps the matrix
     well scaled for rank tests and solves. ``center`` must be a finite
-    point of the points' dimension. A zero scale means 1; a non-finite one
-    raises :class:`ValueError`.
+    point of the points' dimension. The scale is taken by :func:`_norm`, so
+    it neither overflows nor underflows on finite points. A zero scale
+    means 1; a non-finite one raises :class:`ValueError`.
     """
     pts = np.asarray(points, dtype=float)
     p, n = pts.shape
     center = _basis_center(pts, center)
-    scale = float(np.max(np.linalg.norm(pts - center, axis=1))) or 1.0
+    scale = _norm(pts - center, axis=1) or 1.0
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
     z = (pts - center) / scale
@@ -807,15 +844,11 @@ def is_poised_quadratic(points: PointSet) -> bool:
     """Whether the set determines a unique interpolating quadratic.
 
     Requires exactly ``(n+1)(n+2)/2`` distinct points; other cardinalities
-    are rejected because the quadratic system could not be square.
+    raise :class:`~nshess.exceptions.NotPoisedError`, a ``ValueError``,
+    because the quadratic system could not be square. The basis is taken
+    about the centroid.
     """
-    n = points.dim
-    need = minimal_point_count(n)
-    if len(points) != need:
-        raise ValueError(f"poisedness test needs exactly {need} points in R^{n}, got {len(points)}")
-    basis, center, _ = quadratic_basis_matrix(points.points)
-    svals = points._singular_values(center, basis)
-    return int(np.count_nonzero(linalg._kept(svals, basis.shape))) == need
+    return points._poised()
 
 
 def is_minimal_nshc(points: PointSet, x0) -> MinimalityResult:
@@ -826,10 +859,8 @@ def is_minimal_nshc(points: PointSet, x0) -> MinimalityResult:
     dimensions up to 3 are attempted; beyond that the combinatorial search
     bound is exceeded and a ValueError is raised.
     """
-    x0 = np.asarray(x0, dtype=float)
     n = points.dim
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must be a point in R^{n}, got shape {x0.shape}")
+    x0 = _base_point(x0, points=n)
     if n > 3:
         raise ValueError(f"minimality search bound exceeded: n = {n} > 3")
     if not points.contains(x0):

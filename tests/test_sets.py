@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nshess import (
+    BoundInputs,
     DirectionSet,
     EvaluationCache,
     PointSet,
@@ -12,6 +13,7 @@ from nshess import (
     canonical_set,
     count_distinct,
     dedup_tolerance,
+    error_bound_nsh,
     is_minimal_nshc,
     is_poised_quadratic,
     minimal_point_count,
@@ -82,6 +84,19 @@ class TestDirectionSet:
         )
         m = np.random.default_rng(0).standard_normal((4, 5))
         assert DirectionSet(m).radius == float(np.max(np.linalg.norm(m, axis=0)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_of_tiny_columns_does_not_underflow(self):
+        # Squaring entries below about 1e-162 underflows; the radius was 0
+        # while the spacing was 1e-170, so the bound raised "zero radius".
+        d = DirectionSet(1e-170 * np.eye(2))
+        assert d.radius == d.spacing == 1e-170
+        inputs = BoundInputs.for_hessian(d, d, 1.0, 1.0)
+        assert inputs.delta_s == inputs.delta_t == 1e-170
+        unit = DirectionSet(np.eye(2))
+        unit_bound = error_bound_nsh(BoundInputs.for_hessian(unit, unit, 1.0, 1.0))
+        assert error_bound_nsh(inputs) == pytest.approx(unit_bound * 1e-170)
+        assert DirectionSet(np.zeros((2, 2))).radius == 0.0
 
     def test_a_factored_orientation_holds_about_one_pinv(self):
         # One record per orientation keeps the rank, the pseudoinverse and
@@ -347,6 +362,16 @@ class TestQuadraticBasisMatrix:
         basis, center, scale = quadratic_basis_matrix(pts.points)
         assert basis.shape == (6, 6)
         assert scale > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_scale_of_huge_finite_points_does_not_overflow(self):
+        # The scale squared the distances, which warned "overflow
+        # encountered in multiply" and then raised "scale must be finite".
+        pts = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0]])
+        basis, center, scale = quadratic_basis_matrix(pts)
+        assert np.isfinite(basis).all() and np.isfinite(scale)
+        unscaled = float(np.max(np.linalg.norm((pts - center) / 1e200, axis=1)))
+        assert scale == pytest.approx(unscaled * 1e200)
 
     def test_reproduces_quadratic_values(self):
         # Solving the system on the scaled basis and evaluating back must
