@@ -10,11 +10,13 @@ import numpy as np
 
 from nshess import EvaluationCache, StudyConfig, canonical_set, product_hessian, run_study
 
-# f = x1^2 and g = x2^2 at (1, 1): the product has Hessian [[2,4],[4,2]].
+# f = x1^2 and g = x1*x2 at (1, 1): the product x1^3*x2 has Hessian
+# [[6,3],[3,0]]. (With g = x2^2 the simplex gradients' first-order errors
+# would cancel in the cross term, and the error would fall as beta^2.)
 f = lambda x: float(x[0] ** 2)  # noqa: E731
-g = lambda x: float(x[1] ** 2)  # noqa: E731
+g = lambda x: float(x[0] * x[1])  # noqa: E731
 x0 = np.array([1.0, 1.0])
-true = np.array([[2.0, 4.0], [4.0, 2.0]])
+true = np.array([[6.0, 3.0], [3.0, 0.0]])
 
 print("== product rule, both modes, shrinking radius ==")
 print(f"{'beta':>8} {'simplex error':>15} {'quadratic error':>17}")

@@ -69,7 +69,7 @@ class EvaluationCache:
             raise TypeError("oracle must be callable")
         self._oracle = oracle
         self._memo: dict[bytes, float] = {}  # byte key -> the oracle's value there
-        self._trace: list[tuple[bytes, float, str]] = []  # (x.tobytes(), value, status)
+        self._trace: list[bytes] = []  # each answered request's x.tobytes()
         self._lock = threading.RLock()
         self._calling = False  # whether the oracle is running
         self._checked = False  # whether evaluate_many has checked the rows it is requesting
@@ -109,9 +109,7 @@ class EvaluationCache:
             if self._calling:
                 raise RuntimeError(_REENTRY)
             value = self._memo.get(key)
-            if value is not None:
-                status = "hit"
-            else:
+            if value is None:
                 if not self._checked:
                     self._require_dim(x.shape[0])
                     if not np.isfinite(x).all():
@@ -127,9 +125,8 @@ class EvaluationCache:
                     self._calling = False
                 if not math.isfinite(value):
                     raise EvaluationError(x, f"oracle returned non-finite value {value}")
-                status = "miss"
                 self._memo[key] = value
-            self._trace.append((key, value, status))
+            self._trace.append(key)
             return value
 
     __call__ = evaluate
@@ -170,10 +167,16 @@ class EvaluationCache:
 
         Each point is a read-only array rebuilt from the request's byte
         key, so it is bitwise the point requested and shares no memory
-        with the caller's array.
+        with the caller's array; its value is the memo's. A key enters the
+        memo only with its value and never leaves it, so the first request
+        of a key is its miss and every later one a hit.
         """
         with self._lock:
-            return [(np.frombuffer(key), value, status) for key, value, status in self._trace]
+            seen, rows = set(), []
+            for key in self._trace:
+                rows.append((np.frombuffer(key), self._memo[key], "hit" if key in seen else "miss"))
+                seen.add(key)
+            return rows
 
     def write_trace_csv(self, target) -> None:
         """Dump the request trace, one row per request."""

@@ -7,8 +7,12 @@ set T; :func:`sample_grid` lays them out as one ``(m+1, k+1, n)`` array.
 This module owns the coincidence tolerance: it deduplicates that grid,
 greedily in first-seen order, in one pass of :func:`_distinct` over its
 points, at the fixed relative tolerance of :func:`dedup_tolerance`; only
-:func:`nshc_points` takes another. The evaluation cache compares no
-points, so a grid is read as its distinct points, each requested once.
+:func:`nshc_points` takes another. The pass projects each point once,
+scaled by a power of two so that no projection overflows, and the sorted
+projections both prove distinct points apart and narrow each comparison
+to a window. The grid record, the simplex read and :class:`PointSet`
+share it. The evaluation cache compares no points, so a grid is read as
+its distinct points, each requested once.
 It also answers two structural questions about a candidate point set: is
 it poised for quadratic interpolation, and is it exactly the sample set
 of some nested Hessian estimate of minimal size.
@@ -201,7 +205,6 @@ class DirectionSet:
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
-_FAR = float(np.finfo(float).max) / 4  # bounds a projection far from overflow
 # A max-norm distance of finite points may overflow to inf, which is a
 # miss at any finite tolerance: the comparison answers, with no warning.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
@@ -240,91 +243,67 @@ def _near(rows: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(rows - x).max(axis=1) <= tol
 
 
-def _separated(points: np.ndarray, tol: float) -> bool:
-    """Whether no two rows of ``points`` lie within ``tol`` of each other.
-
-    A vectorized proof on the projection ``y = x . w``, where ``w`` is
-    fixed per dimension with distinct entries in ``[1, 2)``: rows within
-    ``tol`` in max-norm have projections within ``tol * |w|_1``, and each
-    computed dot product is off by at most ``gamma * |w|_1 * M``, where
-    ``M`` is the largest max-norm of a row, exact, which cannot overflow
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
-    §3.1). So two rows within ``tol`` have computed projections within
-    ``reach = tol * |w|_1 + 2 * gamma * |w|_1 * (M + tol)``; ``gamma`` is
-    taken for ``dim + 2`` terms at twice the unit roundoff, which also
-    covers the rounding of ``reach`` and of the ends of a window around
-    ``y``. If every gap between neighbouring sorted projections exceeds
-    ``reach``, no two rows are within ``tol``. ``False`` proves nothing;
-    it is also the answer when a projection or ``M`` is not finite.
-    ``M * |w|_1`` bounds a projection, so unless it is below ``_FAR`` the
-    answer is ``False`` before anything is projected and nothing
-    overflows. Python's ``sorted`` orders the projections: it maps in no
-    numpy sort kernel, which would raise the peak memory of a process
-    that sorts nothing else.
-    """
-    w, w1, slack = _weights(points.shape[1])
-    m = float(np.abs(points).max(initial=0.0))
-    if not m * w1 < _FAR:
-        return False
-    proj = (points @ w).tolist()
-    if not math.isfinite(sum(proj)):
-        return False
-    reach = w1 * (tol + slack * (m + tol))
-    return bool((np.diff(sorted(proj)) > reach).all())
-
-
 @_QUIET
-def _distinct(points: np.ndarray, tol: float, strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``(kept, classes)``: the rows of ``points`` merged greedily at ``tol``.
 
     Each row, in order, joins the lowest earlier kept row within ``tol``
     (:func:`_near`), or is kept. ``kept`` holds the indices of the kept
     rows, and ``classes[b]`` the position in ``kept`` of the row that row
-    ``b`` joined. Every row is its own class when :func:`_separated`
-    proves every row distinct. Otherwise the projections are taken once,
-    those of the kept rows are kept sorted, and each row is compared only
-    with the kept rows whose projections lie within ``reach`` of its own,
-    found by binary search: with ``M`` the largest max-norm of any row,
-    that window holds every row within ``tol``. When ``M * |w|_1`` is not
-    below ``_FAR`` a projection could overflow, so each row is compared
-    with every kept row instead, and a row with a non-finite entry raises
-    :class:`ValueError` when it is reached. With ``strict``, a row within
-    ``tol`` of an earlier one raises :class:`ValueError` naming both.
+    ``b`` joined. A row with a non-finite entry raises :class:`ValueError`
+    first.
+
+    Each row is projected once, as ``y = z . w``: ``w`` is fixed per
+    dimension with distinct entries in ``[1, 2)``, and ``z = x / 2**e``,
+    where ``2**e`` is the power of two just above ``M``, the largest
+    |entry|, so every entry of ``z`` lies in (-1, 1) and no ``y``
+    overflows. Rows within ``tol`` have exact projections within
+    ``t * |w|_1``, ``t = tol / 2**e``, and each computed dot product is off
+    by at most ``gamma * |w|_1 * M / 2**e`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.1). So their computed
+    projections lie within ``reach = |w|_1 * (t + 2 * gamma * (M / 2**e +
+    t))``, inf if that overflows; ``gamma`` is taken for ``dim + 2`` terms
+    at twice the unit roundoff, which also covers the rounding of
+    ``reach`` and of a window's ends. Where an entry of ``z``, ``t`` or a
+    product underflows, the rounding is absolute, at most half the
+    smallest subnormal, and all of them move two projections apart by
+    less than ``3 * |w|_1`` of it. As ``M / 2**e >= 1/2`` when ``M > 0``,
+    the doubled ``gamma`` leaves over ``1e-16 * |w|_1`` of ``reach`` to
+    spare for them, so a row within ``tol`` stays inside the reach (and
+    when ``M`` is 0 every ``y`` is exactly 0).
+
+    If every gap between the sorted projections exceeds ``reach``, every
+    row is its own class. Otherwise each row is compared only with the
+    kept rows whose projections, kept sorted, lie within ``reach`` of its
+    own, found by binary search. Python's ``sorted`` orders them: it maps
+    in no numpy sort kernel, which would raise the peak memory of a
+    process that sorts nothing else.
     """
-    if _separated(points, tol):
+    m = float(np.abs(points).max(initial=0.0))  # inf or NaN at a non-finite entry
+    if not math.isfinite(m):
+        raise ValueError("point contains non-finite entries")
+    w, w1, slack = _weights(points.shape[1])
+    frac, e = math.frexp(m)  # M = frac * 2**e
+    proj = (np.ldexp(points, -e) @ w).tolist()
+    t = float(np.ldexp(tol, -e))
+    reach = w1 * (t + slack * (frac + t))
+    if (np.diff(sorted(proj)) > reach).all():
         every = np.arange(len(points))
         return every, every
-    w, w1, slack = _weights(points.shape[1])
-    m = float(np.abs(points).max(initial=0.0))
-    windowed = m * w1 < _FAR  # then every row is finite, and so is its projection
-    if windowed:
-        proj = (points @ w).tolist()
-        reach = w1 * (tol + slack * (m + tol))
-    else:
-        finite = np.isfinite(points).all(axis=1).tolist()
     kept, classes = [], []
     keys, at = [], []  # the kept rows' projections, ascending, and the class of each
-    for b, x in enumerate(points):
-        if windowed:
-            y = proj[b]
-            cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
-        elif finite[b]:
-            cand = range(len(kept))
-        else:
-            raise ValueError("point contains non-finite entries")
+    for b, (x, y) in enumerate(zip(points, proj)):
+        cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
         hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
         near = [c for c, h in zip(cand, hit) if h]
         if near:
             a = min(near)
-            if strict:
-                raise ValueError(f"points {a} and {b} coincide under the dedup tolerance")
         else:
             a = len(kept)
             kept.append(b)
-            if windowed:
-                i = bisect_right(keys, y)
-                keys.insert(i, y)
-                at.insert(i, a)
+            i = bisect_right(keys, y)
+            keys.insert(i, y)
+            at.insert(i, a)
         classes.append(a)
     return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
 
@@ -343,7 +322,11 @@ class PointSet:
 
     def __post_init__(self):
         self._freeze()
-        _distinct(self.points, self.dedup_tol, strict=True)
+        kept, classes = _distinct(self.points, self.dedup_tol)
+        if len(kept) < len(classes):
+            # Every row before the first merged one was kept, so its class is its row.
+            b = int(np.flatnonzero(classes != np.arange(len(classes)))[0])
+            raise ValueError(f"points {classes[b]} and {b} coincide under the dedup tolerance")
 
     @classmethod
     def _distinct(cls, points, dedup_tol: float, shared: bool = False) -> "PointSet":
@@ -820,10 +803,20 @@ def quadratic_basis_matrix(points: np.ndarray, center=None):
     return basis, center, scale
 
 
+@_QUIET
 def _basis_center(points: np.ndarray, center) -> np.ndarray:
-    """``center`` as a read-only copy, or the centroid when ``None``; checked."""
+    """``center`` as a read-only copy, or the centroid when ``None``; checked.
+    The centroid is bitwise ``points.mean(axis=0)`` wherever that is
+    finite; where the sum of finite points overflows, it is the mean of
+    the points over their largest |entry|, scaled back."""
     n = points.shape[1]
-    center = points.mean(axis=0) if center is None else np.array(center, dtype=float)
+    if center is None:
+        center = points.mean(axis=0)
+        if not np.isfinite(center).all() and np.isfinite(points).all():
+            top = float(np.abs(points).max())
+            center = top * (points / top).mean(axis=0)
+    else:
+        center = np.array(center, dtype=float)
     if center.shape != (n,) or not np.isfinite(center).all():
         raise ValueError(f"center must be a finite point in R^{n}, got {center!r}")
     return _read_only(center)

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nshess import EvaluationCache, canonical_set, dedup_tolerance, nested_set_hessian, nshc_points
@@ -547,21 +547,29 @@ class TestOverflowingProjection:
                 assert points.index_of(q) == scan_find(want_kept, q, tol)
 
     def test_distinct_tests_every_row_against_the_overflowed_rows(self):
-        # A row whose projection could overflow leaves no window to search:
-        # each later row is tested against every kept row, this one too.
+        # At an infinite tolerance the reach is inf, so every kept row, this
+        # one too, is in each later row's window.
         top = np.full(3, 1e308)
         kept, classes = _distinct(np.array([top, np.zeros(3)]), np.inf)
         assert kept.tolist() == [0] and classes.tolist() == [0, 0]
         kept, classes = _distinct(np.array([top, np.ones(3), np.ones(3)]), 0.0)
         assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 1]
 
-    def test_rows_near_the_largest_double_take_the_lookup_of_each_row(self):
-        # Their projections could overflow, so the vectorized proof declines
-        # them before projecting anything.
+    def test_rows_near_the_largest_double_are_compared_in_their_windows(self, monkeypatch):
+        # Scaled by a power of two, their projections are finite, so each
+        # row meets only the kept rows in its window: the repeat meets the
+        # one row it repeats, and the second row meets none.
+        compared = []
+        real = sets._near
+        monkeypatch.setattr(
+            sets, "_near", lambda rows, *a: compared.append(len(rows)) or real(rows, *a)
+        )
         block = np.array([[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308]])
-        assert not sets._separated(block[:2], 0.0)
         kept, classes = _distinct(block, 0.0)
         assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 0]
+        assert compared == [1]
+        with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+            PointSet(block)
 
     def test_a_window_too_wide_for_its_ends_still_matches(self):
         # The row lies within tol of row 0, though its window ends overflow.
@@ -570,6 +578,57 @@ class TestOverflowingProjection:
         rows = np.array([[0.0], [0.2 * big / w1]])
         kept, classes = _distinct(rows, 0.9 * big / w1)
         assert kept.tolist() == [0] and classes.tolist() == [0, 0]
+
+
+# Rows of about 1e-310 to 1.7e308, with bitwise repeats and one-ulp
+# neighbours, at tolerances from 0 to inf, and at one ulp of the largest
+# entry, where the rounding allowance of the projections decides.
+_MAGNITUDES = st.sampled_from([1e-310, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.7e308])
+_TOLERANCES = st.sampled_from([0.0, 1e-320, 2.0**-20, 1e300, np.inf, "ulp"])
+
+
+@st.composite
+def _clouds(draw):
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        scale = np.array([draw(_MAGNITUDES) for _ in range(p)])[:, None]
+    else:  # one magnitude, so more rows share the binade of the largest entry
+        scale = draw(_MAGNITUDES)
+    cloud = np.clip(rng.uniform(-1.0, 1.0, (p, n)) * scale, -1.7e308, 1.7e308)
+    for b in range(1, p):
+        kind = draw(st.sampled_from(["own", "repeat", "ulp"]))
+        if kind != "own":
+            cloud[b] = cloud[draw(st.integers(0, b - 1))]
+        if kind == "ulp":
+            cloud[b] = np.nextafter(cloud[b], rng.choice([-np.inf, np.inf], n))
+    return cloud
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cloud=_clouds(), tol=_TOLERANCES, bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_distinct_is_the_full_scan_at_every_magnitude(cloud, tol, bad):
+    if tol == "ulp":
+        tol = float(np.spacing(np.abs(cloud).max()))
+    if bad is not None:
+        cloud[len(cloud) // 2, 0] = bad
+        with pytest.raises(ValueError, match="point contains non-finite entries"):
+            _distinct(cloud, tol)
+        return
+    want_labels, want_kept = scan_classes(cloud, tol)
+    kept, classes = _distinct(cloud, tol)
+    assert classes.tolist() == want_labels
+    assert cloud[kept].tobytes() == want_kept.tobytes()
+    merged = [b for b, a in enumerate(want_labels) if a != b]
+    if merged:
+        b = merged[0]
+        with pytest.raises(ValueError, match=f"points {want_labels[b]} and {b} coincide"):
+            PointSet(cloud, tol)
+    else:
+        assert PointSet(cloud, tol).points.tobytes() == cloud.tobytes()
 
 
 class TestStorageAndHitPath:

@@ -90,35 +90,54 @@ def _matches_greedy(data):
 
 class TestDistinctPoints:
     def test_nshc_points_is_bitwise_the_greedy_loop(self, monkeypatch):
-        # A record keeps every candidate when the vectorized proof holds and
-        # falls back to the windowed pass when it proves nothing.
-        outcomes = []
-        real = sets._separated
+        # A record keeps every candidate, comparing none, when the sorted
+        # projections prove them apart, and compares rows in their windows
+        # when they do not: both ran.
+        compared, passes = [], []
+        real_near, real_distinct = sets._near, sets._distinct
 
-        def recorded(points, tol):
-            outcomes.append(real(points, tol))
-            return outcomes[-1]
+        def distinct(points, tol):
+            before = len(compared)
+            result = real_distinct(points, tol)
+            passes.append(len(compared) > before)
+            return result
 
-        monkeypatch.setattr(sets, "_separated", recorded)
+        monkeypatch.setattr(sets, "_near", lambda *a: compared.append(1) or real_near(*a))
+        monkeypatch.setattr(sets, "_distinct", distinct)
         _matches_greedy()
-        assert True in outcomes and False in outcomes  # fast path and fallback both ran
+        assert True in passes and False in passes
 
-    def test_separated_answers(self):
+    def test_rows_proved_apart_compare_nothing(self, monkeypatch):
+        compared = []
+        real = sets._near
+        monkeypatch.setattr(
+            sets, "_near", lambda rows, *a: compared.append(len(rows)) or real(rows, *a)
+        )
+
+        def classes(points, tol):
+            kept, labels = sets._distinct(points, tol)
+            assert np.array_equal(kept, np.unique(labels, return_index=True)[1])
+            return labels.tolist()
+
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert sets._separated(rows, 1e-9)
-        assert sets._separated(rows[:1], np.inf)
-        assert not sets._separated(rows, 1.0)
-        assert not sets._separated(np.vstack([rows, rows[1]]), 0.0)
-        assert not sets._separated(np.array([[0.0, 0.0], [-0.0, 0.0]]), 0.0)
+        assert classes(rows, 1e-9) == [0, 1, 2]
+        assert classes(rows[:1], np.inf) == [0]
+        # Projections as far apart as a row's magnitude: finite when scaled.
+        assert classes(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0) == [0, 1]
+        assert compared == []
+        assert classes(rows, 1.0) == [0, 0, 0]
+        assert classes(np.vstack([rows, rows[1]]), 0.0) == [0, 1, 2, 1]
+        assert classes(np.array([[0.0, 0.0], [-0.0, 0.0]]), 0.0) == [0, 0]
         near = rows.copy()
         near[2] = near[1] + 1e-10
-        assert not sets._separated(near, 1e-9)
-        for bad in (np.nan, np.inf):
+        assert classes(near, 1e-9) == [0, 1, 1]
+        compared.clear()
+        for bad in (np.nan, np.inf, -np.inf):
             odd = rows.copy()
             odd[1, 0] = bad
-            assert not sets._separated(odd, 1e-9)
-        with np.errstate(over="ignore"):  # the projections overflow
-            assert not sets._separated(np.array([[1e308, 1e308], [-1e308, 1e308]]), 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                sets._distinct(odd, 1e-9)
+        assert compared == []  # refused before any comparison
 
     def test_point_set_construction_takes_the_vectorized_proof(self, monkeypatch):
         s_set, t_set = canonical_set(4, 2, 0.1)

@@ -373,6 +373,29 @@ class TestQuadraticBasisMatrix:
         unscaled = float(np.max(np.linalg.norm((pts - center) / 1e200, axis=1)))
         assert scale == pytest.approx(unscaled * 1e200)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_centroid_of_huge_finite_points_does_not_overflow(self):
+        # The default center summed the points, which warned "overflow
+        # encountered in reduce" and then raised "center must be a finite
+        # point".
+        pts = np.array([[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 1.0]])
+        basis, center, scale = quadratic_basis_matrix(pts)
+        assert np.isfinite(basis).all() and np.isfinite(scale)
+        assert center == pytest.approx([1.7e308 / 3 * 2, 2 / 3])
+        # Three of these six lie on y = 0, so a conic through all six holds
+        # that line and the line x = 0 through two more, which misses
+        # (1.7, 1): the set is poised.
+        six = 1e308 * np.array(
+            [[1.7, 0.0], [1.7, 1.0], [0.0, 1.0], [0.0, 0.0], [0.85, 0.0], [0.0, 0.5]]
+        )
+        assert is_poised_quadratic(PointSet(six))
+
+    def test_a_finite_centroid_is_the_plain_mean(self):
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((6, 2)) * 1e150
+        _, center, _ = quadratic_basis_matrix(pts)
+        assert center.tobytes() == pts.mean(axis=0).tobytes()
+
     def test_reproduces_quadratic_values(self):
         # Solving the system on the scaled basis and evaluating back must
         # reproduce the sampled quadratic exactly.

@@ -1,4 +1,5 @@
-"""Print a SHA-256 digest of the benchmark workloads' results, one line per workload.
+"""Print a SHA-256 digest of the benchmark workloads' results, one line per workload,
+and one of the coincidence pass.
 
     python3 tools/bitwise_digest.py [--root CHECKOUT]
 
@@ -12,6 +13,13 @@ workload, printed as its first 16 hex digits:
   and after the model, and the model's ``alpha0``, ``alpha`` and Hessian;
 - the study workloads: the report's ``fitted_order``, ``kappa``,
   ``exact`` and ``noise_floor``, then every field of every row.
+
+A fourth line, ``coincidence``, hashes public calls that reach the
+coincidence pass off the folded path, which no workload takes: the points
+and tolerance of ``nshc_points`` on seeded non-folded grids (a random S
+with ``T = beta * U_k`` of S, or with T sharing columns of S) at base
+points of magnitude about 1, 1e150 and 1e307, and the messages of
+``PointSet`` constructions that refuse coincident points.
 
 A float is hashed as its float64 bytes, an array as ``str(shape)`` and
 then its float64 bytes, anything else (an int, a bool, ``None``) as its
@@ -79,6 +87,43 @@ def digest(workloads_module, workload: str) -> str:
     return h.hexdigest()[:16]
 
 
+def coincidence_digest() -> str:
+    """The first 16 hex digits of the SHA-256 over the coincidence calls."""
+    from nshess import DirectionSet, PointSet, build_uk, nshc_points
+
+    h = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    for magnitude in (1.0, 1e150, 1e307):
+        for n in (1, 2, 3, 5):
+            for _ in range(8):
+                x0 = magnitude * rng.uniform(0.5, 1.0, n)
+                # Directions from 1e-16 to 1e-2 of x0, so at the small end
+                # the cells round together under the geometry's tolerance.
+                radius = magnitude * 10.0 ** rng.uniform(-16, -2)
+                s_set = DirectionSet(radius * rng.standard_normal((n, n)))
+                if rng.random() < 0.5:
+                    k = int(rng.integers(0, n + 1))
+                    t = rng.choice([0.5, 1.0 + 2.0**-20, 3.0]) * build_uk(s_set, k).matrix
+                else:
+                    t = np.hstack([s_set.matrix[:, : max(1, n - 1)], s_set.matrix[:, :1] * 0.5])
+                for tol in (None, 0.0):
+                    points = nshc_points(x0, s_set, DirectionSet(t), tol)
+                    _feed(h, points.points, points.dedup_tol)
+    for _ in range(200):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(2, 30))
+        cloud = rng.uniform(-1.0, 1.0, (p, n)) * 10.0 ** rng.uniform(-300, 300, (p, 1))
+        for _ in range(int(rng.integers(0, 3))):
+            a, b = rng.integers(0, p, 2)
+            cloud[b] = np.nextafter(cloud[a], 0.0) if rng.random() < 0.5 else cloud[a]
+        tol = float(rng.choice([0.0, 1e-300, 2.0**-20, 1e300]))
+        try:
+            PointSet(cloud, tol)
+            _feed(h, "distinct")
+        except ValueError as exc:
+            _feed(h, str(exc))
+    return h.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -94,6 +139,7 @@ def main(argv=None) -> int:
 
     for workload in WORKLOADS:
         print(workload, digest(workloads, workload), flush=True)
+    print("coincidence", coincidence_digest(), flush=True)
     return 0
 
 
