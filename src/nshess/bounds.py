@@ -36,6 +36,8 @@ class BoundInputs:
     ``norm_t_pinv`` the one of ``pinv(T_hat)`` for the Hessian bound, or of
     ``pinv(T_hat^T)`` for the gradient bound, where the hat denotes the set
     divided by its radius. The factory methods compute the right variant.
+    :meth:`for_hessians` stacks the rows of a study: its radii and norms
+    are arrays with one entry per row, and so is the bound.
     """
 
     m: int
@@ -56,10 +58,14 @@ class BoundInputs:
 
     @property
     def delta_u(self) -> float:
+        if isinstance(self.delta_s, np.ndarray):
+            return np.maximum(self.delta_s, self.delta_t)
         return max(self.delta_s, self.delta_t)
 
     @property
     def delta_l(self) -> float:
+        if isinstance(self.delta_s, np.ndarray):
+            return np.minimum(self.delta_s, self.delta_t)
         return min(self.delta_s, self.delta_t)
 
     @classmethod
@@ -86,22 +92,39 @@ class BoundInputs:
     ) -> "BoundInputs":
         """Inputs for :func:`error_bound_nsh` from actual S and T."""
         return cls(
-            m=s_set.count,
-            k=t_set.count,
-            lipschitz_grad=float(lipschitz_grad),
-            lipschitz_hess=float(lipschitz_hess),
-            delta_s=s_set.radius,
-            delta_t=t_set.radius,
-            norm_s_pinv=s_set.pinv_norm(transpose=True, normalized=True),
-            norm_t_pinv=t_set.pinv_norm(normalized=True),
+            s_set.count, t_set.count, float(lipschitz_grad), float(lipschitz_hess),
+            *_hessian_factors(s_set, t_set),
+        )
+
+    @classmethod
+    def for_hessians(cls, pairs, lipschitz_grad: float, lipschitz_hess: float) -> "BoundInputs":
+        """:meth:`for_hessian` of each ``(S, T)`` of ``pairs``, all of one
+        shape, stacked: each entry of the bound is bitwise its pair's."""
+        (s_set, t_set), *_ = pairs
+        return cls(
+            s_set.count, t_set.count, float(lipschitz_grad), float(lipschitz_hess),
+            *np.array([_hessian_factors(s, t) for s, t in pairs]).T,
         )
 
 
+def _hessian_factors(s_set: DirectionSet, t_set: DirectionSet) -> tuple[float, ...]:
+    """``delta_s``, ``delta_t``, ``norm_s_pinv`` and ``norm_t_pinv`` of S and T."""
+    norms = s_set.pinv_norm(transpose=True, normalized=True), t_set.pinv_norm(normalized=True)
+    return (s_set.radius, t_set.radius, *norms)
+
+
 def _require_nonnegative(**factors: float) -> None:
-    """Reject a NaN or negative certificate factor, naming it."""
+    """Reject a NaN or negative certificate factor, naming it; an array
+    factor is checked by its least entry, NaN if any entry is."""
     for name, x in factors.items():
+        x = _least(x)
         if not x >= 0:
             raise ValueError(f"{name} must be nonnegative, got {x}")
+
+
+def _least(x):
+    """``x``, or its least entry if it is an array."""
+    return x.min() if isinstance(x, np.ndarray) else x
 
 
 def _gsg_constant(k: int, lipschitz_grad: float, norm_t_pinv: float) -> float:
@@ -121,7 +144,7 @@ def _nsh_constant(geometry, lipschitz_hess: float, norm_s_pinv: float, norm_t_pi
     m, k, delta_l = geometry.m, geometry.k, geometry.delta_l
     if m < 1 or k < 1:
         raise ValueError("Hessian bound needs nonempty direction sets")
-    if delta_l <= 0:
+    if _least(delta_l) <= 0:
         raise ValueError("Hessian bound needs a strictly positive lower radius")
     ratio = 2.0 * geometry.delta_u / delta_l + 3.0
     return (m * math.sqrt(k) / 3.0) * lipschitz_hess * ratio * norm_s_pinv * norm_t_pinv

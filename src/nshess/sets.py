@@ -275,7 +275,10 @@ def _distinct(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     If every gap between the sorted projections exceeds ``reach``, every
     row is its own class. Otherwise each row is compared only with the
     kept rows whose projections, kept sorted, lie within ``reach`` of its
-    own, found by binary search. Python's ``sorted`` orders them: it maps
+    own, found by binary search; a row bitwise equal to a kept row joins
+    its class with no test, since kept rows are pairwise more than ``tol``
+    apart, so for ``tol >= 0`` that row is the only kept row within ``tol``
+    of it. Python's ``sorted`` orders the projections: it maps
     in no numpy sort kernel, which would raise the peak memory of a
     process that sorts nothing else.
     """
@@ -292,18 +295,22 @@ def _distinct(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         return every, every
     kept, classes = [], []
     keys, at = [], []  # the kept rows' projections, ascending, and the class of each
+    exact = {}  # the kept rows' bytes, and the class of each
     for b, (x, y) in enumerate(zip(points, proj)):
-        cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
-        hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
-        near = [c for c, h in zip(cand, hit) if h]
-        if near:
-            a = min(near)
-        else:
-            a = len(kept)
-            kept.append(b)
-            i = bisect_right(keys, y)
-            keys.insert(i, y)
-            at.insert(i, a)
+        key = x.tobytes()
+        a = exact.get(key)
+        if a is None:
+            cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
+            hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
+            near = [c for c, h in zip(cand, hit) if h]
+            if near:
+                a = min(near)
+            else:
+                a = exact[key] = len(kept)
+                kept.append(b)
+                i = bisect_right(keys, y)
+                keys.insert(i, y)
+                at.insert(i, a)
         classes.append(a)
     return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
 
@@ -576,6 +583,7 @@ def _base_point(x0, **dims: int) -> np.ndarray:
     return x0
 
 
+@_QUIET
 def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     """The ``(m+1, k+1, n)`` array of points a nested Hessian estimate samples.
 
@@ -583,13 +591,17 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     ``x0`` and ``x0 + t_j``, column 0 holds ``x0 + s_i``. Every entry is
     formed by that one sequence of additions, so points shared by two
     estimates on the same sets are bitwise equal. Every grid record checks
-    ``x0`` here, by :func:`_base_point`.
+    ``x0`` here, by :func:`_base_point`, and then that no sum overflowed.
     """
     x0 = _base_point(x0, S=s_set.dim, T=t_set.dim)
     grid = np.empty((s_set.count + 1, t_set.count + 1, x0.shape[0]))
     grid[0, 0] = x0
     grid[1:, 0] = x0 + s_set.matrix.T
     np.add(grid[:, :1], t_set.matrix.T, out=grid[:, 1:])
+    if not np.isfinite(grid).all():
+        raise ValueError(
+            "the sample grid of x0, S and T overflows: a point (x0 + s_i) + t_j is not finite"
+        )
     return grid
 
 
@@ -694,6 +706,7 @@ def _grid(x0, s_set: DirectionSet, t_set: DirectionSet, tol: float | None = None
     k = _fold_k(s_set, t_set)
     if k is not None:
         fold_cls, first = fold_index(s_set.dim, k)
+        # The cells of a class differ by rounding alone, and all are finite.
         if np.abs(points - points[first[fold_cls.ravel()]]).max() <= record_tol:
             points, cls = points[first], fold_cls
     kept, classes = _distinct(points, record_tol)

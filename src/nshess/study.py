@@ -179,7 +179,7 @@ def _rule_bound(
             )
         datas.append(data)
     inputs = RuleBoundInputs(datas[0], geometry, *datas[1:], power=fn.power)
-    return calculus_error_bound(fn.rule, mode, inputs)
+    return float(calculus_error_bound(fn.rule, mode, inputs))
 
 
 def _estimate(
@@ -189,20 +189,14 @@ def _estimate(
     s_set: DirectionSet,
     t_set: DirectionSet,
 ) -> tuple[HessianResult, float | None, list[EvaluationCache]]:
-    """The configured estimate at ``x0``, its bound and the caches it read.
+    """The configured estimate at ``x0``, its bound and the fresh caches it read.
 
-    The bound is ``None`` when a nested-set estimate lacks Lipschitz
-    certificates; rule estimates use their parts' certificates.
+    Rule estimates use their parts' certificates. The bound of a nested-set
+    estimate is ``None``: a study takes those for all its rows at once.
     """
     if config.estimator == "nested-set":
         cache = EvaluationCache(fn.oracle)
-        res = nested_set_hessian(x0, s_set, t_set, cache, config.symmetrize)
-        bound = None
-        if fn.lipschitz_grad is not None and fn.lipschitz_hess is not None:
-            bound = error_bound_nsh(
-                BoundInputs.for_hessian(s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess)
-            )
-        return res, bound, [cache]
+        return nested_set_hessian(x0, s_set, t_set, cache, config.symmetrize), None, [cache]
 
     rule, mode_tag = config.estimator.rsplit("-", 1)
     mode = CalcMode.SIMPLEX if mode_tag == "sc" else CalcMode.QUADRATIC
@@ -240,29 +234,36 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                 "the nested-set bound column cannot be filled"
             )
 
-    h_true = fn.hessian(x0)
-    floor = NOISE_FLOOR_RTOL * (1.0 + linalg.spectral_norm(h_true))
+    h_true = fn.hessian(x0)  # finite: make_function checks it
 
-    errors, measured = [], []
-    for beta in config.betas():
+    # Each row reads and estimates in order, and a non-finite error raises
+    # the norms' ValueError at its own row; the certificates and the norms
+    # are then taken for every row at once.
+    betas = config.betas()
+    pairs, errors, bounds, evals = [], [], [], []
+    for beta in betas:
+        pair = config.sets_at(beta)
         try:
-            res, bound, caches = _estimate(config, fn, x0, *config.sets_at(beta))
+            res, bound, _ = _estimate(config, fn, x0, *pair)
         except ValueError:
             raise
         except Exception as exc:
             raise StudyError(f"estimator failed at beta={beta!r}: {exc}") from exc
-        diff = res.hessian - h_true
-        # A non-finite error raises the norms' ValueError at its own row.
-        fro = linalg.frobenius_norm(diff)
-        errors.append(diff)
-        evals = sum(c.distinct_count for c in caches)
-        measured.append((beta, fro, float(bound), evals))
-    # Every row's spectral norm from one batched SVD.
-    spectral = linalg.spectral_norms(errors)
-    rows = [
-        StudyRow(beta, spec, fro, bound, evals)
-        for (beta, fro, bound, evals), spec in zip(measured, spectral)
-    ]
+        errors.append(linalg._as_matrix(res.hessian - h_true))
+        pairs.append(pair)
+        bounds.append(bound)
+        evals.append(res.eval_count)
+    if config.estimator == "nested-set":
+        inputs = BoundInputs.for_hessians(pairs, fn.lipschitz_grad, fn.lipschitz_hess)
+        bounds = error_bound_nsh(inputs).tolist()
+    # The spectral norms of H_true and of every error from one batched SVD,
+    # the Frobenius ones as sqrt(v . v) of each error's entries: bitwise
+    # linalg's norms.
+    stack = np.array([h_true, *errors])
+    top, *spectral = linalg.spectral_norms(stack)
+    floor = NOISE_FLOOR_RTOL * (1.0 + top)
+    fro = [math.sqrt(v.dot(v)) for v in stack[1:].reshape(len(errors), -1)]
+    rows = [StudyRow(*row) for row in zip(betas, spectral, fro, bounds, evals)]
 
     live = [(r.beta, r.error_spec) for r in rows if r.error_spec > floor]
     if not live:
@@ -290,6 +291,11 @@ def approximate_once(config: StudyConfig, with_model: bool = False):
         raise ValueError("--with-model applies to the nested-set estimator on canonical sets")
 
     res, bound, caches = _estimate(config, fn, x0, s_set, t_set)
+    certified = fn.lipschitz_grad is not None and fn.lipschitz_hess is not None
+    if config.estimator == "nested-set" and certified:
+        bound = error_bound_nsh(
+            BoundInputs.for_hessian(s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess)
+        )
     diff = res.hessian - fn.hessian(x0)
     payload = {
         "function": config.function,

@@ -158,3 +158,33 @@ class TestBoundInputsFactories:
         # NaN used to pass the "< 0" checks, and error_bound_nsh returned nan.
         with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
             inputs(**{field: float("nan")})
+
+
+class TestStackedHessianInputs:
+    """for_hessians holds a study's rows as arrays: every bound is bitwise its
+    pair's for_hessian bound, and each check still names the factor."""
+
+    def test_each_bound_is_bitwise_its_pairs(self):
+        rng = np.random.default_rng(7)
+        s_base = DirectionSet(rng.standard_normal((3, 5)))
+        t_base = DirectionSet(rng.standard_normal((3, 4)))
+        for pairs in (
+            [canonical_set(3, 2, 0.1 * 0.5**i) for i in range(9)],
+            [(s_base.scaled(b), t_base.scaled(b)) for b in (0.3, 1e-3, 7e-6)],
+        ):
+            got = error_bound_nsh(BoundInputs.for_hessians(pairs, 2.0, 3.0))
+            want = [error_bound_nsh(BoundInputs.for_hessian(s, t, 2.0, 3.0)) for s, t in pairs]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("field", ["delta_s", "delta_t", "norm_s_pinv", "norm_t_pinv"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_a_bad_entry_is_named(self, field, bad):
+        column = np.array([0.1, 0.2, 0.3])
+        column[1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative, got {bad}"):
+            inputs(**{field: column})
+
+    def test_a_zero_lower_radius_in_any_row_is_rejected(self):
+        made = inputs(delta_s=np.array([0.1, 0.0]), delta_t=np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="strictly positive lower radius"):
+            error_bound_nsh(made)

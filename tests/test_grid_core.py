@@ -302,6 +302,35 @@ class TestCollapsedGrids:
                 call(EvaluationCache(smooth))
 
 
+class TestOverflowingGrid:
+    """A grid whose sums overflow is refused where it is formed, with one
+    ValueError that names x0, S and T, before any request and with no
+    RuntimeWarning (which the suite makes an error)."""
+
+    CASES = [(np.full(2, 1.7e308), *canonical_set(2, k, 1e308)) for k in range(3)] + [
+        (np.zeros(2), DirectionSet(1.7e308 * np.eye(2)), DirectionSet(1.7e308 * np.eye(2))),
+        (np.array([-1.7e308, 1.0]), DirectionSet(-1e308 * np.eye(2)), DirectionSet(np.eye(2))),
+    ]
+
+    @pytest.mark.parametrize("x0,s_set,t_set", CASES, ids=["k0", "k1", "k2", "S+T", "x0+S"])
+    def test_every_grid_reader_refuses_it(self, x0, s_set, t_set):
+        cache = EvaluationCache(smooth)
+        for read in (
+            sample_grid,
+            nshc_points,
+            lambda *a: nested_set_hessian(*a, cache),
+            lambda *a: quadratic_model_gradient(cache, *a),
+        ):
+            with pytest.raises(ValueError, match=r"sample grid of x0, S and T overflows"):
+                read(x0, s_set, t_set)
+        assert cache.distinct_count == 0
+
+    def test_a_grid_near_the_largest_double_is_still_read(self):
+        s_set = DirectionSet(1e307 * np.eye(2))
+        points = nshc_points(np.full(2, 1e308), s_set, build_uk(s_set, 1))
+        assert len(points) == 6 and np.isfinite(points.points).all()
+
+
 def scan_find(points, x, tol):
     """First row within ``tol`` of ``x`` in max-norm, by a full scan."""
     for i, p in enumerate(points):

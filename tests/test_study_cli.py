@@ -158,7 +158,8 @@ def _overdetermined(n, seed):
 
 class TestStudyNorms:
     """A study takes every row's spectral norm from one batched SVD and each
-    Frobenius norm as sqrt(v . v): bitwise linalg's norms of H - H_true."""
+    Frobenius norm as sqrt(v . v) of a row of the stacked errors: bitwise
+    linalg's norms of H - H_true."""
 
     CASES = [
         ("quadratic", "nested-set"),
@@ -224,23 +225,57 @@ class TestStudyNorms:
     def test_a_non_finite_error_raises_at_its_own_row(self, monkeypatch):
         import nshess.study as study_mod
 
+        oracle_calls = []
+        real_cache = study_mod.EvaluationCache
+
+        def counting_cache(oracle):
+            def counted(x):
+                oracle_calls.append(1)
+                return oracle(x)
+
+            return real_cache(counted)
+
         calls = []
+        calls_by_row = []  # oracle calls made when each row's estimate returned
         real = study_mod._estimate
 
         def poisoned(*args):
             res, bound, caches = real(*args)
             calls.append(res)
+            calls_by_row.append(len(oracle_calls))
             if len(calls) == 2:
                 hessian = res.hessian.copy()
                 hessian[0, 1] = np.inf
-                res = SimpleNamespace(hessian=hessian)
+                res = SimpleNamespace(hessian=hessian, eval_count=res.eval_count)
             return res, bound, caches
 
+        monkeypatch.setattr(study_mod, "EvaluationCache", counting_cache)
         monkeypatch.setattr(study_mod, "_estimate", poisoned)
         cfg = StudyConfig(function="sum_of_cubes", dim=2, beta_steps=4)
         with pytest.raises(ValueError, match="matrix contains non-finite entries"):
             run_study(cfg)
         assert len(calls) == 2  # no later row was estimated
+        # ... and no later row called the oracle.
+        assert len(oracle_calls) == calls_by_row[1] > calls_by_row[0] > 0
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_each_bound_is_bitwise_the_rows_own_certificate(self, explicit, symmetrize):
+        import nshess.study as study_mod
+
+        sets = dict(zip(("s_base", "t_base"), _overdetermined(3, 5))) if explicit else {}
+        cfg = StudyConfig(function="rosenbrock", dim=3, k=2, beta_steps=7,
+                          symmetrize=symmetrize, seed=2, **sets)
+        rows = run_study(cfg).rows
+        fn = study_mod._setup(cfg)[0]
+        assert len(rows) == 7
+        for row in rows:
+            s_set, t_set = cfg.sets_at(row.beta)
+            want = nshess.error_bound_nsh(
+                nshess.BoundInputs.for_hessian(s_set, t_set, fn.lipschitz_grad, fn.lipschitz_hess)
+            )
+            assert type(row.bound) is float
+            assert np.float64(row.bound).tobytes() == np.float64(want).tobytes()
 
 
 class TestReportCsv:

@@ -1,5 +1,5 @@
 """Print a SHA-256 digest of the benchmark workloads' results, one line per workload,
-and one of the coincidence pass.
+one of the coincidence pass and one of studies that no workload runs.
 
     python3 tools/bitwise_digest.py [--root CHECKOUT]
 
@@ -20,6 +20,13 @@ and tolerance of ``nshc_points`` on seeded non-folded grids (a random S
 with ``T = beta * U_k`` of S, or with T sharing columns of S) at base
 points of magnitude about 1, 1e150 and 1e307, and the messages of
 ``PointSet`` constructions that refuse coincident points.
+
+A fifth line, ``study``, hashes ``run_study`` reports on paths that no
+workload runs: symmetrized nested-set studies, explicit overdetermined
+``s_base``/``t_base`` with and without symmetrizing, multi-row studies of
+every ``-sc`` and ``-qc`` rule estimator, schedules with fewer than two
+rows above the noise floor, and the type and message of a study that
+stops at a collapsed row.
 
 A float is hashed as its float64 bytes, an array as ``str(shape)`` and
 then its float64 bytes, anything else (an int, a bool, ``None``) as its
@@ -124,6 +131,56 @@ def coincidence_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def study_digest() -> str:
+    """The first 16 hex digits of the SHA-256 over the study reports."""
+    from nshess import DirectionSet, StudyConfig, run_study
+
+    rng = np.random.default_rng(32)
+    configs = []
+    for function in ("sum_of_cubes", "exp_of_sum", "rosenbrock"):
+        for n in (2, 3, 5):
+            seed = int(rng.integers(2**31))
+            configs.append(
+                StudyConfig(function, n, k=int(rng.integers(0, n + 1)), beta_steps=6,
+                            symmetrize=True, seed=seed)
+            )
+            s_base = DirectionSet(rng.standard_normal((n, n + 2)))
+            t_base = DirectionSet(rng.standard_normal((n, n + 1)))
+            for symmetrize in (False, True):
+                configs.append(
+                    StudyConfig(function, n, beta_start=0.3, beta_steps=6, symmetrize=symmetrize,
+                                seed=seed, s_base=s_base, t_base=t_base)
+                )
+    for function, rule in (
+        ("product_cubes_exp", "product"),
+        ("quotient_cubes_exp", "quotient"),
+        ("power_cubes_2", "power"),
+    ):
+        for mode in ("sc", "qc"):
+            for n in (2, 3):
+                configs.append(
+                    StudyConfig(function, n, k=int(rng.integers(0, n + 1)),
+                                estimator=f"{rule}-{mode}", beta_steps=4,
+                                symmetrize=bool(rng.integers(2)), seed=int(rng.integers(2**31)))
+                )
+    # Fewer than two rows above the noise floor: one on the quadratic, none
+    # on the exact quadratic-mode rule study of a product of quadratics, and
+    # a one-row schedule.
+    configs.append(StudyConfig("quadratic", 3, k=1, beta_steps=5))
+    configs.append(StudyConfig("sum_of_cubes", 3, k=2, beta_steps=1))
+    configs.append(StudyConfig("product_quadratics", 2, estimator="product-qc", beta_steps=3))
+    # A schedule whose third row collapses under the coincidence tolerance.
+    configs.append(StudyConfig("sum_of_cubes", 2, beta_start=1e-9, beta_ratio=0.01, beta_steps=4))
+
+    h = hashlib.sha256()
+    for config in configs:
+        try:
+            _feed_result(h, "study", run_study(config))
+        except Exception as exc:  # the exception a study stops with is part of its result
+            _feed(h, type(exc).__name__, str(exc))
+    return h.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument(
@@ -140,6 +197,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         print(workload, digest(workloads, workload), flush=True)
     print("coincidence", coincidence_digest(), flush=True)
+    print("study", study_digest(), flush=True)
     return 0
 
 
