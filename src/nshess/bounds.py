@@ -36,8 +36,6 @@ class BoundInputs:
     ``norm_t_pinv`` the one of ``pinv(T_hat)`` for the Hessian bound, or of
     ``pinv(T_hat^T)`` for the gradient bound, where the hat denotes the set
     divided by its radius. The factory methods compute the right variant.
-    :meth:`for_hessians` stacks the rows of a study: its radii and norms
-    are arrays with one entry per row, and so is the bound.
     """
 
     m: int
@@ -58,14 +56,10 @@ class BoundInputs:
 
     @property
     def delta_u(self) -> float:
-        if isinstance(self.delta_s, np.ndarray):
-            return np.maximum(self.delta_s, self.delta_t)
         return max(self.delta_s, self.delta_t)
 
     @property
     def delta_l(self) -> float:
-        if isinstance(self.delta_s, np.ndarray):
-            return np.minimum(self.delta_s, self.delta_t)
         return min(self.delta_s, self.delta_t)
 
     @classmethod
@@ -96,16 +90,6 @@ class BoundInputs:
             *_hessian_factors(s_set, t_set),
         )
 
-    @classmethod
-    def for_hessians(cls, pairs, lipschitz_grad: float, lipschitz_hess: float) -> "BoundInputs":
-        """:meth:`for_hessian` of each ``(S, T)`` of ``pairs``, all of one
-        shape, stacked: each entry of the bound is bitwise its pair's."""
-        (s_set, t_set), *_ = pairs
-        return cls(
-            s_set.count, t_set.count, float(lipschitz_grad), float(lipschitz_hess),
-            *np.array([_hessian_factors(s, t) for s, t in pairs]).T,
-        )
-
 
 def _hessian_factors(s_set: DirectionSet, t_set: DirectionSet) -> tuple[float, ...]:
     """``delta_s``, ``delta_t``, ``norm_s_pinv`` and ``norm_t_pinv`` of S and T."""
@@ -114,17 +98,10 @@ def _hessian_factors(s_set: DirectionSet, t_set: DirectionSet) -> tuple[float, .
 
 
 def _require_nonnegative(**factors: float) -> None:
-    """Reject a NaN or negative certificate factor, naming it; an array
-    factor is checked by its least entry, NaN if any entry is."""
+    """Reject a NaN or negative certificate factor, naming it."""
     for name, x in factors.items():
-        x = _least(x)
         if not x >= 0:
             raise ValueError(f"{name} must be nonnegative, got {x}")
-
-
-def _least(x):
-    """``x``, or its least entry if it is an array."""
-    return x.min() if isinstance(x, np.ndarray) else x
 
 
 def _gsg_constant(k: int, lipschitz_grad: float, norm_t_pinv: float) -> float:
@@ -141,12 +118,18 @@ def _nsh_constant(geometry, lipschitz_hess: float, norm_s_pinv: float, norm_t_pi
     ``delta_l`` are read from ``geometry``, a :class:`BoundInputs` or a
     :class:`~nshess.calculus.RuleGeometry`.
     """
-    m, k, delta_l = geometry.m, geometry.k, geometry.delta_l
+    m, k, delta_u, delta_l = geometry.m, geometry.k, geometry.delta_u, geometry.delta_l
     if m < 1 or k < 1:
         raise ValueError("Hessian bound needs nonempty direction sets")
-    if _least(delta_l) <= 0:
+    if delta_l <= 0:
         raise ValueError("Hessian bound needs a strictly positive lower radius")
-    ratio = 2.0 * geometry.delta_u / delta_l + 3.0
+    return _nsh_product(m, k, lipschitz_hess, delta_u, delta_l, norm_s_pinv, norm_t_pinv)
+
+
+def _nsh_product(m: int, k: int, lipschitz_hess, delta_u, delta_l, norm_s_pinv, norm_t_pinv):
+    """The product of :func:`_nsh_constant`, unchecked: entrywise where the
+    radii and norms are arrays, and bitwise the scalar product there."""
+    ratio = 2.0 * delta_u / delta_l + 3.0
     return (m * math.sqrt(k) / 3.0) * lipschitz_hess * ratio * norm_s_pinv * norm_t_pinv
 
 
@@ -163,6 +146,26 @@ def error_bound_nsh(inputs: BoundInputs) -> float:
     """
     constant = _nsh_constant(inputs, inputs.lipschitz_hess, inputs.norm_s_pinv, inputs.norm_t_pinv)
     return constant * inputs.delta_u
+
+
+def _error_bounds_nsh(pairs, lipschitz_grad: float, lipschitz_hess: float) -> list[float]:
+    """``error_bound_nsh(BoundInputs.for_hessian(S, T, ...))``, bitwise, of each
+    ``(S, T)`` of ``pairs``, all of one shape, in one array pass. Each check
+    holds for every pair when it holds for the least radii and norms, so it
+    runs once, on the :class:`BoundInputs` of those, and names that entry."""
+    (s_set, t_set), *_ = pairs
+    if any(s.count != s_set.count or t.count != t_set.count for s, t in pairs):
+        raise ValueError("stacked Hessian bounds need direction sets of one shape")
+    factors = np.array([_hessian_factors(s, t) for s, t in pairs])
+    least = BoundInputs(
+        s_set.count, t_set.count, float(lipschitz_grad), float(lipschitz_hess),
+        *factors.min(axis=0).tolist(),
+    )
+    ds, dt, ns, nt = factors.T
+    _nsh_constant(least, least.lipschitz_hess, least.norm_s_pinv, least.norm_t_pinv)  # its checks
+    du = np.maximum(ds, dt)
+    bounds = _nsh_product(least.m, least.k, least.lipschitz_hess, du, np.minimum(ds, dt), ns, nt)
+    return (bounds * du).tolist()
 
 
 def error_bound_canonical(n: int, k: int, beta: float, lipschitz_hess: float) -> float:

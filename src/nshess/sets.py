@@ -275,10 +275,7 @@ def _distinct(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     If every gap between the sorted projections exceeds ``reach``, every
     row is its own class. Otherwise each row is compared only with the
     kept rows whose projections, kept sorted, lie within ``reach`` of its
-    own, found by binary search; a row bitwise equal to a kept row joins
-    its class with no test, since kept rows are pairwise more than ``tol``
-    apart, so for ``tol >= 0`` that row is the only kept row within ``tol``
-    of it. Python's ``sorted`` orders the projections: it maps
+    own, found by binary search. Python's ``sorted`` orders them: it maps
     in no numpy sort kernel, which would raise the peak memory of a
     process that sorts nothing else.
     """
@@ -295,22 +292,18 @@ def _distinct(points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         return every, every
     kept, classes = [], []
     keys, at = [], []  # the kept rows' projections, ascending, and the class of each
-    exact = {}  # the kept rows' bytes, and the class of each
     for b, (x, y) in enumerate(zip(points, proj)):
-        key = x.tobytes()
-        a = exact.get(key)
-        if a is None:
-            cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
-            hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
-            near = [c for c, h in zip(cand, hit) if h]
-            if near:
-                a = min(near)
-            else:
-                a = exact[key] = len(kept)
-                kept.append(b)
-                i = bisect_right(keys, y)
-                keys.insert(i, y)
-                at.insert(i, a)
+        cand = at[bisect_left(keys, y - reach) : bisect_right(keys, y + reach)]
+        hit = _near(points[[kept[c] for c in cand]], x, tol).tolist() if cand else ()
+        near = [c for c, h in zip(cand, hit) if h]
+        if near:
+            a = min(near)
+        else:
+            a = len(kept)
+            kept.append(b)
+            i = bisect_right(keys, y)
+            keys.insert(i, y)
+            at.insert(i, a)
         classes.append(a)
     return np.array(kept, dtype=np.intp), np.array(classes, dtype=np.intp)
 
@@ -599,9 +592,7 @@ def sample_grid(x0, s_set: DirectionSet, t_set: DirectionSet) -> np.ndarray:
     grid[1:, 0] = x0 + s_set.matrix.T
     np.add(grid[:, :1], t_set.matrix.T, out=grid[:, 1:])
     if not np.isfinite(grid).all():
-        raise ValueError(
-            "the sample grid of x0, S and T overflows: a point (x0 + s_i) + t_j is not finite"
-        )
+        raise ValueError("the sample grid of x0, S and T overflows: a point x0 + s_i + t_j is inf")
     return grid
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .approx import HessianResult, nested_set_hessian
-from .bounds import BoundInputs, error_bound_nsh
+from .bounds import BoundInputs, _error_bounds_nsh, error_bound_nsh
 from .cache import EvaluationCache, _write_text
 from .calculus import (
     CalcMode,
@@ -179,7 +179,7 @@ def _rule_bound(
             )
         datas.append(data)
     inputs = RuleBoundInputs(datas[0], geometry, *datas[1:], power=fn.power)
-    return float(calculus_error_bound(fn.rule, mode, inputs))
+    return calculus_error_bound(fn.rule, mode, inputs)
 
 
 def _estimate(
@@ -189,10 +189,10 @@ def _estimate(
     s_set: DirectionSet,
     t_set: DirectionSet,
 ) -> tuple[HessianResult, float | None, list[EvaluationCache]]:
-    """The configured estimate at ``x0``, its bound and the fresh caches it read.
+    """The configured estimate at ``x0``, its bound and the caches it read.
 
     Rule estimates use their parts' certificates. The bound of a nested-set
-    estimate is ``None``: a study takes those for all its rows at once.
+    estimate is ``None``: its caller takes it from S and T.
     """
     if config.estimator == "nested-set":
         cache = EvaluationCache(fn.oracle)
@@ -236,34 +236,29 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
 
     h_true = fn.hessian(x0)  # finite: make_function checks it
 
-    # Each row reads and estimates in order, and a non-finite error raises
-    # the norms' ValueError at its own row; the certificates and the norms
-    # are then taken for every row at once.
     betas = config.betas()
-    pairs, errors, bounds, evals = [], [], [], []
+    pairs, errors, fro, bounds, evals = [], [], [], [], []
     for beta in betas:
-        pair = config.sets_at(beta)
+        pairs.append(config.sets_at(beta))
         try:
-            res, bound, _ = _estimate(config, fn, x0, *pair)
+            res, bound, _ = _estimate(config, fn, x0, *pairs[-1])
         except ValueError:
             raise
         except Exception as exc:
             raise StudyError(f"estimator failed at beta={beta!r}: {exc}") from exc
-        errors.append(linalg._as_matrix(res.hessian - h_true))
-        pairs.append(pair)
+        diff = res.hessian - h_true
+        # A non-finite error raises the norms' ValueError at its own row.
+        fro.append(linalg.frobenius_norm(diff))
+        errors.append(diff)
         bounds.append(bound)
         evals.append(res.eval_count)
+    # The certificates of every nested-set row in one pass, and the spectral
+    # norms of H_true and of every error from one batched SVD.
     if config.estimator == "nested-set":
-        inputs = BoundInputs.for_hessians(pairs, fn.lipschitz_grad, fn.lipschitz_hess)
-        bounds = error_bound_nsh(inputs).tolist()
-    # The spectral norms of H_true and of every error from one batched SVD,
-    # the Frobenius ones as sqrt(v . v) of each error's entries: bitwise
-    # linalg's norms.
-    stack = np.array([h_true, *errors])
-    top, *spectral = linalg.spectral_norms(stack)
+        bounds = _error_bounds_nsh(pairs, fn.lipschitz_grad, fn.lipschitz_hess)
+    top, *spectral = linalg.spectral_norms([h_true, *errors])
     floor = NOISE_FLOOR_RTOL * (1.0 + top)
-    fro = [math.sqrt(v.dot(v)) for v in stack[1:].reshape(len(errors), -1)]
-    rows = [StudyRow(*row) for row in zip(betas, spectral, fro, bounds, evals)]
+    rows = [StudyRow(*row) for row in zip(betas, spectral, fro, map(float, bounds), evals)]
 
     live = [(r.beta, r.error_spec) for r in rows if r.error_spec > floor]
     if not live:

@@ -9,6 +9,7 @@ from nshess import (
     error_bound_gsg,
     error_bound_nsh,
 )
+from nshess.bounds import _error_bounds_nsh
 
 
 def inputs(
@@ -160,9 +161,20 @@ class TestBoundInputsFactories:
             inputs(**{field: float("nan")})
 
 
-class TestStackedHessianInputs:
-    """for_hessians holds a study's rows as arrays: every bound is bitwise its
-    pair's for_hessian bound, and each check still names the factor."""
+class _Set:
+    """A stand-in direction set with the factors a Hessian bound reads."""
+
+    def __init__(self, count, radius, norm):
+        self.count, self.radius, self.norm = count, radius, norm
+
+    def pinv_norm(self, transpose=False, normalized=False):
+        return self.norm
+
+
+class TestStackedHessianBounds:
+    """_error_bounds_nsh takes a study's certificates in one array pass: each
+    is bitwise its pair's error_bound_nsh, and each check still names the
+    factor, at the least entry."""
 
     def test_each_bound_is_bitwise_its_pairs(self):
         rng = np.random.default_rng(7)
@@ -172,19 +184,30 @@ class TestStackedHessianInputs:
             [canonical_set(3, 2, 0.1 * 0.5**i) for i in range(9)],
             [(s_base.scaled(b), t_base.scaled(b)) for b in (0.3, 1e-3, 7e-6)],
         ):
-            got = error_bound_nsh(BoundInputs.for_hessians(pairs, 2.0, 3.0))
+            got = _error_bounds_nsh(pairs, 2.0, 3.0)
             want = [error_bound_nsh(BoundInputs.for_hessian(s, t, 2.0, 3.0)) for s, t in pairs]
-            assert got.tobytes() == np.array(want).tobytes()
+            assert all(type(b) is float for b in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("field", ["delta_s", "delta_t", "norm_s_pinv", "norm_t_pinv"])
     @pytest.mark.parametrize("bad", [float("nan"), -1.0])
     def test_a_bad_entry_is_named(self, field, bad):
-        column = np.array([0.1, 0.2, 0.3])
-        column[1] = bad
+        rows = [dict(delta_s=0.1, delta_t=0.2, norm_s_pinv=1.0, norm_t_pinv=2.0) for _ in range(3)]
+        rows[1][field] = bad
+        pairs = [
+            (_Set(2, r["delta_s"], r["norm_s_pinv"]), _Set(2, r["delta_t"], r["norm_t_pinv"]))
+            for r in rows
+        ]
         with pytest.raises(ValueError, match=f"{field} must be nonnegative, got {bad}"):
-            inputs(**{field: column})
+            _error_bounds_nsh(pairs, 1.0, 1.0)
 
     def test_a_zero_lower_radius_in_any_row_is_rejected(self):
-        made = inputs(delta_s=np.array([0.1, 0.0]), delta_t=np.array([0.1, 0.2]))
+        pairs = [(_Set(2, 0.1, 1.0), _Set(2, 0.1, 1.0)), (_Set(2, 0.0, 1.0), _Set(2, 0.2, 1.0))]
         with pytest.raises(ValueError, match="strictly positive lower radius"):
-            error_bound_nsh(made)
+            _error_bounds_nsh(pairs, 1.0, 1.0)
+
+    def test_pairs_of_two_shapes_are_refused(self):
+        s_set = DirectionSet(np.eye(3))
+        pairs = [(s_set, s_set), (s_set, DirectionSet(np.hstack([np.eye(3), np.ones((3, 1))])))]
+        with pytest.raises(ValueError, match="direction sets of one shape"):
+            _error_bounds_nsh(pairs, 1.0, 1.0)

@@ -557,42 +557,19 @@ class TestOverflowingProjection:
 
     def test_rows_near_the_largest_double_are_compared_in_their_windows(self, monkeypatch):
         # Scaled by a power of two, their projections are finite, so each
-        # row meets only the kept rows in its window: the third row, one ulp
-        # from the first, meets that row alone, and the second row meets none.
+        # row meets only the kept rows in its window: the repeat meets the
+        # one row it repeats, and the second row meets none.
         compared = []
         real = sets._near
         monkeypatch.setattr(
             sets, "_near", lambda rows, *a: compared.append(len(rows)) or real(rows, *a)
         )
-        ulp = float(np.spacing(1e308))
-        block = np.array(
-            [[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308 + ulp]]
-        )
-        kept, classes = _distinct(block, ulp)
+        block = np.array([[1e308, 1e308, 1e308], [1e308, -1e308, 0.0], [1e308, 1e308, 1e308]])
+        kept, classes = _distinct(block, 0.0)
         assert kept.tolist() == [0, 1] and classes.tolist() == [0, 1, 0]
         assert compared == [1]
         with pytest.raises(ValueError, match="points 0 and 2 coincide"):
-            PointSet(block, ulp)
-
-    @pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
-    def test_a_bitwise_repeat_joins_its_row_with_no_tolerance_test(self, monkeypatch, tol):
-        # Kept rows are pairwise more than tol apart, so the kept row that a
-        # row repeats bitwise is the greedy answer: 2000 copies of one row
-        # make no _near call, and a repeat of a later kept row joins it.
-        compared = []
-        real = sets._near
-        monkeypatch.setattr(
-            sets, "_near", lambda rows, *a: compared.append(len(rows)) or real(rows, *a)
-        )
-        row = np.array([0.3, 1.5, -2.0])
-        kept, classes = _distinct(np.tile(row, (2000, 1)), tol)
-        assert kept.tolist() == [0] and classes.tolist() == [0] * 2000
-        assert compared == []
-        far = row + 1e301
-        block = np.array([row, row, far, row, far])
-        kept, classes = _distinct(block, tol)
-        assert kept.tolist() == [0, 2] and classes.tolist() == [0, 0, 1, 0, 1]
-        assert compared == []
+            PointSet(block)
 
     def test_a_window_too_wide_for_its_ends_still_matches(self):
         # The row lies within tol of row 0, though its window ends overflow.

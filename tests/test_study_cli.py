@@ -158,8 +158,7 @@ def _overdetermined(n, seed):
 
 class TestStudyNorms:
     """A study takes every row's spectral norm from one batched SVD and each
-    Frobenius norm as sqrt(v . v) of a row of the stacked errors: bitwise
-    linalg's norms of H - H_true."""
+    Frobenius norm as sqrt(v . v): bitwise linalg's norms of H - H_true."""
 
     CASES = [
         ("quadratic", "nested-set"),
